@@ -101,7 +101,7 @@ def quantization_step(
     """
     if c_diag <= 0:
         raise ShapeError("c_diag must be positive")
-    rates = entropy.rates_for_freqs(dist.freqs)
+    rates = dist.rates()
     pref = _preference_order(grid.levels)
     idx, _ = _argmin_objective(
         float(w_prime_entry),
@@ -183,62 +183,31 @@ def quantize_layer(
     rate_buf = np.empty(k, dtype=np.float64)
 
     if config.scan_order == ROW_MAJOR:
-        for i in range(n):
-            row = wp[i]
-            for j in range(m):
-                rates = model.rate_vector()
-                wij = row[j]
-                np.subtract(levels_pref, wij, out=obj_buf)
-                np.multiply(obj_buf, obj_buf, out=obj_buf)
-                np.multiply(obj_buf, half_inv_c2[j], out=obj_buf)
-                if lam:
-                    np.take(rates, pref, out=rate_buf)
-                    np.multiply(rate_buf, lam, out=rate_buf)
-                    np.subtract(rate_buf, gamma_term_pref, out=rate_buf)
-                    np.add(obj_buf, rate_buf, out=obj_buf)
-                evals += k
-                idx = int(pref[int(np.argmin(obj_buf))])
-                g = levels[idx]
-                err = (wij - g) * inv_c[j]
-                if j + 1 < m:
-                    row[j + 1 :] -= err * chol[j, j + 1 :]
-                loss_delta += (wij - g) * (wij - g) * half_inv_c2[j]
-                rate_total += float(rates[idx])
-                indices[i, j] = idx
-                symbols[t] = idx
-                t += 1
-                model.update(idx)
+        positions = ((i, j) for i in range(n) for j in range(m))
     else:
-        # Column-major: the row compensation from entry (i, j) only
-        # touches columns > j, which are first read in column j+1, so the
-        # rank-1 update can be applied once per column. The per-element
-        # arithmetic (and order of -= terms) matches the immediate form.
-        err_col = np.empty(n, dtype=np.float64)
-        for j in range(m):
-            col = wp[:, j]
-            for i in range(n):
-                rates = model.rate_vector()
-                wij = col[i]
-                np.subtract(levels_pref, wij, out=obj_buf)
-                np.multiply(obj_buf, obj_buf, out=obj_buf)
-                np.multiply(obj_buf, half_inv_c2[j], out=obj_buf)
-                if lam:
-                    np.take(rates, pref, out=rate_buf)
-                    np.multiply(rate_buf, lam, out=rate_buf)
-                    np.subtract(rate_buf, gamma_term_pref, out=rate_buf)
-                    np.add(obj_buf, rate_buf, out=obj_buf)
-                evals += k
-                idx = int(pref[int(np.argmin(obj_buf))])
-                g = levels[idx]
-                err_col[i] = (wij - g) * inv_c[j]
-                loss_delta += (wij - g) * (wij - g) * half_inv_c2[j]
-                rate_total += float(rates[idx])
-                indices[i, j] = idx
-                symbols[t] = idx
-                t += 1
-                model.update(idx)
-            if j + 1 < m:
-                wp[:, j + 1 :] -= err_col[:, None] * chol[j, j + 1 :]
+        positions = ((i, j) for j in range(m) for i in range(n))
+    for i, j in positions:
+        rates = model.rate_vector()
+        wij = wp[i, j]
+        np.subtract(levels_pref, wij, out=obj_buf)
+        np.multiply(obj_buf, obj_buf, out=obj_buf)
+        np.multiply(obj_buf, half_inv_c2[j], out=obj_buf)
+        if lam:
+            np.take(rates, pref, out=rate_buf)
+            np.multiply(rate_buf, lam, out=rate_buf)
+            np.subtract(rate_buf, gamma_term_pref, out=rate_buf)
+            np.add(obj_buf, rate_buf, out=obj_buf)
+        evals += k
+        idx = int(pref[int(np.argmin(obj_buf))])
+        g = levels[idx]
+        if j + 1 < m:
+            wp[i, j + 1 :] -= ((wij - g) * inv_c[j]) * chol[j, j + 1 :]
+        loss_delta += (wij - g) * (wij - g) * half_inv_c2[j]
+        rate_total += float(rates[idx])
+        indices[i, j] = idx
+        symbols[t] = idx
+        t += 1
+        model.update(idx)
 
     quantized = QuantizedLayer(n, m, indices, grid, config.scan_order)
     return LayerResult(

@@ -7,15 +7,20 @@ instance reproduces the exact per-symbol distributions; quantization-time
 rate estimates therefore equal encoding-time costs.
 
 Kinds:
-    static    fixed histogram, quantized once at construction, never updated;
-              its frequency table is serialized in the layer header.
+    static    fixed histogram, fitted once at construction to integer
+              frequencies summing to exactly 2**15 and never updated; its
+              frequency table is serialized in the layer header.
     adaptive  Laplace-smoothed adaptive histogram (all counts start at 1).
     context   adaptive histogram with two contexts keyed on whether the
               previous symbol was the zero level; captures run-of-zeros
               statistics.
 
-All distributions are integer frequency tables summing to exactly 2**15,
-with every frequency >= 1 (worst-case symbol cost 15 bits).
+Every model's current distribution is a table of integer counts, each
+>= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
+The range coder codes straight from the cumulative counts, and a symbol
+with count ``c`` costs ``log2(T) - log2(c)`` bits, read from one table of
+base-2 logarithms so every rate path agrees bitwise. The worst-case
+symbol cost is 16 bits (15 for static).
 """
 
 from __future__ import annotations
@@ -27,31 +32,27 @@ import numpy as np
 
 from .errors import ShapeError
 
-TOTAL_BITS = 15
-TOTAL = 1 << TOTAL_BITS  # 32768
-COUNT_CAP = 1 << 16
+TOTAL = 1 << 15  # total of a static frequency table; also the largest k
+COUNT_CAP = 1 << 16  # adaptive counts are halved when their total would exceed this
 
 STATIC = "static"
 ADAPTIVE = "adaptive"
 CONTEXT = "context"
 MODEL_KINDS = (STATIC, ADAPTIVE, CONTEXT)
 
-_LOG2_TOTAL = float(TOTAL_BITS)
-
-# Cost in bits of frequency f is TOTAL_BITS - log2(f); tabulated once.
-_RATE_TABLE = _LOG2_TOTAL - np.log2(np.arange(1, TOTAL + 1, dtype=np.float64))
-_RATE_TABLE = np.concatenate(([np.inf], _RATE_TABLE))
+# log2(n) for n = 0..COUNT_CAP; log2(0) = -inf prices a zero count at inf.
+with np.errstate(divide="ignore"):
+    _LOG2 = np.log2(np.arange(COUNT_CAP + 1, dtype=np.float64))
 
 
-def rates_for_freqs(freqs) -> np.ndarray:
-    """Per-symbol bit costs for a frequency table (tabulated, so all rate
-    paths agree bitwise)."""
-    return _RATE_TABLE[np.asarray(freqs, dtype=np.int64)]
+def _rates(counts: np.ndarray, total: int) -> np.ndarray:
+    """Per-symbol bit costs ``log2(total) - log2(count)``."""
+    return _LOG2[total] - _LOG2[counts]
 
 
 @dataclass(frozen=True)
 class SymbolDistribution:
-    """Integer frequency table over k symbols, total exactly 2**15."""
+    """Integer counts over k symbols, each >= 1, summing to at most 2**16."""
 
     freqs: np.ndarray
 
@@ -62,12 +63,16 @@ class SymbolDistribution:
             raise ShapeError("distribution needs a 1-D table with k >= 2")
         if f.min() < 1:
             raise ShapeError("every frequency must be >= 1")
-        if int(f.sum()) != TOTAL:
-            raise ShapeError(f"frequencies must sum to {TOTAL}, got {int(f.sum())}")
+        if int(f.sum()) > COUNT_CAP:
+            raise ShapeError(f"frequencies must sum to at most {COUNT_CAP}, got {int(f.sum())}")
 
     @property
     def total(self) -> int:
-        return TOTAL
+        return int(self.freqs.sum())
+
+    def rates(self) -> np.ndarray:
+        """Per-symbol cost in bits: -log2(freq / total)."""
+        return _rates(self.freqs, self.total)
 
 
 def quantize_counts(counts: np.ndarray) -> np.ndarray:
@@ -103,31 +108,35 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
     return freqs
 
 
-def _quantize_counts_fast(counts: list, total: int) -> list:
-    """Pure-integer twin of :func:`quantize_counts` for the per-symbol
-    hot path; must produce identical tables (cross-checked in tests)."""
-    k = len(counts)
-    freqs = [1] * k
-    rem = [0] * k
-    ssum = 0
-    for i in range(k):
-        b, r = divmod(counts[i] << TOTAL_BITS, total)
-        rem[i] = r
-        if b < 1:
-            b = 1
-        freqs[i] = b
-        ssum += b
-    diff = TOTAL - ssum
-    if diff > 0:
-        # remainder descending, index ascending: sort (rem, -index) descending
-        order = sorted(zip(rem, range(0, -k, -1)), reverse=True)
-        for pos in range(diff):
-            freqs[-order[pos][1]] += 1
-    elif diff < 0:
-        for _ in range(-diff):
-            i = max(range(k), key=freqs.__getitem__)
-            freqs[i] -= 1
-    return freqs
+class _Counts:
+    """Integer counts with their cumulative list ``[0, c0, c0+c1, ..., T]``.
+
+    ``observe`` adds one to a count and to the cumulative entries above it
+    (O(k), after Moffat's linear-time adaptive coder). When the total would
+    exceed ``COUNT_CAP`` every count is halved, rounding up, and the
+    cumulative list is rebuilt.
+    """
+
+    __slots__ = ("counts", "cum")
+
+    def __init__(self, counts):
+        self._set(np.array(counts, dtype=np.int64))
+
+    def _set(self, counts: np.ndarray) -> None:
+        self.counts = counts
+        self.cum = [0] + np.cumsum(counts).tolist()
+
+    def observe(self, symbol: int) -> None:
+        self.counts[symbol] += 1
+        cum = self.cum
+        if cum[-1] < COUNT_CAP:
+            for i in range(symbol + 1, len(cum)):
+                cum[i] += 1
+        else:
+            self._set((self.counts + 1) >> 1)
+
+    def rates(self) -> np.ndarray:
+        return _rates(self.counts, self.cum[-1])
 
 
 class EntropyModel:
@@ -136,12 +145,12 @@ class EntropyModel:
     kind: str
 
     def __init__(self, k: int):
-        if k < 2:
-            raise ShapeError(f"model needs k >= 2, got {k}")
+        if not 2 <= k <= TOTAL:
+            raise ShapeError(f"model needs 2 <= k <= {TOTAL}, got {k}")
         self.k = k
 
     # -- hooks ------------------------------------------------------------
-    def _table(self) -> "_CachedTable":
+    def _table(self) -> _Counts:
         raise NotImplementedError
 
     def update(self, symbol: int) -> None:
@@ -153,14 +162,14 @@ class EntropyModel:
 
     # -- derived ----------------------------------------------------------
     def distribution(self) -> SymbolDistribution:
-        return SymbolDistribution(np.array(self._table().freqs(), dtype=np.int64))
+        return SymbolDistribution(self._table().counts.copy())
 
     def cum(self) -> list:
-        """Cumulative frequency list [0, f0, f0+f1, ..., TOTAL] as ints."""
-        return self._table().cum()
+        """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
+        return self._table().cum
 
     def rate_vector(self) -> np.ndarray:
-        """Per-symbol cost in bits: -log2(freq / TOTAL)."""
+        """Per-symbol cost in bits: -log2(count / T)."""
         return self._table().rates()
 
     def rate_bits(self, symbol: int) -> float:
@@ -169,56 +178,13 @@ class EntropyModel:
         return float(self.rate_vector()[symbol])
 
 
-class _CachedTable:
-    """Frequency table derived lazily from integer counts.
-
-    Counts live in a plain Python list; the quantized table, its
-    cumulative form and the bit-cost vector are cached until the next
-    count change.
-    """
-
-    __slots__ = ("counts", "total", "_freqs", "_cum", "_rates")
-
-    def __init__(self, counts):
-        self.counts = [int(c) for c in counts]
-        self.total = sum(self.counts)
-        self._freqs = None
-        self._cum = None
-        self._rates = None
-
-    def observe(self, symbol: int) -> None:
-        self.counts[symbol] += 1
-        self.total += 1
-        if self.total > COUNT_CAP:
-            self.counts = [(c + 1) >> 1 for c in self.counts]
-            self.total = sum(self.counts)
-        self._freqs = None
-        self._cum = None
-        self._rates = None
-
-    def freqs(self) -> list:
-        if self._freqs is None:
-            self._freqs = _quantize_counts_fast(self.counts, self.total)
-        return self._freqs
-
-    def cum(self) -> list:
-        if self._cum is None:
-            cum = [0]
-            acc = 0
-            for f in self.freqs():
-                acc += f
-                cum.append(acc)
-            self._cum = cum
-        return self._cum
-
-    def rates(self) -> np.ndarray:
-        if self._rates is None:
-            self._rates = _RATE_TABLE[np.array(self.freqs(), dtype=np.int64)]
-        return self._rates
-
-
 class StaticModel(EntropyModel):
-    """Histogram fixed at construction; ``update`` is a no-op."""
+    """Histogram fixed at construction; ``update`` is a no-op.
+
+    Any counts, including a table read from a file header, are re-fitted
+    by :func:`quantize_counts`, so every frequency is >= 1 and the total
+    is exactly 2**15.
+    """
 
     kind = STATIC
 
@@ -227,16 +193,15 @@ class StaticModel(EntropyModel):
         c = np.asarray(counts, dtype=np.int64)
         if c.shape != (k,):
             raise ShapeError(f"static counts must have length {k}, got {c.shape}")
-        if c.min() < 0:
-            raise ShapeError("static counts must be nonnegative")
         self.counts = c.copy()
-        self._tab = _CachedTable(c.tolist())
-        if self._tab.total <= 0:
-            raise ShapeError("static counts must contain at least one positive entry")
-        self._tab.freqs()  # quantize once, fail fast on bad counts
+        self._tab = _Counts(quantize_counts(c))
+        self._rates = self._tab.rates()
 
     def _table(self):
         return self._tab
+
+    def rate_vector(self) -> np.ndarray:
+        return self._rates
 
     def update(self, symbol: int) -> None:
         pass
@@ -257,7 +222,7 @@ class AdaptiveModel(EntropyModel):
 
     def __init__(self, k: int):
         super().__init__(k)
-        self._tab = _CachedTable([1] * k)
+        self._tab = _Counts(np.ones(k))
 
     def _table(self):
         return self._tab
@@ -283,7 +248,7 @@ class ContextModel(EntropyModel):
         self.zero_index = k // 2 if zero_index is None else zero_index
         if not 0 <= self.zero_index < k:
             raise ShapeError("zero_index out of range")
-        self._tabs = (_CachedTable([1] * k), _CachedTable([1] * k))
+        self._tabs = (_Counts(np.ones(k)), _Counts(np.ones(k)))
         self.current_context = 0
 
     def _table(self):
@@ -330,17 +295,15 @@ def rate_bits(model: EntropyModel, symbol: int) -> float:
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:
     """Total predicted bits for a symbol sequence; mutates the model.
 
-    Accumulates in sequence order with the same tabulated per-frequency
-    costs as :meth:`EntropyModel.rate_vector`, so totals match the other
-    replay paths exactly.
+    Accumulates in sequence order the costs ``log2(T) - log2(c_s)`` read
+    from the same table as :meth:`EntropyModel.rate_vector`, so totals
+    match the other replay paths exactly.
     """
     total = 0.0
-    table = model._table
-    update = model.update
-    rate_of = _RATE_TABLE
     for s in np.asarray(symbols, dtype=np.int64).tolist():
-        total += float(rate_of[table().freqs()[s]])
-        update(s)
+        cum = model.cum()
+        total += float(_LOG2[cum[-1]] - _LOG2[cum[s + 1] - cum[s]])
+        model.update(s)
     return total
 
 

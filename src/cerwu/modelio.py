@@ -1,6 +1,10 @@
 """Tensor container and compressed-model file formats.
 
 Both formats are little-endian throughout and byte-exact across versions.
+Each carries its own version: the tensor container is at version 1, the
+compressed model at version 2 (adaptive and context payloads are coded
+straight from the models' counts; version 1 coded them from re-quantized
+2**15 tables and is rejected).
 
 Tensor container (".tns"):
 
@@ -21,7 +25,8 @@ Compressed model (".cwm"):
             model kind u8 (0 = static, 1 = adaptive, 2 = context)
             scale u16 (binary16 bits of the grid step)
             has static table u8; if set: grid-size x u16 frequencies
-            symbol count u64 | payload length u64 | payload bytes
+            (re-fitted to a 2**15 total when read)
+            symbol count u64 (= rows * cols) | payload length u64 | payload bytes
         raw:
             dtype u8 (0 = float32) | ndim u8 | dims u32 x ndim
             data length u64 | raw bytes
@@ -46,7 +51,8 @@ from .rangecoder import Payload, decode
 
 TENSOR_MAGIC = b"TNSR"
 COMPRESSED_MAGIC = b"CERW"
-FORMAT_VERSION = 1
+TENSOR_VERSION = 1
+COMPRESSED_VERSION = 2
 
 _DTYPE_F32 = 0
 _KIND_QUANTIZED = 0
@@ -55,6 +61,14 @@ _SCAN_CODES = {ROW_MAJOR: 0, COLUMN_MAJOR: 1}
 _SCAN_NAMES = {v: n for n, v in _SCAN_CODES.items()}
 _MODEL_CODES = {entropy.STATIC: 0, entropy.ADAPTIVE: 1, entropy.CONTEXT: 2}
 _MODEL_NAMES = {v: n for n, v in _MODEL_CODES.items()}
+# A quantized record's header is its name, its static table if any, and
+# these fixed fields: name length and kind; rows, cols, grid size, scan,
+# model, scale; has-table flag; symbol count and payload length.
+_QUANT_FIELDS = "<IIIBBH"
+_QUANT_COUNTS = "<QQ"
+_QUANT_FIXED_BYTES = (
+    struct.calcsize("<HB") + struct.calcsize(_QUANT_FIELDS) + 1 + struct.calcsize(_QUANT_COUNTS)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +97,7 @@ class TensorFile:
 def write_tensor_file(tf: TensorFile, path) -> None:
     blob = bytearray()
     blob += TENSOR_MAGIC
-    blob += struct.pack("<HI", FORMAT_VERSION, len(tf.entries))
+    blob += struct.pack("<HI", TENSOR_VERSION, len(tf.entries))
     for name, arr in tf.entries.items():
         raw = name.encode("utf-8")
         blob += struct.pack("<H", len(raw)) + raw
@@ -124,10 +138,10 @@ def load_tensor_file(path) -> TensorFile:
     if r.take(4) != TENSOR_MAGIC:
         raise ParseError(f"{path}: bad magic at byte offset 0 (expected TNSR)")
     version, count = r.unpack("<HI")
-    if version != FORMAT_VERSION:
+    if version != TENSOR_VERSION:
         raise ParseError(
             f"{path}: unsupported tensor container version {version}; "
-            f"supported: {FORMAT_VERSION}"
+            f"supported: {TENSOR_VERSION}"
         )
     tf = TensorFile()
     for _ in range(count):
@@ -196,7 +210,9 @@ class QuantizedRecord:
         return grid_from_scale(self.grid_size, float(step))
 
     def header_bytes(self) -> int:
-        return _record_size(self) - len(self.payload)
+        """Serialized size of the record minus its payload bytes."""
+        table = 0 if self.static_freqs is None else 2 * len(self.static_freqs)
+        return _QUANT_FIXED_BYTES + len(self.name.encode("utf-8")) + table
 
     def model(self):
         """Fresh entropy model for decoding this record."""
@@ -234,17 +250,16 @@ Record = Union[QuantizedRecord, RawRecord]
 
 @dataclass
 class CompressedModel:
-    version: int = FORMAT_VERSION
+    version: int = COMPRESSED_VERSION
     records: List[Record] = field(default_factory=list)
 
     def quantized(self) -> List[QuantizedRecord]:
         return [r for r in self.records if isinstance(r, QuantizedRecord)]
 
     def bits_per_weight(self) -> float:
-        total_bytes = sum(
-            _record_size(r) for r in self.records if isinstance(r, QuantizedRecord)
-        )
-        params = sum(r.param_count for r in self.quantized())
+        quantized = self.quantized()
+        total_bytes = sum(r.header_bytes() + len(r.payload) for r in quantized)
+        params = sum(r.param_count for r in quantized)
         if params == 0:
             raise ShapeError("no quantized parameters in the model")
         return bits_per_weight(total_bytes, params)
@@ -269,7 +284,7 @@ def _encode_record(rec: Record) -> bytes:
     if isinstance(rec, QuantizedRecord):
         blob += struct.pack("<B", _KIND_QUANTIZED)
         blob += struct.pack(
-            "<IIIBBH",
+            _QUANT_FIELDS,
             rec.rows,
             rec.cols,
             rec.grid_size,
@@ -282,7 +297,7 @@ def _encode_record(rec: Record) -> bytes:
             blob += np.asarray(rec.static_freqs, dtype="<u2").tobytes()
         else:
             blob += struct.pack("<B", 0)
-        blob += struct.pack("<QQ", rec.symbol_count, len(rec.payload))
+        blob += struct.pack(_QUANT_COUNTS, rec.symbol_count, len(rec.payload))
         blob += rec.payload
     else:
         blob += struct.pack("<B", _KIND_RAW)
@@ -291,10 +306,6 @@ def _encode_record(rec: Record) -> bytes:
         blob += struct.pack("<Q", len(rec.data))
         blob += rec.data
     return bytes(blob)
-
-
-def _record_size(rec: Record) -> int:
-    return len(_encode_record(rec))
 
 
 def write_compressed(model: CompressedModel, path) -> None:
@@ -314,10 +325,10 @@ def read_compressed(path) -> CompressedModel:
     if r.take(4) != COMPRESSED_MAGIC:
         raise ParseError(f"{path}: bad magic at byte offset 0 (expected CERW)")
     version, count = r.unpack("<HI")
-    if version != FORMAT_VERSION:
+    if version != COMPRESSED_VERSION:
         raise ParseError(
             f"{path}: unsupported compressed-model version {version}; "
-            f"supported: {FORMAT_VERSION}"
+            f"supported: {COMPRESSED_VERSION}"
         )
     model = CompressedModel(version=version)
     for _ in range(count):
@@ -325,7 +336,7 @@ def read_compressed(path) -> CompressedModel:
         name = r.take(name_len).decode("utf-8")
         (kind,) = r.unpack("<B")
         if kind == _KIND_QUANTIZED:
-            rows, cols, grid_size, scan, mkind, scale_bits = r.unpack("<IIIBBH")
+            rows, cols, grid_size, scan, mkind, scale_bits = r.unpack(_QUANT_FIELDS)
             if scan not in _SCAN_NAMES:
                 raise ParseError(f"{path}: unknown scan code {scan} before offset {r.pos}")
             if mkind not in _MODEL_NAMES:
@@ -335,7 +346,19 @@ def read_compressed(path) -> CompressedModel:
             if has_static:
                 raw = r.take(2 * grid_size)
                 static_freqs = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-            symbol_count, payload_len = r.unpack("<QQ")
+            symbol_count, payload_len = r.unpack(_QUANT_COUNTS)
+            if symbol_count != rows * cols:
+                raise ParseError(
+                    f"{path}: record {name!r} holds {symbol_count} symbols "
+                    f"for a {rows}x{cols} layer, before offset {r.pos}"
+                )
+            # No model gives a symbol probability above 1 - 1/COUNT_CAP, so
+            # every symbol costs more than 1/COUNT_CAP bits.
+            if symbol_count > 8 * payload_len * entropy.COUNT_CAP:
+                raise ParseError(
+                    f"{path}: record {name!r} claims {symbol_count} symbols "
+                    f"in a {payload_len}-byte payload, before offset {r.pos}"
+                )
             payload = r.take(payload_len)
             model.records.append(
                 QuantizedRecord(

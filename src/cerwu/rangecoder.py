@@ -1,4 +1,4 @@
-"""Byte-wise range coder over 15-bit integer frequency tables.
+"""Byte-wise range coder over integer count tables.
 
 Encoder state is a 64-bit low accumulator (held as a Python int; at most
 33 bits are ever live) and a 32-bit range, renormalized one byte at a
@@ -6,8 +6,14 @@ time. Carries propagate into the already-emitted byte buffer; the
 interval invariant value(out||low) + range <= 2**(8*len(out)+32)
 guarantees a carry never ripples past the front byte.
 
-Interval boundaries are computed as (range * cum) >> 15, so the coder
-spends within a fraction of a bit of the model's information content.
+Each symbol is coded from the model's cumulative counts
+``[0, c0, c0+c1, ..., T]`` with ``T <= 2**16``: interval boundaries are
+``(range * cum) // T``, so the coder spends within a fraction of a bit of
+the model's information content. Every model kind takes this one path; a
+static table's ``T = 2**15`` makes the division an exact shift. Since the
+range stays at or above 2**24 and ``T <= 2**16``, every symbol keeps an
+interval of at least 256 units.
+
 The flush appends 8 bytes: the 4 live bytes of ``low`` plus 4 bytes of
 padding, which double as the decoder's priming slack. The decoder reads
 4 + (#renormalizations) bytes, which is always at least 4 bytes short of
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import TOTAL_BITS, EntropyModel
+from .entropy import EntropyModel
 from .errors import DecodeError, ShapeError
 
 _MASK32 = 0xFFFFFFFF
@@ -59,8 +65,9 @@ def encode(symbols, model: EntropyModel) -> Payload:
     rng = _MASK32
     for s in syms.tolist():
         cum = model.cum()
-        lo_inc = (rng * cum[s]) >> TOTAL_BITS
-        hi_inc = (rng * cum[s + 1]) >> TOTAL_BITS
+        total = cum[-1]
+        lo_inc = rng * cum[s] // total
+        hi_inc = rng * cum[s + 1] // total
         low += lo_inc
         if low > _MASK32:
             i = len(out) - 1
@@ -105,14 +112,15 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
     out = np.empty(n, dtype=np.int32)
     for t in range(n):
         cum = model.cum()
-        # s is the largest symbol whose lower boundary is <= d; the
-        # threshold transform is exact for integer boundaries.
-        thr = (((d + 1) << TOTAL_BITS) - 1) // rng
+        total = cum[-1]
+        # s is the largest symbol whose lower boundary is <= d:
+        # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
+        thr = ((d + 1) * total - 1) // rng
         s = bisect_right(cum, thr) - 1
         if s >= k:
             raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
-        lo_inc = (rng * cum[s]) >> TOTAL_BITS
-        hi_inc = (rng * cum[s + 1]) >> TOTAL_BITS
+        lo_inc = rng * cum[s] // total
+        hi_inc = rng * cum[s + 1] // total
         # Interval search guarantees lo_inc <= d < hi_inc, so the offset
         # stays inside the (renormalized) range without further checks.
         d -= lo_inc

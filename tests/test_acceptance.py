@@ -396,3 +396,18 @@ def test_criterion_11_decompression_speed(tmp_path):
     assert elapsed < 2.0
     report(11, f"{side * side} parameters decompressed single-threaded",
            elapsed, 2)
+
+
+@pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+def test_criterion_11_adaptive_decode_speed(kind):
+    # one million zero-heavy symbols coded straight from the model counts
+    rng = np.random.default_rng(112)
+    k, n = 9, 1_000_000
+    syms = np.where(rng.random(n) < 0.8, k // 2, rng.integers(0, k, size=n))
+    payload = encode(syms, make_model(kind, k))
+    t0 = time.perf_counter()
+    back = decode(payload, make_model(kind, k), k)
+    elapsed = time.perf_counter() - t0
+    assert np.array_equal(back, syms)
+    assert elapsed < 5.0
+    report(11, f"{n} {kind}-model symbols decoded single-threaded", elapsed, 5)

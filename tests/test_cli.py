@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,37 @@ class TestErrors:
         bad.write_bytes(b"garbage!")
         rc = main(["decompress", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def _compressed(self, tmp_path):
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(5))
+        out = tmp_path / "out.cwm"
+        assert main([
+            "compress", "--model", str(model_path), "--calib", str(calib_path),
+            "--lambda", "0.01", "--model-kind", "context", "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_hostile_symbol_count_is_input_error(self, tmp_path, capsys):
+        out = self._compressed(tmp_path)
+        payload = read_compressed(out).quantized()[0].payload
+        data = bytearray(out.read_bytes())
+        struct.pack_into("<Q", data, data.index(payload) - 16, 2**40)
+        out.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(["decompress", "--input", str(out), "--out", str(tmp_path / "o.tns")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_version_one_file_is_input_error(self, tmp_path, capsys):
+        out = self._compressed(tmp_path)
+        data = bytearray(out.read_bytes())
+        struct.pack_into("<H", data, 4, 1)
+        out.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(["decompress", "--input", str(out), "--out", str(tmp_path / "o.tns")])
+        assert rc == 1
+        assert "supported: 2" in capsys.readouterr().err
 
 
 class TestSweepPareto:

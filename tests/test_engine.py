@@ -12,7 +12,7 @@ from cerwu.engine import (
     rtn_layer,
 )
 from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits
-from cerwu.grids import COLUMN_MAJOR, build_grid, grid_from_scale, round_to_nearest
+from cerwu.grids import COLUMN_MAJOR, ROW_MAJOR, build_grid, grid_from_scale, round_to_nearest
 from cerwu.linalg import accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode
@@ -242,19 +242,22 @@ class TestQuantizeLayer:
         )
         assert np.array_equal(row.quantized.indices, col.quantized.indices)
 
-    def test_loss_delta_tracks_quadratic_form(self):
+    @pytest.mark.parametrize("scan_order", [ROW_MAJOR, COLUMN_MAJOR])
+    def test_loss_delta_tracks_quadratic_form(self, scan_order):
         # total recorded loss increase equals the final quadratic loss of
-        # the row problem (the row starts at its unconstrained minimum)
+        # the row problems (each row starts at its unconstrained minimum),
+        # whatever order the rate-aware choices visit the entries in
         rng = np.random.default_rng(10)
-        w = rng.normal(size=(1, 5))
+        w = rng.normal(size=(4, 5))
         x = rng.normal(size=(5, 10))
         h = accumulate_hessian([x])
-        cfg = CompressionConfig(lam=0.0, grid_size=3, damping_delta=0.0)
-        grid = build_grid(w, 3)
+        cfg = CompressionConfig(lam=0.05, grid_size=5, scan_order=scan_order,
+                                model_kind=CONTEXT, damping_delta=0.0)
+        grid = build_grid(w, 5)
         res = quantize_layer(w, h, grid, cfg)
-        ctx = build_context(w, h, 0.0, 0.0)
+        ctx = build_context(w, h, cfg.lam, 0.0)
         d = ctx.w_prime - res.quantized.dequantize()
-        final_loss = float(0.5 * (d @ ctx.hessian_reg @ d.T)[0, 0])
+        final_loss = float(0.5 * np.trace(d @ ctx.hessian_reg @ d.T))
         assert res.quadratic_loss_delta == pytest.approx(final_loss, rel=1e-8)
 
     def test_gamma_zero_ablation_uses_plain_weights(self):

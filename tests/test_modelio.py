@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cerwu.engine import CompressionConfig, compress_layer
-from cerwu.entropy import CONTEXT, STATIC
+from cerwu.entropy import CONTEXT, COUNT_CAP, STATIC
 from cerwu.errors import ParseError, ShapeError
 from cerwu.grids import ROW_MAJOR
 from cerwu.linalg import accumulate_hessian
@@ -33,6 +33,14 @@ class TestTensorFile:
         assert back["w"].shape == (2, 2)
         assert back["w"].dtype == np.float32
         assert path.stat().st_size == 4 + 6 + (2 + 1) + 2 + 8 + 16
+
+    def test_version_one_layout(self, tmp_path):
+        path = tmp_path / "v1.tns"
+        path.write_bytes(
+            b"TNSR" + struct.pack("<HIH", 1, 1, 1) + b"w"
+            + struct.pack("<BBI", 0, 1, 2) + struct.pack("<2f", 1.5, -2.0)
+        )
+        assert load_tensor_file(path)["w"].tolist() == [1.5, -2.0]
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "empty.tns"
@@ -185,8 +193,56 @@ class TestCompressedModel:
         data = bytearray(path.read_bytes())
         struct.pack_into("<H", data, 4, 99)
         path.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="supported: 1"):
+        with pytest.raises(ParseError, match="supported: 2"):
             read_compressed(path)
+
+    def test_version_one_rejected(self, tmp_path):
+        # version 1 coded adaptive payloads from re-quantized 2**15 tables
+        rng = np.random.default_rng(8)
+        _, _, rec = _quantized_record(rng)
+        path = tmp_path / "v1.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 4, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="version 1; supported: 2"):
+            read_compressed(path)
+
+    @pytest.mark.parametrize("model_kind", [STATIC, CONTEXT])
+    def test_header_bytes_match_file_size(self, tmp_path, model_kind):
+        rng = np.random.default_rng(9)
+        _, _, rec = _quantized_record(rng, name="layér", model_kind=model_kind)
+        path = tmp_path / "h.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        assert path.stat().st_size == 10 + rec.header_bytes() + len(rec.payload)
+
+    def _hostile_copy(self, tmp_path, symbol_count, rows=None, cols=None):
+        rng = np.random.default_rng(10)
+        _, _, rec = _quantized_record(rng)
+        path = tmp_path / "hostile.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        data = bytearray(path.read_bytes())
+        counts_at = len(data) - len(rec.payload) - 16
+        struct.pack_into("<Q", data, counts_at, symbol_count)
+        shape_at = 10 + 2 + len(rec.name) + 1
+        struct.pack_into("<II", data, shape_at, rows or rec.rows, cols or rec.cols)
+        path.write_bytes(bytes(data))
+        return path, rec
+
+    def test_symbol_count_must_match_shape(self, tmp_path):
+        path, _ = self._hostile_copy(tmp_path, 2**40)
+        with pytest.raises(ParseError, match="symbols for a 6x8 layer"):
+            read_compressed(path)
+
+    def test_symbol_count_bounded_by_payload(self, tmp_path):
+        # every symbol costs more than 1/COUNT_CAP bits, so a payload of
+        # L bytes holds at most 8 * L * COUNT_CAP symbols
+        path, rec = self._hostile_copy(tmp_path, 2**40, rows=2**20, cols=2**20)
+        with pytest.raises(ParseError, match="-byte payload"):
+            read_compressed(path)
+        bound = 8 * len(rec.payload) * COUNT_CAP
+        path, _ = self._hostile_copy(tmp_path, bound, rows=bound // 8, cols=8)
+        assert read_compressed(path).quantized()[0].symbol_count == bound
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cwm"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ class TestEncode:
     def test_rejects_out_of_range_symbol(self):
         with pytest.raises(ShapeError):
             encode([0, 5], make_model(ADAPTIVE, 3))
+
+    def test_static_stream_pinned(self):
+        # payload bytes and predicted bits of a fixed static stream, as
+        # produced by the 15-bit shift coder this coder generalizes
+        i = np.arange(3000)
+        syms = np.where(i * 7919 % 10 < 7, 4, (i * i * 31 + i) % 9)
+        counts = np.bincount(syms, minlength=9)
+        p = encode(syms, make_model(STATIC, 9, static_counts=counts))
+        assert len(p.data) == 560
+        assert hashlib.sha256(p.data).hexdigest() == (
+            "b99227bec779467522e9982c85dedbf62269b3113187be726902c59a66b307f8"
+        )
+        assert p.data[:8].hex() == "b7b7e900043ae07b"
+        rate = sequence_rate_bits(syms, make_model(STATIC, 9, static_counts=counts))
+        assert rate == 4421.837612432743
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(2)
