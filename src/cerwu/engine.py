@@ -20,6 +20,14 @@ deterministic function of the symbol stream, encoding afterwards by
 replaying a fresh model pays exactly the predicted bits (up to coder
 flush overhead).
 
+A static model's costs never change, so for it the row order does not
+matter: the engine quantizes one column at a time, for all rows at once
+(an ``n x k`` objective, a row-wise ``argmin`` and one rank-1 update of
+the remaining columns). The elementwise arithmetic is the per-entry
+walk's, so indices, symbols, loss delta and predicted bits are bitwise
+those of visiting the entries one by one. Adaptive and context models
+take the per-entry walk.
+
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
 choices but removes the Gaussian regularization from the updates.
@@ -35,7 +43,7 @@ import numpy as np
 from . import entropy
 from .entropy import EntropyModel, make_model
 from .errors import ShapeError
-from .grids import ROW_MAJOR, SCAN_ORDERS, Grid, QuantizedLayer, build_grid
+from .grids import ROW_MAJOR, SCAN_ORDERS, Grid, QuantizedLayer, build_grid, in_scan_order
 from .linalg import DEFAULT_DAMPING, LayerContext, as_matrix, build_context, compute_gamma
 from .rangecoder import Payload, encode
 
@@ -101,36 +109,47 @@ def quantization_step(
     """
     if c_diag <= 0:
         raise ShapeError("c_diag must be positive")
-    rates = dist.rates()
-    pref = _preference_order(grid.levels)
-    idx, _ = _argmin_objective(
-        float(w_prime_entry),
-        0.5 / (max(c_diag, CDIAG_FLOOR) ** 2),
-        grid.levels,
-        lam,
-        rates,
-        0.5 * lam * gamma * grid.levels**2,
-        pref,
-    )
-    return idx
+    c = max(c_diag, CDIAG_FLOOR)
+    pref, levels_pref, gamma_term_pref = _search_order(grid.levels, lam, gamma)
+    rate_term = _rate_term(dist.rates(), pref, lam, gamma_term_pref) if lam else None
+    obj = _objective(float(w_prime_entry), 0.5 / (c * c), levels_pref, rate_term)
+    return int(pref[obj.argmin()])
 
 
-def _preference_order(levels: np.ndarray) -> np.ndarray:
-    """Indices sorted by (|level|, level): scan order for tie-breaking."""
-    return np.lexsort((levels, np.abs(levels)))
+def _search_order(levels: np.ndarray, lam: float, gamma: float):
+    """Levels in tie-break order, with their Gaussian-proxy terms.
+
+    Returns ``pref`` (indices sorted by ``(|level|, level)``), the levels
+    in that order and ``0.5 * lam * gamma * level^2`` in that order.
+    Evaluating the objective in this order makes ``argmin``'s first
+    minimum the smallest-|level|, then negative, choice.
+    """
+    pref = np.lexsort((levels, np.abs(levels)))
+    levels_pref = levels[pref]
+    return pref, levels_pref, (0.5 * lam * gamma) * (levels_pref * levels_pref)
 
 
-def _argmin_objective(w, half_inv_c2, levels, lam, rates, gamma_term, pref):
-    # Evaluate in tie-break preference order; argmin returns the first
-    # minimum, which is then the smallest-|level| (then negative) choice.
-    # Operation grouping matches the engine's inner loop exactly so both
-    # paths agree bitwise.
-    obj = levels[pref] - w
-    obj = obj * obj * half_inv_c2
-    if lam:
-        obj = obj + (lam * rates[pref] - gamma_term[pref])
-    t = int(np.argmin(obj))
-    return int(pref[t]), float(obj[t])
+def _rate_term(rates, pref, lam, gamma_term_pref, out=None):
+    """``lam * ratebits(g) - 0.5*lam*gamma*g^2`` over levels in tie-break order."""
+    out = rates.take(pref, out=out)
+    np.multiply(out, lam, out=out)
+    return np.subtract(out, gamma_term_pref, out=out)
+
+
+def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
+    """Objective of every level in tie-break order for the entries ``w``.
+
+    ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term`` (``None`` when
+    ``lam == 0``). ``w`` is one entry, giving a k-vector, or an ``(n, 1)``
+    column, giving an ``n x k`` table. Every path evaluates this one
+    sequence of elementwise operations, so their choices agree bitwise.
+    """
+    out = np.subtract(levels_pref, w, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, half_inv_c2, out=out)
+    if rate_term is not None:
+        np.add(out, rate_term, out=out)
+    return out
 
 
 def quantize_layer(
@@ -154,7 +173,6 @@ def quantize_layer(
         context = build_context(
             w, hessian, config.lam, config.damping_delta, gamma=gamma
         )
-    gamma = context.gamma
     if model is None:
         model = _default_model(w, grid, config)
     if model.k != grid.size:
@@ -167,56 +185,69 @@ def quantize_layer(
     inv_c = 1.0 / cdiag
 
     levels = grid.levels
-    pref = _preference_order(levels)
-    levels_pref = levels[pref]
-    gamma_term_pref = (0.5 * config.lam * gamma) * (levels_pref * levels_pref)
     lam = config.lam
     k = grid.size
+    pref, levels_pref, gamma_term_pref = _search_order(levels, lam, context.gamma)
 
     indices = np.empty((n, m), dtype=np.int32)
-    symbols = np.empty(n * m, dtype=np.int32)
-    rate_total = 0.0
-    loss_delta = 0.0
-    evals = 0
-    t = 0
-    obj_buf = np.empty(k, dtype=np.float64)
-    rate_buf = np.empty(k, dtype=np.float64)
+    err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
 
-    if config.scan_order == ROW_MAJOR:
-        positions = ((i, j) for i in range(n) for j in range(m))
-    else:
-        positions = ((i, j) for j in range(m) for i in range(n))
-    for i, j in positions:
+    if model.kind == entropy.STATIC:
+        # The rates never change, so every row sees the same costs in any
+        # order: quantize one column for all rows at once.
         rates = model.rate_vector()
-        wij = wp[i, j]
-        np.subtract(levels_pref, wij, out=obj_buf)
-        np.multiply(obj_buf, obj_buf, out=obj_buf)
-        np.multiply(obj_buf, half_inv_c2[j], out=obj_buf)
-        if lam:
-            np.take(rates, pref, out=rate_buf)
-            np.multiply(rate_buf, lam, out=rate_buf)
-            np.subtract(rate_buf, gamma_term_pref, out=rate_buf)
-            np.add(obj_buf, rate_buf, out=obj_buf)
-        evals += k
-        idx = int(pref[int(np.argmin(obj_buf))])
-        g = levels[idx]
-        if j + 1 < m:
-            wp[i, j + 1 :] -= ((wij - g) * inv_c[j]) * chol[j, j + 1 :]
-        loss_delta += (wij - g) * (wij - g) * half_inv_c2[j]
-        rate_total += float(rates[idx])
-        indices[i, j] = idx
-        symbols[t] = idx
-        t += 1
-        model.update(idx)
+        rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
+        obj_buf = np.empty((n, k), dtype=np.float64)
+        for j in range(m):
+            col = wp[:, j]
+            obj = _objective(col[:, None], half_inv_c2[j], levels_pref, rate_term, obj_buf)
+            idx = pref[obj.argmin(axis=1)]
+            e = col - levels[idx]
+            if j + 1 < m:
+                wp[:, j + 1 :] -= (e * inv_c[j])[:, None] * chol[j, j + 1 :]
+            indices[:, j] = idx
+            err[:, j] = e
+        bits = rates[indices]
+    else:
+        bits = np.empty((n, m), dtype=np.float64)
+        obj_buf = np.empty(k, dtype=np.float64)
+        rate_buf = np.empty(k, dtype=np.float64)
+        if config.scan_order == ROW_MAJOR:
+            positions = ((i, j) for i in range(n) for j in range(m))
+        else:
+            positions = ((i, j) for j in range(m) for i in range(n))
+        for i, j in positions:
+            rates = model.rate_vector()
+            wij = wp[i, j]
+            rate_term = _rate_term(rates, pref, lam, gamma_term_pref, rate_buf) if lam else None
+            obj = _objective(wij, half_inv_c2[j], levels_pref, rate_term, obj_buf)
+            idx = int(pref[obj.argmin()])
+            e = wij - levels[idx]
+            if j + 1 < m:
+                wp[i, j + 1 :] -= (e * inv_c[j]) * chol[j, j + 1 :]
+            indices[i, j] = idx
+            err[i, j] = e
+            bits[i, j] = rates[idx]
+            model.update(idx)
 
-    quantized = QuantizedLayer(n, m, indices, grid, config.scan_order)
+    order = config.scan_order
+    quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
         quantized=quantized,
-        predicted_rate_bits=rate_total,
-        quadratic_loss_delta=loss_delta,
-        symbols_in_scan_order=symbols,
-        grid_evaluations=evals,
+        predicted_rate_bits=_running_total(in_scan_order(bits, order)),
+        quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
+        symbols_in_scan_order=quantized.symbols_in_scan_order().copy(),
+        grid_evaluations=n * m * k,
     )
+
+
+def _running_total(values: np.ndarray) -> float:
+    """Left-to-right sum, in the order the entries were chosen.
+
+    ``np.sum`` adds pairwise; a running sum does not depend on how a path
+    grouped its work, so the column and per-entry paths agree bitwise.
+    """
+    return float(np.cumsum(values)[-1])
 
 
 def obs_row_update(row_state: np.ndarray, j: int, quantized_value: float, chol_upper: np.ndarray) -> float:

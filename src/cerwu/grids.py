@@ -126,9 +126,12 @@ class QuantizedLayer:
         return self.grid.levels[self.indices]
 
     def symbols_in_scan_order(self) -> np.ndarray:
-        if self.scan_order == ROW_MAJOR:
-            return self.indices.ravel()
-        return self.indices.T.ravel()
+        return in_scan_order(self.indices, self.scan_order)
+
+
+def in_scan_order(a: np.ndarray, scan_order: str) -> np.ndarray:
+    """Entries of an (rows, cols) array flattened in scan order."""
+    return a.ravel() if scan_order == ROW_MAJOR else a.T.ravel()
 
 
 def layer_from_symbols(

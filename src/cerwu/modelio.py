@@ -225,9 +225,17 @@ class QuantizedRecord:
         )
 
     def decode_layer(self) -> QuantizedLayer:
-        symbols = decode(
-            Payload(self.payload, self.symbol_count), self.model(), self.grid_size
-        )
+        try:
+            symbols = decode(
+                Payload(self.payload, self.symbol_count), self.model(), self.grid_size
+            )
+        except MemoryError as exc:
+            # The header checks bound symbol_count by the payload length,
+            # which still admits counts no machine can hold.
+            raise ParseError(
+                f"record {self.name!r}: symbol_count {self.symbol_count} "
+                "is more than can be allocated"
+            ) from exc
         return layer_from_symbols(
             symbols, self.rows, self.cols, self.grid(), self.scan_order
         )

@@ -11,6 +11,19 @@ def random_spd(rng, m, scale=1.0):
     return scale * (a @ a.T + m * np.eye(m))
 
 
+def regularized_hessian(h, damping_delta, lam, gamma):
+    """``H' = H + (damping_delta * mean(diag(H)) + lam * gamma) * I``."""
+    hp = np.array(h, dtype=np.float64)
+    hp[np.diag_indices_from(hp)] += damping_delta * np.mean(np.diag(hp)) + lam * gamma
+    return hp
+
+
+def chol_upper_of(hp):
+    """Reference ``C'``: upper Cholesky factor of the explicit inverse of ``H'``."""
+    hinv = np.linalg.inv(hp)
+    return np.linalg.cholesky((hinv + hinv.T) / 2).T
+
+
 @pytest.fixture(scope="session")
 def mlp_fixture():
     """Trained fixture MLP with containers, Hessians and float accuracy."""

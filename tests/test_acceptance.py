@@ -31,18 +31,13 @@ from cerwu.pipeline import compress_model, decompress_model, evaluate_model
 from cerwu.rangecoder import decode, encode
 from cerwu.sweep import DEFAULT_LAMBDAS, SweepPoint, pareto_front
 
-from conftest import random_spd
+from conftest import chol_upper_of, random_spd
 from test_engine import optq_reference
 from test_linalg import completing_square_spread
 
 
 def report(criterion, detail, elapsed, budget):
     print(f"\nPASS criterion {criterion}: {detail} ({elapsed:.2f}s, budget {budget}s)")
-
-
-def chol_upper_of(hp):
-    hinv = np.linalg.inv(hp)
-    return np.linalg.cholesky((hinv + hinv.T) / 2).T
 
 
 def test_criterion_1_completing_the_square():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from cerwu.cli import main
-from cerwu.modelio import TensorFile, load_tensor_file, read_compressed, write_tensor_file
+from cerwu.modelio import (
+    CompressedModel, QuantizedRecord, TensorFile, load_tensor_file, read_compressed,
+    scale16_bits, write_compressed, write_tensor_file,
+)
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
 
 
@@ -136,6 +139,25 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unallocatable_record_is_input_error(self, tmp_path, capsys):
+        # 2^40 symbols pass the header checks with a 2 MiB payload; the
+        # decoder's 4 TiB output buffer fails to allocate at once. Had it
+        # been granted, the 0xFF payload would stop decoding at symbol 0.
+        rec = QuantizedRecord(
+            name="huge.weight", rows=2**20, cols=2**20, grid_size=9,
+            scan_order="row-major", model_kind="context",
+            scale16_bits=scale16_bits(0.1), static_freqs=None,
+            symbol_count=2**40, payload=b"\xff" * 2**21,
+        )
+        path = tmp_path / "huge.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        capsys.readouterr()
+        rc = main(["decompress", "--input", str(path), "--out", str(tmp_path / "o.tns")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "huge.weight" in err and str(2**40) in err
 
     def test_version_one_file_is_input_error(self, tmp_path, capsys):
         out = self._compressed(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cerwu.engine import (
     CompressionConfig,
@@ -11,13 +13,17 @@ from cerwu.engine import (
     quantize_layer,
     rtn_layer,
 )
-from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits
-from cerwu.grids import COLUMN_MAJOR, ROW_MAJOR, build_grid, grid_from_scale, round_to_nearest
+from cerwu.entropy import (
+    ADAPTIVE, CONTEXT, STATIC, EntropyModel, make_model, sequence_rate_bits,
+)
+from cerwu.grids import (
+    COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, round_to_nearest,
+)
 from cerwu.linalg import accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode
 
-from conftest import random_spd
+from conftest import random_spd, regularized_hessian
 
 
 def nearest_with_ties(value, levels):
@@ -257,7 +263,8 @@ class TestQuantizeLayer:
         res = quantize_layer(w, h, grid, cfg)
         ctx = build_context(w, h, cfg.lam, 0.0)
         d = ctx.w_prime - res.quantized.dequantize()
-        final_loss = float(0.5 * np.trace(d @ ctx.hessian_reg @ d.T))
+        h_reg = regularized_hessian(h, 0.0, ctx.lam, ctx.gamma)
+        final_loss = float(0.5 * np.trace(d @ h_reg @ d.T))
         assert res.quadratic_loss_delta == pytest.approx(final_loss, rel=1e-8)
 
     def test_gamma_zero_ablation_uses_plain_weights(self):
@@ -347,11 +354,12 @@ class TestAgainstBruteForce:
             cfg = CompressionConfig(lam=lam, grid_size=3, model_kind=ADAPTIVE,
                                     damping_delta=0.0)
             ctx = build_context(w, h, lam, 0.0)
+            h_reg = regularized_hessian(h, 0.0, lam, ctx.gamma)
             res = quantize_layer(w, h, grid, cfg, context=ctx)
 
             def quad_plus_rate(layer):
                 d = ctx.w_prime - layer.dequantize()
-                quad = float(0.5 * np.trace(d @ ctx.hessian_reg @ d.T))
+                quad = float(0.5 * np.trace(d @ h_reg @ d.T))
                 rate = sequence_rate_bits(
                     layer.symbols_in_scan_order(), make_model(ADAPTIVE, 3)
                 )
@@ -362,3 +370,52 @@ class TestAgainstBruteForce:
             ) + 1e-12:
                 wins += 1
         assert wins >= 9
+
+
+class EntryByEntry(EntropyModel):
+    """A static model under another kind: ``quantize_layer`` then visits
+    the entries one by one instead of a column at a time."""
+
+    kind = "static-entry-by-entry"
+
+    def __init__(self, inner):
+        super().__init__(inner.k)
+        self._inner = inner
+
+    def rate_vector(self):
+        return self._inner.rate_vector()
+
+    def update(self, symbol):
+        self._inner.update(symbol)
+
+
+class TestStaticColumnPath:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        k=st.integers(2, 16),
+        lam=st.sampled_from([0.0, 1e-3, 0.05, 1.0]),
+        scan_order=st.sampled_from(SCAN_ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=1, k=2, lam=0.0, scan_order=ROW_MAJOR, seed=0)
+    @example(n=1, m=7, k=9, lam=0.05, scan_order=COLUMN_MAJOR, seed=1)
+    @example(n=7, m=1, k=16, lam=1.0, scan_order=ROW_MAJOR, seed=2)
+    def test_bitwise_equal_to_entry_by_entry(self, n, m, k, lam, scan_order, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, m)) * rng.uniform(0.01, 10.0)
+        h = accumulate_hessian([rng.normal(size=(m, int(rng.integers(1, 2 * m + 2))))])
+        grid = build_grid(w, k)
+        cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order,
+                                model_kind=STATIC)
+        spec = model_spec_for(w, grid, cfg)
+        ctx = build_context(w, h, lam, cfg.damping_delta)
+        col = quantize_layer(w, h, grid, cfg, model=spec.fresh(), context=ctx)
+        ent = quantize_layer(w, h, grid, cfg, model=EntryByEntry(spec.fresh()), context=ctx)
+        for a, b in ((col.quantized.indices, ent.quantized.indices),
+                     (col.symbols_in_scan_order, ent.symbols_in_scan_order)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert col.predicted_rate_bits == ent.predicted_rate_bits
+        assert col.quadratic_loss_delta == ent.quadratic_loss_delta
+        assert col.grid_evaluations == ent.grid_evaluations == n * m * k

@@ -9,7 +9,7 @@ from cerwu.linalg import (
     compute_gamma,
 )
 
-from conftest import random_spd
+from conftest import chol_upper_of, random_spd, regularized_hessian
 
 LN2 = np.log(2.0)
 
@@ -94,7 +94,7 @@ class TestBuildContext:
         h = random_spd(rng, 3)
         ctx = build_context(rng.normal(size=(2, 3)), h, lam=0.01, damping_delta=0.0)
         c = ctx.chol_upper
-        product = (c.T @ c) @ ctx.hessian_reg
+        product = (c.T @ c) @ regularized_hessian(h, 0.0, ctx.lam, ctx.gamma)
         assert np.max(np.abs(product - np.eye(3))) <= 1e-8
 
     def test_chol_upper_triangular_positive_diag(self):
@@ -111,6 +111,34 @@ class TestBuildContext:
         h = np.zeros((3, 3))  # rank 0: not factorizable without damping
         with pytest.raises(FactorizationError):
             build_context(w, h, lam=0.0, damping_delta=0.0)
+
+    def test_overflowing_factor_inverse_raises(self):
+        # P H P = L L^T with unit diagonal and -2 below it: L^-1 holds
+        # 2^(i-j), which overflows for m > 1024 although H is SPD.
+        m = 1100
+        low = np.eye(m) - 2.0 * np.eye(m, k=-1)
+        h = (low @ low.T)[::-1, ::-1]
+        with pytest.raises(FactorizationError):
+            build_context(np.ones((1, m)), h, lam=0.0, damping_delta=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 120, 300])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-9, 1.0])
+    def test_matches_explicit_inverse(self, m, cond, ridge):
+        rng = np.random.default_rng(m)
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        h = (q * np.logspace(0.0, -np.log10(cond), m)) @ q.T
+        h = (h + h.T) / 2.0
+        w = rng.normal(size=(5, m))
+        ctx = build_context(w, h, lam=ridge, damping_delta=0.0, gamma=1.0)
+        c = ctx.chol_upper
+        assert np.array_equal(np.tril(c, -1), np.zeros_like(c))
+        assert np.all(np.diag(c) > 0)
+        hp = regularized_hessian(h, 0.0, ridge, 1.0)
+        ref_c = chol_upper_of(hp)
+        ref_w = w @ h @ np.linalg.inv(hp)
+        assert np.linalg.norm(c - ref_c) <= 1e-8 * np.linalg.norm(ref_c)
+        assert np.linalg.norm(ctx.w_prime - ref_w) <= 1e-8 * np.linalg.norm(ref_w)
 
     def test_damping_rescues_singular_hessian(self):
         rng = np.random.default_rng(7)
@@ -144,6 +172,7 @@ def completing_square_spread(rng, n, m, lam, delta, n_samples=10):
     h_d = h.copy()
     if delta > 0:
         h_d[np.diag_indices(m)] += delta * np.mean(np.diag(h))
+    h_reg = regularized_hessian(h, delta, lam, gamma)
 
     diffs = []
     for _ in range(n_samples):
@@ -155,7 +184,7 @@ def completing_square_spread(rng, n, m, lam, delta, n_samples=10):
             direct = 0.5 * np.trace(e @ h_d @ e.T)
         direct += 0.5 * lam * gamma * np.sum(what**2)
         ep = ctx.w_prime - what
-        completed = 0.5 * np.trace(ep @ ctx.hessian_reg @ ep.T)
+        completed = 0.5 * np.trace(ep @ h_reg @ ep.T)
         diffs.append(direct - completed)
     diffs = np.asarray(diffs)
     scale = max(np.mean(np.abs(diffs)), 1e-30)
