@@ -19,9 +19,7 @@ from .entropy import (
     MODEL_KINDS,
     STATIC,
     EntropyModel,
-    SymbolDistribution,
     make_model,
-    rate_bits,
 )
 from .errors import (
     CerwuError,
@@ -54,7 +52,6 @@ from .modelio import (
     TensorFile,
     load_tensor_file,
     read_compressed,
-    unfold_convolution,
     write_compressed,
     write_tensor_file,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "SearchSpaceError",
     "ShapeError",
     "SweepPoint",
-    "SymbolDistribution",
     "TensorFile",
     "accumulate_hessian",
     "brute_force_minimize",
@@ -113,12 +109,10 @@ __all__ = [
     "pareto_front",
     "quantization_step",
     "quantize_layer",
-    "rate_bits",
     "read_compressed",
     "round_to_nearest",
     "rtn_layer",
     "run_sweep",
-    "unfold_convolution",
     "write_compressed",
     "write_tensor_file",
 ]

@@ -184,7 +184,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_oracle(args) -> int:
     # Debugging aid: exhaustive optimum vs engine on a tiny random instance.
-    from .engine import compress_layer
+    from .engine import compress_layer, model_spec_for
     from .grids import round_to_nearest
     from .linalg import accumulate_hessian
     from .oracle import brute_force_minimize, evaluate_objective
@@ -198,12 +198,7 @@ def cmd_oracle(args) -> int:
         lam=args.lam, grid_size=args.grid_size, scan_order=args.scan_order,
         model_kind=args.model_kind, damping_delta=args.delta,
     )
-
-    def factory():
-        return entropy.make_model(
-            args.model_kind, args.grid_size, zero_index=grid.zero_index
-        )
-
+    factory = model_spec_for(w, grid, config).fresh
     best_layer, best = brute_force_minimize(
         w, x, grid, args.lam, factory, scan_order=args.scan_order
     )

@@ -100,10 +100,11 @@ def quantization_step(
     grid: Grid,
     lam: float,
     gamma: float,
-    dist: entropy.SymbolDistribution,
+    rates: np.ndarray,
 ) -> int:
     """Exhaustive grid search for a single entry; returns the grid index.
 
+    ``rates`` is the model's current :meth:`~EntropyModel.rate_vector`.
     Ties break toward the level with smaller absolute value, then toward
     the negative one.
     """
@@ -111,7 +112,7 @@ def quantization_step(
         raise ShapeError("c_diag must be positive")
     c = max(c_diag, CDIAG_FLOOR)
     pref, levels_pref, gamma_term_pref = _search_order(grid.levels, lam, gamma)
-    rate_term = _rate_term(dist.rates(), pref, lam, gamma_term_pref) if lam else None
+    rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
     obj = _objective(float(w_prime_entry), 0.5 / (c * c), levels_pref, rate_term)
     return int(pref[obj.argmin()])
 
@@ -174,7 +175,7 @@ def quantize_layer(
             w, hessian, config.lam, config.damping_delta, gamma=gamma
         )
     if model is None:
-        model = _default_model(w, grid, config)
+        model = model_spec_for(w, grid, config)
     if model.k != grid.size:
         raise ShapeError(f"model k={model.k} does not match grid size {grid.size}")
 
@@ -265,57 +266,40 @@ def obs_row_update(row_state: np.ndarray, j: int, quantized_value: float, chol_u
     return 0.5 * err * err
 
 
-def _default_model(w: np.ndarray, grid: Grid, config: CompressionConfig) -> EntropyModel:
-    spec = model_spec_for(w, grid, config)
-    return spec.fresh()
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Everything needed to spawn identical fresh models for quantize,
-    encode and decode passes."""
-
-    kind: str
-    k: int
-    static_counts: Optional[np.ndarray] = None
-    zero_index: Optional[int] = None
-
-    def fresh(self) -> EntropyModel:
-        return make_model(
-            self.kind, self.k, static_counts=self.static_counts, zero_index=self.zero_index
-        )
-
-
-def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> ModelSpec:
-    """Model parameters for a layer.
+def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyModel:
+    """Fresh entropy model for a layer; quantize, encode and decode each
+    replay a :meth:`~EntropyModel.fresh` copy of it.
 
     The static kind is fitted to the layer's nearest-level index histogram
-    (a cheap pre-pass); its counts travel in the layer header. Adaptive
-    kinds need no parameters.
+    (a cheap pre-pass); its fitted table travels in the layer header.
+    Adaptive kinds need no parameters.
     """
+    counts = None
     if config.model_kind == entropy.STATIC:
         from .grids import nearest_indices
 
         w = as_matrix(weights, "weights")
         counts = np.bincount(nearest_indices(w, grid).ravel(), minlength=grid.size)
-        freqs = entropy.quantize_counts(counts)
-        return ModelSpec(entropy.STATIC, grid.size, static_counts=freqs)
-    return ModelSpec(config.model_kind, grid.size, zero_index=grid.zero_index)
+    return make_model(config.model_kind, grid.size, static_counts=counts)
 
 
 def compress_layer(
     weights, hessian, config: CompressionConfig
-) -> Tuple[LayerResult, Payload, ModelSpec]:
-    """Quantize a layer, then entropy-code the symbols by model replay."""
+) -> Tuple[LayerResult, Payload, EntropyModel]:
+    """Quantize a layer, then entropy-code the symbols by model replay.
+
+    Returns the result, the payload and the layer's model in its initial
+    state.
+    """
     w = as_matrix(weights, "weights")
     grid = build_grid(w, config.grid_size)
-    spec = model_spec_for(w, grid, config)
-    result = quantize_layer(w, hessian, grid, config, model=spec.fresh())
-    payload = encode(result.symbols_in_scan_order, spec.fresh())
-    return result, payload, spec
+    model = model_spec_for(w, grid, config)
+    result = quantize_layer(w, hessian, grid, config, model=model.fresh())
+    payload = encode(result.symbols_in_scan_order, model.fresh())
+    return result, payload, model
 
 
-def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload, ModelSpec]:
+def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload, EntropyModel]:
     """Nearest-level quantization plus entropy coding (no weight updates).
 
     Shares the grid, model fitting and coding path with
@@ -326,12 +310,11 @@ def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload,
 
     w = as_matrix(weights, "weights")
     grid = build_grid(w, config.grid_size)
-    spec = model_spec_for(w, grid, config)
+    model = model_spec_for(w, grid, config)
     quantized = round_to_nearest(w, grid, config.scan_order)
     symbols = quantized.symbols_in_scan_order()
-    rate_model = spec.fresh()
-    rate = entropy.sequence_rate_bits(symbols, rate_model)
-    payload = encode(symbols, spec.fresh())
+    rate = entropy.sequence_rate_bits(symbols, model.fresh())
+    payload = encode(symbols, model.fresh())
     result = LayerResult(
         quantized=quantized,
         predicted_rate_bits=rate,
@@ -339,4 +322,4 @@ def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload,
         symbols_in_scan_order=symbols.astype(np.int32),
         grid_evaluations=0,
     )
-    return result, payload, spec
+    return result, payload, model

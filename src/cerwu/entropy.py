@@ -12,8 +12,13 @@ Kinds:
               frequency table is serialized in the layer header.
     adaptive  Laplace-smoothed adaptive histogram (all counts start at 1).
     context   adaptive histogram with two contexts keyed on whether the
-              previous symbol was the zero level; captures run-of-zeros
-              statistics.
+              previous symbol was the zero level ``k // 2``; captures
+              run-of-zeros statistics.
+
+:func:`make_model` is the one constructor and :meth:`EntropyModel.fresh`
+the one way to copy a model, so quantize, encode and decode replay the
+same model. A model is read only through :meth:`EntropyModel.cum` and
+:meth:`EntropyModel.rate_vector`.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
@@ -25,7 +30,6 @@ symbol cost is 16 bits (15 for static).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,31 +52,6 @@ with np.errstate(divide="ignore"):
 def _rates(counts: np.ndarray, total: int) -> np.ndarray:
     """Per-symbol bit costs ``log2(total) - log2(count)``."""
     return _LOG2[total] - _LOG2[counts]
-
-
-@dataclass(frozen=True)
-class SymbolDistribution:
-    """Integer counts over k symbols, each >= 1, summing to at most 2**16."""
-
-    freqs: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=np.int64)
-        object.__setattr__(self, "freqs", f)
-        if f.ndim != 1 or f.size < 2:
-            raise ShapeError("distribution needs a 1-D table with k >= 2")
-        if f.min() < 1:
-            raise ShapeError("every frequency must be >= 1")
-        if int(f.sum()) > COUNT_CAP:
-            raise ShapeError(f"frequencies must sum to at most {COUNT_CAP}, got {int(f.sum())}")
-
-    @property
-    def total(self) -> int:
-        return int(self.freqs.sum())
-
-    def rates(self) -> np.ndarray:
-        """Per-symbol cost in bits: -log2(freq / total)."""
-        return _rates(self.freqs, self.total)
 
 
 def quantize_counts(counts: np.ndarray) -> np.ndarray:
@@ -161,9 +140,6 @@ class EntropyModel:
         raise NotImplementedError
 
     # -- derived ----------------------------------------------------------
-    def distribution(self) -> SymbolDistribution:
-        return SymbolDistribution(self._table().counts.copy())
-
     def cum(self) -> list:
         """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
         return self._table().cum
@@ -172,18 +148,14 @@ class EntropyModel:
         """Per-symbol cost in bits: -log2(count / T)."""
         return self._table().rates()
 
-    def rate_bits(self, symbol: int) -> float:
-        if not 0 <= symbol < self.k:
-            raise ShapeError(f"symbol {symbol} out of range [0, {self.k})")
-        return float(self.rate_vector()[symbol])
-
 
 class StaticModel(EntropyModel):
     """Histogram fixed at construction; ``update`` is a no-op.
 
     Any counts, including a table read from a file header, are re-fitted
     by :func:`quantize_counts`, so every frequency is >= 1 and the total
-    is exactly 2**15.
+    is exactly 2**15. ``counts`` holds the fitted table, the one written
+    to a layer header; fitting it again leaves it unchanged.
     """
 
     kind = STATIC
@@ -193,8 +165,8 @@ class StaticModel(EntropyModel):
         c = np.asarray(counts, dtype=np.int64)
         if c.shape != (k,):
             raise ShapeError(f"static counts must have length {k}, got {c.shape}")
-        self.counts = c.copy()
-        self._tab = _Counts(quantize_counts(c))
+        self.counts = quantize_counts(c)
+        self._tab = _Counts(self.counts)
         self._rates = self._tab.rates()
 
     def _table(self):
@@ -237,17 +209,16 @@ class AdaptiveModel(EntropyModel):
 class ContextModel(EntropyModel):
     """Two adaptive histograms keyed on the previous symbol.
 
-    Context 0 is active when the previous symbol was the zero level,
-    context 1 otherwise. Starts in context 0.
+    Context 0 is active when the previous symbol was the zero level
+    ``k // 2`` (``Grid.zero_index`` of every grid), context 1 otherwise.
+    Starts in context 0.
     """
 
     kind = CONTEXT
 
-    def __init__(self, k: int, zero_index: Optional[int] = None):
+    def __init__(self, k: int):
         super().__init__(k)
-        self.zero_index = k // 2 if zero_index is None else zero_index
-        if not 0 <= self.zero_index < k:
-            raise ShapeError("zero_index out of range")
+        self.zero_index = k // 2
         self._tabs = (_Counts(np.ones(k)), _Counts(np.ones(k)))
         self.current_context = 0
 
@@ -259,20 +230,17 @@ class ContextModel(EntropyModel):
         self.current_context = 0 if symbol == self.zero_index else 1
 
     def fresh(self) -> "ContextModel":
-        return ContextModel(self.k, self.zero_index)
+        return ContextModel(self.k)
 
 
 def make_model(
     kind: str,
     k: int,
     static_counts: Optional[Sequence[int]] = None,
-    zero_index: Optional[int] = None,
 ) -> EntropyModel:
     """Construct a fresh entropy model.
 
     ``static_counts`` is required for (and only for) the static kind.
-    ``zero_index`` selects the context model's zero level; defaults to
-    ``k // 2``, the zero level of the grids built here.
     """
     if kind == STATIC:
         if static_counts is None:
@@ -283,13 +251,8 @@ def make_model(
     if kind == ADAPTIVE:
         return AdaptiveModel(k)
     if kind == CONTEXT:
-        return ContextModel(k, zero_index)
+        return ContextModel(k)
     raise ShapeError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-
-
-def rate_bits(model: EntropyModel, symbol: int) -> float:
-    """Cost in bits of coding ``symbol`` in the model's current state."""
-    return model.rate_bits(symbol)
 
 
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:

@@ -24,12 +24,12 @@ Compressed model (".cwm"):
             scan order u8 (0 = row-major, 1 = column-major)
             model kind u8 (0 = static, 1 = adaptive, 2 = context)
             scale u16 (binary16 bits of the grid step)
-            has static table u8; if set: grid-size x u16 frequencies
-            (re-fitted to a 2**15 total when read)
+            has static table u8 (1 for the static kind, else 0); if set:
+            grid-size x u16 frequencies (re-fitted to a 2**15 total when read)
             symbol count u64 (= rows * cols) | payload length u64 | payload bytes
         raw:
             dtype u8 (0 = float32) | ndim u8 | dims u32 x ndim
-            data length u64 | raw bytes
+            data length u64 (= 4 * prod(dims)) | raw bytes
 
 Reported bits per weight divide 8x the quantized records' bytes (headers
 plus payloads) by the number of quantized parameters; raw records and the
@@ -38,6 +38,7 @@ file preamble are excluded.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -129,9 +130,33 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def name(self) -> str:
+        """A name: u16 length, then that many bytes of UTF-8."""
+        (size,) = self.unpack("<H")
+        at = self.pos
+        raw = self.take(size)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{self.what}: name at byte offset {at} is not valid UTF-8"
+            ) from exc
+
+
+def _float32_view(raw: bytes, shape: Tuple[int, ...], what: str) -> np.ndarray:
+    """``raw`` as a little-endian float32 array of ``shape``, without a copy.
+
+    Raises ParseError, prefixed by ``what``, when the bytes do not fill
+    exactly that shape or numpy cannot represent the shape.
+    """
+    try:
+        return np.frombuffer(raw, dtype="<f4").reshape(shape)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
 
 def load_tensor_file(path) -> TensorFile:
-    """Parse a tensor container; validates magic, version and shapes."""
+    """Parse a tensor container; validates magic, version, shapes and values."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, str(path))
@@ -145,41 +170,20 @@ def load_tensor_file(path) -> TensorFile:
         )
     tf = TensorFile()
     for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.name()
         dtype, ndim = r.unpack("<BB")
         if dtype != _DTYPE_F32:
             raise ParseError(
                 f"{path}: unknown dtype code {dtype} at byte offset {r.pos - 2}"
             )
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 4 if ndim else 4
-        raw = r.take(n_bytes)
-        tf.entries[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        shape = r.unpack(f"<{ndim}I")
+        at = r.pos
+        what = f"{path}: tensor {name!r} at byte offset {at}"
+        a = _float32_view(r.take(4 * math.prod(shape)), shape, what)
+        if not np.isfinite(a).all():
+            raise ParseError(f"{what} has non-finite entries")
+        tf.entries[name] = a.copy()
     return tf
-
-
-# ---------------------------------------------------------------------------
-# convolution unfolding
-
-
-def unfold_convolution(kernel, input_patches) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten a conv kernel so patch matmul equals direct convolution.
-
-    ``kernel`` is [out, in, kh, kw]; ``input_patches`` holds one flattened
-    receptive field (in * kh * kw values, same layout) per column. Returns
-    the (out, in*kh*kw) weight matrix and the validated patch matrix.
-    """
-    k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 4:
-        raise ShapeError(f"kernel must be 4-D [out, in, kh, kw], got ndim={k.ndim}")
-    out_ch, in_ch, kh, kw = k.shape
-    patches = np.asarray(input_patches, dtype=np.float64)
-    if patches.ndim != 2 or patches.shape[0] != in_ch * kh * kw:
-        raise ShapeError(
-            f"patch matrix must have {in_ch * kh * kw} rows, got {patches.shape}"
-        )
-    return k.reshape(out_ch, in_ch * kh * kw), patches
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +220,8 @@ class QuantizedRecord:
 
     def model(self):
         """Fresh entropy model for decoding this record."""
-        if self.model_kind == entropy.STATIC:
-            return entropy.make_model(
-                entropy.STATIC, self.grid_size, static_counts=self.static_freqs
-            )
         return entropy.make_model(
-            self.model_kind, self.grid_size, zero_index=self.grid_size // 2
+            self.model_kind, self.grid_size, static_counts=self.static_freqs
         )
 
     def decode_layer(self) -> QuantizedLayer:
@@ -340,8 +340,7 @@ def read_compressed(path) -> CompressedModel:
         )
     model = CompressedModel(version=version)
     for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.name()
         (kind,) = r.unpack("<B")
         if kind == _KIND_QUANTIZED:
             rows, cols, grid_size, scan, mkind, scale_bits = r.unpack(_QUANT_FIELDS)
@@ -349,7 +348,13 @@ def read_compressed(path) -> CompressedModel:
                 raise ParseError(f"{path}: unknown scan code {scan} before offset {r.pos}")
             if mkind not in _MODEL_NAMES:
                 raise ParseError(f"{path}: unknown model code {mkind} before offset {r.pos}")
+            model_kind = _MODEL_NAMES[mkind]
             (has_static,) = r.unpack("<B")
+            if has_static != (model_kind == entropy.STATIC):
+                raise ParseError(
+                    f"{path}: static-table flag {has_static} does not fit a "
+                    f"{model_kind} model at byte offset {r.pos - 1}"
+                )
             static_freqs = None
             if has_static:
                 raw = r.take(2 * grid_size)
@@ -375,7 +380,7 @@ def read_compressed(path) -> CompressedModel:
                     cols=cols,
                     grid_size=grid_size,
                     scan_order=_SCAN_NAMES[scan],
-                    model_kind=_MODEL_NAMES[mkind],
+                    model_kind=model_kind,
                     scale16_bits=scale_bits,
                     static_freqs=static_freqs,
                     symbol_count=symbol_count,
@@ -388,9 +393,11 @@ def read_compressed(path) -> CompressedModel:
                 raise ParseError(
                     f"{path}: unknown dtype code {dtype} at byte offset {r.pos - 2}"
                 )
-            shape = r.unpack(f"<{ndim}I") if ndim else ()
+            shape = r.unpack(f"<{ndim}I")
             (length,) = r.unpack("<Q")
+            at = r.pos
             raw = r.take(length)
+            _float32_view(raw, shape, f"{path}: raw record {name!r} at byte offset {at}")
             model.records.append(RawRecord(name=name, shape=shape, data=raw))
         else:
             raise ParseError(

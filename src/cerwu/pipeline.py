@@ -2,10 +2,11 @@
 
 Conventions for the tensor containers:
 
-* every 2-D (or 4-D convolutional, stored flattened by the caller) entry
-  in the model file is quantized and must have a matching
-  ``"<name>.activations"`` entry (m x p, one calibration sample per
-  column) in the calibration file;
+* every 2-D or 4-D entry in the model file is quantized and must have a
+  matching ``"<name>.activations"`` entry (m x p, one calibration sample
+  per column) in the calibration file; a 4-D convolution kernel
+  ``(out, in, kh, kw)`` is quantized as the ``(out, in*kh*kw)`` matrix
+  and decompresses to that 2-D shape;
 * 1-D and scalar entries (biases etc.) are stored raw and excluded from
   the bits-per-weight accounting;
 * the minimal inference path chains the 2-D entries in lexicographic name
@@ -172,9 +173,9 @@ def compress_model(
         if method == METHOD_CERWU:
             if name not in hessians:
                 raise InputError(f"no Hessian available for layer {name!r}")
-            result, payload, spec = compress_layer(w, hessians[name], config)
+            result, payload, model = compress_layer(w, hessians[name], config)
         else:
-            result, payload, spec = rtn_layer(w, config)
+            result, payload, model = rtn_layer(w, config)
         grid = result.quantized.grid
         rec = QuantizedRecord(
             name=name,
@@ -184,9 +185,7 @@ def compress_model(
             scan_order=config.scan_order,
             model_kind=config.model_kind,
             scale16_bits=scale16_bits(grid.step),
-            static_freqs=(
-                spec.static_counts if config.model_kind == entropy.STATIC else None
-            ),
+            static_freqs=model.counts if config.model_kind == entropy.STATIC else None,
             symbol_count=payload.symbol_count,
             payload=payload.data,
         )
@@ -216,7 +215,7 @@ def decompress_model(cm: CompressedModel) -> TensorFile:
             layer = rec.decode_layer()
             tf.add(rec.name, layer.dequantize().astype(np.float32))
         else:
-            tf.entries[rec.name] = rec.array()
+            tf.add(rec.name, rec.array())
     return tf
 
 

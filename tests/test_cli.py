@@ -5,8 +5,8 @@ import pytest
 
 from cerwu.cli import main
 from cerwu.modelio import (
-    CompressedModel, QuantizedRecord, TensorFile, load_tensor_file, read_compressed,
-    scale16_bits, write_compressed, write_tensor_file,
+    CompressedModel, QuantizedRecord, RawRecord, TensorFile, load_tensor_file,
+    read_compressed, scale16_bits, write_compressed, write_tensor_file,
 )
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
 
@@ -169,6 +169,49 @@ class TestErrors:
         assert rc == 1
         assert "supported: 2" in capsys.readouterr().err
 
+    def _assert_parse_error(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "byte offset" in err and "Traceback" not in err
+
+    def _compress_argv(self, tmp_path, tns_path):
+        return ["compress", "--model", str(tns_path), "--calib", str(tns_path),
+                "--out", str(tmp_path / "o.cwm")]
+
+    def test_raw_record_length_must_fit_shape(self, tmp_path, capsys):
+        path = tmp_path / "raw.cwm"
+        rec = RawRecord("fc0.bias", (3,), np.zeros(2, dtype="<f4").tobytes())
+        write_compressed(CompressedModel(records=[rec]), path)
+        self._assert_parse_error(
+            capsys, ["decompress", "--input", str(path), "--out", str(tmp_path / "o.tns")]
+        )
+
+    @pytest.mark.parametrize("suffix", [".tns", ".cwm"])
+    def test_name_must_be_utf8(self, tmp_path, capsys, suffix):
+        path = tmp_path / ("bad" + suffix)
+        if suffix == ".tns":
+            tf = TensorFile()
+            tf.add("fc0.weight", np.ones((2, 2)))
+            write_tensor_file(tf, path)
+            argv = self._compress_argv(tmp_path, path)
+        else:
+            rec = RawRecord("fc0.bias", (1,), np.ones(1, dtype="<f4").tobytes())
+            write_compressed(CompressedModel(records=[rec]), path)
+            argv = ["decompress", "--input", str(path), "--out", str(tmp_path / "o.tns")]
+        path.write_bytes(path.read_bytes().replace(b"fc0", b"\xff\xfe0"))
+        self._assert_parse_error(capsys, argv)
+
+    def test_tensor_values_must_be_finite(self, tmp_path, capsys):
+        path = tmp_path / "nan.tns"
+        tf = TensorFile()
+        tf.add("fc0.weight", np.full((2, 2), 1.5))
+        write_tensor_file(tf, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, data.index(struct.pack("<f", 1.5)), np.nan)
+        path.write_bytes(bytes(data))
+        self._assert_parse_error(capsys, self._compress_argv(tmp_path, path))
+
 
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):
@@ -272,9 +315,10 @@ class TestOracleCommand:
         text = capsys.readouterr().out
         assert "oracle" not in text
 
-    def test_runs(self, capsys):
+    @pytest.mark.parametrize("kind", ["static", "adaptive", "context"])
+    def test_runs(self, capsys, kind):
         rc = main(["oracle", "--rows", "1", "--cols", "3", "--grid-size", "3",
-                   "--lambda", "0.01", "--seed", "1"])
+                   "--lambda", "0.01", "--seed", "1", "--model-kind", kind])
         assert rc == 0
         out = capsys.readouterr().out
         assert "brute force" in out and "engine" in out

@@ -55,10 +55,10 @@ def optq_reference(w, hessian, grid, delta):
 class TestQuantizationStep:
     def test_lambda_zero_nearest(self):
         grid = grid_from_scale(3, 1.0)
-        dist = make_model(ADAPTIVE, 3).distribution()
-        assert quantization_step(0.74, 1.0, grid, 0.0, 0.0, dist) == 2
-        assert quantization_step(-0.74, 1.0, grid, 0.0, 0.0, dist) == 0
-        assert quantization_step(0.4, 1.0, grid, 0.0, 0.0, dist) == 1
+        rates = make_model(ADAPTIVE, 3).rate_vector()
+        assert quantization_step(0.74, 1.0, grid, 0.0, 0.0, rates) == 2
+        assert quantization_step(-0.74, 1.0, grid, 0.0, 0.0, rates) == 0
+        assert quantization_step(0.4, 1.0, grid, 0.0, 0.0, rates) == 1
 
     def test_hand_evaluated_objectives(self):
         # levels {-1, 0, 1}; a 0.8-at-zero model; entry 0.4, c=1, lam=1:
@@ -66,28 +66,28 @@ class TestQuantizationStep:
         # 0.18 + rate(1) ~ 3.5, so zero wins
         grid = grid_from_scale(3, 1.0)
         model = make_model(STATIC, 3, static_counts=[1, 8, 1])
-        dist = model.distribution()
-        assert dist.freqs.tolist() == [3277, 26214, 3277]
-        got = quantization_step(0.4, 1.0, grid, 1.0, 0.0, dist)
+        rates = model.rate_vector()
+        assert np.diff(model.cum()).tolist() == [3277, 26214, 3277]
+        got = quantization_step(0.4, 1.0, grid, 1.0, 0.0, rates)
         assert got == 1  # the zero level
-        obj_zero = 0.5 * 0.4**2 + model.rate_bits(1)
-        obj_one = 0.5 * 0.6**2 + model.rate_bits(2)
+        obj_zero = 0.5 * 0.4**2 + rates[1]
+        obj_one = 0.5 * 0.6**2 + rates[2]
         assert obj_zero == pytest.approx(0.4019, abs=5e-4)
         assert obj_one == pytest.approx(3.5019, abs=5e-4)
 
     def test_large_lambda_peaked_model_forces_zero(self):
         grid = grid_from_scale(5, 0.5)
         model = make_model(STATIC, 5, static_counts=[1, 1, 5000, 1, 1])
-        dist = model.distribution()
+        rates = model.rate_vector()
         # gamma modest so the Gaussian bonus cannot outweigh the rate gap
         for w in (-1.0, -0.3, 0.24, 0.9, 1.0):
-            assert quantization_step(w, 1.0, grid, 1e4, 1.0, dist) == 2
+            assert quantization_step(w, 1.0, grid, 1e4, 1.0, rates) == 2
 
     def test_tie_breaks_toward_smaller_abs(self):
         grid = grid_from_scale(3, 1.0)
-        dist = make_model(STATIC, 3, static_counts=[1, 1, 1]).distribution()
+        rates = make_model(STATIC, 3, static_counts=[1, 1, 1]).rate_vector()
         # 0.5 sits exactly between levels 0 and 1 under a symmetric model
-        assert quantization_step(0.5, 1.0, grid, 0.0, 0.0, dist) == 1
+        assert quantization_step(0.5, 1.0, grid, 0.0, 0.0, rates) == 1
 
 
 class TestDiagonalReduction:
@@ -211,9 +211,9 @@ class TestQuantizeLayer:
         h = accumulate_hessian([x])
         grid = build_grid(w, 5)
         cfg = CompressionConfig(lam=0.02, grid_size=5, model_kind=CONTEXT)
-        spec = model_spec_for(w, grid, cfg)
-        res = quantize_layer(w, h, grid, cfg, model=spec.fresh())
-        obj = evaluate_objective(w, x, res.quantized, cfg.lam, spec.fresh)
+        model = model_spec_for(w, grid, cfg)
+        res = quantize_layer(w, h, grid, cfg, model=model.fresh())
+        obj = evaluate_objective(w, x, res.quantized, cfg.lam, model.fresh)
         assert res.predicted_rate_bits == obj.rate_bits
 
     def test_column_major_symbol_order(self):
@@ -284,8 +284,8 @@ class TestCompressLayer:
         h = accumulate_hessian([rng.normal(size=(7, 14))])
         for kind in (STATIC, ADAPTIVE, CONTEXT):
             cfg = CompressionConfig(lam=0.01, grid_size=5, model_kind=kind)
-            res, payload, spec = compress_layer(w, h, cfg)
-            back = decode(payload, spec.fresh(), 5)
+            res, payload, model = compress_layer(w, h, cfg)
+            back = decode(payload, model.fresh(), 5)
             assert np.array_equal(back, res.symbols_in_scan_order)
 
     def test_predicted_vs_actual_bits(self):
@@ -332,10 +332,10 @@ class TestAgainstBruteForce:
             lam = float(rng.uniform(0.001, 0.05))
             cfg = CompressionConfig(lam=lam, grid_size=3, damping_delta=0.0,
                                     model_kind=ADAPTIVE)
-            spec = model_spec_for(w, grid, cfg)
-            res = quantize_layer(w, h, grid, cfg, model=spec.fresh())
-            engine_obj = evaluate_objective(w, x, res.quantized, lam, spec.fresh)
-            _, best = brute_force_minimize(w, x, grid, lam, spec.fresh)
+            model = model_spec_for(w, grid, cfg)
+            res = quantize_layer(w, h, grid, cfg, model=model.fresh())
+            engine_obj = evaluate_objective(w, x, res.quantized, lam, model.fresh)
+            _, best = brute_force_minimize(w, x, grid, lam, model.fresh)
             assert engine_obj.total >= best.total - 1e-9
             ratios.append(engine_obj.total / max(best.total, 1e-12))
         assert np.exp(np.mean(np.log(ratios))) <= 1.25
@@ -409,10 +409,10 @@ class TestStaticColumnPath:
         grid = build_grid(w, k)
         cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order,
                                 model_kind=STATIC)
-        spec = model_spec_for(w, grid, cfg)
+        model = model_spec_for(w, grid, cfg)
         ctx = build_context(w, h, lam, cfg.damping_delta)
-        col = quantize_layer(w, h, grid, cfg, model=spec.fresh(), context=ctx)
-        ent = quantize_layer(w, h, grid, cfg, model=EntryByEntry(spec.fresh()), context=ctx)
+        col = quantize_layer(w, h, grid, cfg, model=model.fresh(), context=ctx)
+        ent = quantize_layer(w, h, grid, cfg, model=EntryByEntry(model.fresh()), context=ctx)
         for a, b in ((col.quantized.indices, ent.quantized.indices),
                      (col.symbols_in_scan_order, ent.symbols_in_scan_order)):
             assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -7,11 +7,9 @@ from cerwu.entropy import (
     STATIC,
     COUNT_CAP,
     TOTAL,
-    SymbolDistribution,
     entropy_bits,
     make_model,
     quantize_counts,
-    rate_bits,
     sequence_rate_bits,
 )
 from cerwu.errors import ShapeError
@@ -59,41 +57,22 @@ class TestQuantizeCounts:
             quantize_counts([0, 0, 0])
 
 
-class TestSymbolDistribution:
-    def test_validates_total(self):
-        with pytest.raises(ShapeError):
-            SymbolDistribution(np.array([COUNT_CAP, 1]))
-
-    def test_total_is_table_sum(self):
-        d = SymbolDistribution(np.array([1, 2, 5]))
-        assert d.total == 8
-        assert d.rates().tolist() == pytest.approx([3.0, 2.0, 3.0 - np.log2(5.0)])
-
-    def test_validates_floor(self):
-        with pytest.raises(ShapeError):
-            SymbolDistribution(np.array([0, TOTAL]))
-
-    def test_valid(self):
-        d = SymbolDistribution(np.array([TOTAL // 2, TOTAL // 2]))
-        assert d.total == TOTAL
-
-
 class TestInitModel:
     def test_adaptive_starts_uniform(self):
         m = make_model(ADAPTIVE, 3)
-        assert m.distribution().freqs.tolist() == [1, 1, 1]
+        assert np.diff(m.cum()).tolist() == [1, 1, 1]
         assert m.cum() == [0, 1, 2, 3]
 
     def test_static_proportional(self):
-        d = make_model(STATIC, 3, static_counts=[98, 1, 1]).distribution()
-        assert d.freqs.sum() == TOTAL and d.freqs.min() >= 1
-        assert d.freqs[0] > 90 * d.freqs[1]
+        freqs = np.diff(make_model(STATIC, 3, static_counts=[98, 1, 1]).cum())
+        assert freqs.sum() == TOTAL and freqs.min() >= 1
+        assert freqs[0] > 90 * freqs[1]
 
     def test_context_both_uniform(self):
         m = make_model(CONTEXT, 5)
-        first = m.distribution().freqs.copy()
+        first = np.diff(m.cum())
         m.current_context = 1
-        assert np.array_equal(m.distribution().freqs, first)
+        assert np.array_equal(np.diff(m.cum()), first)
 
     def test_static_requires_counts(self):
         with pytest.raises(ShapeError):
@@ -114,6 +93,14 @@ class TestInitModel:
         with pytest.raises(ShapeError):
             make_model(kind, TOTAL + 1)
 
+    def test_static_counts_hold_fitted_table(self):
+        # the table written to a layer header; fitting it again (as a
+        # reader or fresh() does) leaves it unchanged
+        m = make_model(STATIC, 3, static_counts=[98, 1, 1])
+        assert m.counts.tolist() == quantize_counts([98, 1, 1]).tolist()
+        assert np.diff(m.cum()).tolist() == m.counts.tolist()
+        assert m.fresh().counts.tolist() == m.counts.tolist()
+
     def test_static_table_refitted(self):
         # a table with zero entries (say, from a hostile file header) is
         # re-fitted so every symbol stays codable
@@ -123,28 +110,28 @@ class TestInitModel:
 
 class TestRateBits:
     def test_uniform_two_is_one_bit(self):
-        assert rate_bits(make_model(ADAPTIVE, 2), 0) == 1.0
+        assert make_model(ADAPTIVE, 2).rate_vector()[0] == 1.0
 
     def test_quarter_is_two_bits(self):
         m = make_model(STATIC, 2, static_counts=[1, 3])
-        assert rate_bits(m, 0) == 2.0
+        assert m.rate_vector()[0] == 2.0
 
     def test_heavy_symbol_gets_cheap(self):
         m = make_model(ADAPTIVE, 3)
         for _ in range(100):
             m.update(1)
-        assert rate_bits(m, 1) < 0.1
+        assert m.rate_vector()[1] < 0.1
 
     def test_worst_case_fifteen_bits(self):
         m = make_model(STATIC, 2, static_counts=[10**9, 1])
-        assert rate_bits(m, 1) == 15.0
+        assert m.rate_vector()[1] == 15.0
 
     def test_static_rates_match_fifteen_bit_table(self):
         # static costs are 15 - log2(freq), bitwise as tabulated for all
         # frequencies 1..2**15
         counts = [200, 0, 0, 201, 2100, 300, 199, 0, 0]
         m = make_model(STATIC, 9, static_counts=counts)
-        freqs = m.distribution().freqs
+        freqs = np.diff(m.cum())
         table = 15.0 - np.log2(np.arange(1, TOTAL + 1, dtype=np.float64))
         assert np.array_equal(m.rate_vector(), table[freqs - 1])
 
@@ -153,7 +140,7 @@ class TestUpdate:
     def test_adaptive_increments(self):
         m = make_model(ADAPTIVE, 2)
         m.update(0)
-        assert m.distribution().freqs.tolist() == [2, 1]
+        assert np.diff(m.cum()).tolist() == [2, 1]
         assert m.cum() == [0, 2, 3]
         assert m.rate_vector().tolist() == pytest.approx([np.log2(3) - 1.0, np.log2(3)])
 
@@ -178,16 +165,16 @@ class TestUpdate:
         for _ in range(COUNT_CAP - 2):
             m.update(0)
         assert m.cum() == [0, COUNT_CAP - 1, COUNT_CAP]
-        assert rate_bits(m, 1) == 16.0  # the worst case of the adaptive kinds
+        assert m.rate_vector()[1] == 16.0  # the worst case of the adaptive kinds
         m.update(0)
         assert m.cum() == [0, 32768, 32769]
 
     def test_static_never_changes(self):
         m = make_model(STATIC, 3, static_counts=[5, 2, 1])
-        before = m.distribution().freqs.copy()
+        before = np.diff(m.cum())
         for s in (0, 1, 2, 0):
             m.update(s)
-        assert np.array_equal(m.distribution().freqs, before)
+        assert np.array_equal(np.diff(m.cum()), before)
 
 
 class TestReplayDeterminism:
@@ -198,7 +185,7 @@ class TestReplayDeterminism:
         a = make_model(kind, 4)
         b = make_model(kind, 4)
         for s in seq.tolist():
-            assert np.array_equal(a.distribution().freqs, b.distribution().freqs)
+            assert np.array_equal(np.diff(a.cum()), np.diff(b.cum()))
             a.update(s)
             b.update(s)
 

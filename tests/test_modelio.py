@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cerwu.engine import CompressionConfig, compress_layer
 from cerwu.entropy import CONTEXT, COUNT_CAP, STATIC
-from cerwu.errors import ParseError, ShapeError
+from cerwu.errors import CerwuError, ParseError, ShapeError
 from cerwu.grids import ROW_MAJOR
 from cerwu.linalg import accumulate_hessian
 from cerwu.modelio import (
@@ -17,10 +19,10 @@ from cerwu.modelio import (
     load_tensor_file,
     read_compressed,
     scale16_bits,
-    unfold_convolution,
     write_compressed,
     write_tensor_file,
 )
+from cerwu.pipeline import compress_model, decompress_model
 
 
 class TestTensorFile:
@@ -93,50 +95,11 @@ class TestTensorFile:
             tf.add("w", np.array([np.inf]))
 
 
-class TestUnfoldConvolution:
-    def test_one_by_one_kernel(self):
-        rng = np.random.default_rng(1)
-        kernel = rng.normal(size=(4, 3, 1, 1))
-        patches = rng.normal(size=(3, 7))
-        w, x = unfold_convolution(kernel, patches)
-        assert w.shape == (4, 3)
-        assert np.array_equal(w, kernel[:, :, 0, 0])
-        assert x is not kernel
-
-    def test_identity_kernel_one_hot(self):
-        kernel = np.zeros((1, 1, 3, 3))
-        kernel[0, 0, 1, 1] = 1.0
-        w, _ = unfold_convolution(kernel, np.zeros((9, 1)))
-        assert w.tolist() == [[0, 0, 0, 0, 1, 0, 0, 0, 0]]
-
-    def test_matmul_equals_direct_convolution(self):
-        rng = np.random.default_rng(2)
-        kernel = rng.normal(size=(2, 3, 3, 3)).astype(np.float32)
-        patches = rng.normal(size=(27, 10)).astype(np.float32)
-        w, x = unfold_convolution(kernel, patches)
-        fast = w @ x
-        direct = np.zeros((2, 10))
-        for o in range(2):
-            for p in range(10):
-                field = patches[:, p].reshape(3, 3, 3)
-                acc = 0.0
-                for c in range(3):
-                    for u in range(3):
-                        for v in range(3):
-                            acc += kernel[o, c, u, v] * field[c, u, v]
-                direct[o, p] = acc
-        assert np.max(np.abs(fast - direct)) <= 1e-5 * max(1.0, np.max(np.abs(direct)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            unfold_convolution(np.zeros((2, 3, 3, 3)), np.zeros((10, 4)))
-
-
 def _quantized_record(rng, name="layer", model_kind=CONTEXT, k=5, n=6, m=8, lam=0.02):
     w = rng.normal(size=(n, m))
     h = accumulate_hessian([rng.normal(size=(m, 2 * m))])
     cfg = CompressionConfig(lam=lam, grid_size=k, model_kind=model_kind)
-    result, payload, spec = compress_layer(w, h, cfg)
+    result, payload, model = compress_layer(w, h, cfg)
     return w, result, QuantizedRecord(
         name=name,
         rows=n,
@@ -145,7 +108,7 @@ def _quantized_record(rng, name="layer", model_kind=CONTEXT, k=5, n=6, m=8, lam=
         scan_order=ROW_MAJOR,
         model_kind=model_kind,
         scale16_bits=scale16_bits(result.quantized.grid.step),
-        static_freqs=spec.static_counts if model_kind == STATIC else None,
+        static_freqs=model.counts if model_kind == STATIC else None,
         symbol_count=payload.symbol_count,
         payload=payload.data,
     )
@@ -244,6 +207,17 @@ class TestCompressedModel:
         path, _ = self._hostile_copy(tmp_path, bound, rows=bound // 8, cols=8)
         assert read_compressed(path).quantized()[0].symbol_count == bound
 
+    @pytest.mark.parametrize("model_kind", [STATIC, CONTEXT])
+    def test_static_table_flag_must_fit_model_kind(self, tmp_path, model_kind):
+        rng = np.random.default_rng(11)
+        _, _, rec = _quantized_record(rng, model_kind=model_kind)
+        # a table on an adaptive kind, or none on the static kind
+        rec.static_freqs = None if model_kind == STATIC else np.ones(rec.grid_size)
+        path = tmp_path / "flag.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        with pytest.raises(ParseError, match=f"flag .* {model_kind} model at byte offset"):
+            read_compressed(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cwm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -269,7 +243,7 @@ class TestCompressedModel:
         w = np.zeros((2, 2))
         h = np.eye(2)
         cfg = CompressionConfig(lam=0.0, grid_size=5)
-        result, payload, spec = compress_layer(w, h, cfg)
+        result, payload, model = compress_layer(w, h, cfg)
         rec = QuantizedRecord(
             name="z", rows=2, cols=2, grid_size=5, scan_order=ROW_MAJOR,
             model_kind="adaptive",
@@ -278,3 +252,62 @@ class TestCompressedModel:
         )
         assert rec.scale16_bits == 0
         assert rec.grid().step == result.quantized.grid.step
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    """Bytes of a small .tns and of small static and context .cwm files.
+
+    The .tns holds ``w = [1.5, -2.0]`` first: its name byte sits at offset
+    12 and the top byte of 1.5 at offset 22. Each .cwm starts with the raw
+    record ``fc.bias`` of shape (3,): its name starts at offset 12 and the
+    low byte of its one dimension sits at offset 22.
+    """
+    d = tmp_path_factory.mktemp("samples")
+    tf = TensorFile()
+    tf.add("w", np.array([1.5, -2.0]))
+    tf.add("m", np.arange(6.0).reshape(2, 3))
+    write_tensor_file(tf, d / "s.tns")
+    files = {"tns": (d / "s.tns").read_bytes()}
+    rng = np.random.default_rng(12)
+    model = TensorFile()
+    model.add("fc.bias", rng.normal(size=3))
+    model.add("fc.weight", rng.normal(size=(3, 4)))
+    for kind in (STATIC, CONTEXT):
+        cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=kind)
+        write_compressed(compress_model(model, {}, cfg, method="rtn").compressed, d / kind)
+        files[kind] = (d / kind).read_bytes()
+    return files
+
+
+class TestHostileBytes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        which=st.sampled_from(["tns", STATIC, CONTEXT]),
+        truncate=st.booleans(),
+        at=st.integers(0, 2**16),
+        mask=st.integers(1, 255),
+    )
+    @example(which="tns", truncate=False, at=12, mask=0x88)  # name byte 0xFF
+    @example(which="tns", truncate=False, at=22, mask=0x40)  # 1.5 becomes NaN
+    @example(which=CONTEXT, truncate=False, at=12, mask=0x99)  # name byte 0xFF
+    @example(which=STATIC, truncate=False, at=22, mask=0x01)  # 12 bytes for shape (2,)
+    def test_truncated_or_flipped_file_loads_finite_or_raises_cerwu_error(
+        self, sample_files, tmp_path_factory, which, truncate, at, mask
+    ):
+        data = bytearray(sample_files[which])
+        at %= len(data)
+        if truncate:
+            del data[at:]
+        else:
+            data[at] ^= mask
+        path = tmp_path_factory.getbasetemp() / "mutant"
+        path.write_bytes(bytes(data))
+        try:
+            if which == "tns":
+                tf = load_tensor_file(path)
+            else:
+                tf = decompress_model(read_compressed(path))
+        except CerwuError:
+            return
+        assert all(np.isfinite(a).all() for a in tf.entries.values())

@@ -60,7 +60,7 @@ class TestEvaluateObjective:
         model = make_model(ADAPTIVE, 3)
         expect = 0.0
         for s in q.symbols_in_scan_order().tolist():
-            expect += model.rate_bits(s)
+            expect += model.rate_vector()[s]
             model.update(s)
         obj = evaluate_objective(w, rng.normal(size=(2, 2)), q, 1.0, _adaptive(3))
         assert obj.rate_bits == expect
@@ -82,7 +82,7 @@ class TestBruteForce:
         layer, obj = brute_force_minimize(w, x, grid, 0.01, _adaptive(3))
         assert layer.indices[0, 0] == 1  # level 0
         # distortion 0.4^2 = 0.16; rate is the model's cost of the zero level
-        zero_rate = make_model(ADAPTIVE, 3).rate_bits(1)
+        zero_rate = make_model(ADAPTIVE, 3).rate_vector()[1]
         assert abs(obj.total - (0.16 + 0.01 * zero_rate)) <= 1e-12
 
     def test_single_entry_rate_flips_choice(self):
@@ -94,7 +94,7 @@ class TestBruteForce:
         factory = lambda: make_model("static", 3, static_counts=[1, 998, 1])
         layer, obj = brute_force_minimize(w, x, grid, 1.0, factory)
         assert layer.indices[0, 0] == 1  # the zero level
-        hand = 0.81 + 1.0 * float(factory().rate_bits(1))
+        hand = 0.81 + 1.0 * float(factory().rate_vector()[1])
         assert abs(obj.total - hand) <= 1e-12
 
     def test_lambda_zero_diagonal_equals_rtn(self):

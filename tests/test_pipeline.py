@@ -132,8 +132,7 @@ class TestCompressDecompress:
         for name in quantizable_names(model):
             w = model[name].astype(np.float64)
             grid = build_grid(w, 7)
-            spec = model_spec_for(w, grid, cfg)
-            res = quantize_layer(w, hes[name], grid, cfg, model=spec.fresh())
+            res = quantize_layer(w, hes[name], grid, cfg, model=model_spec_for(w, grid, cfg))
             expect = np.asarray(res.quantized.dequantize(), dtype=np.float32)
             assert np.array_equal(recon[name], expect)
 
