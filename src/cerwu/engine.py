@@ -26,7 +26,10 @@ matter: the engine quantizes one column at a time, for all rows at once
 the remaining columns). The elementwise arithmetic is the per-entry
 walk's, so indices, symbols, loss delta and predicted bits are bitwise
 those of visiting the entries one by one. Adaptive and context models
-take the per-entry walk.
+take the per-entry walk. It searches the k levels on Python floats, since
+for a handful of levels each numpy call costs more than its arithmetic,
+reads every level's rate ``log2(T) - log2(c)`` straight from the model's
+cumulative counts, and keeps numpy only for the row update.
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -35,6 +38,7 @@ choices but removes the Gaussian regularization from the updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -111,10 +115,8 @@ def quantization_step(
     if c_diag <= 0:
         raise ShapeError("c_diag must be positive")
     c = max(c_diag, CDIAG_FLOOR)
-    pref, levels_pref, gamma_term_pref = _search_order(grid.levels, lam, gamma)
-    rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
-    obj = _objective(float(w_prime_entry), 0.5 / (c * c), levels_pref, rate_term)
-    return int(pref[obj.argmin()])
+    search = _scalar_search_order(*_search_order(grid.levels, lam, gamma))
+    return _choose(float(w_prime_entry), 0.5 / (c * c), search, lam, rates.tolist())
 
 
 def _search_order(levels: np.ndarray, lam: float, gamma: float):
@@ -122,28 +124,33 @@ def _search_order(levels: np.ndarray, lam: float, gamma: float):
 
     Returns ``pref`` (indices sorted by ``(|level|, level)``), the levels
     in that order and ``0.5 * lam * gamma * level^2`` in that order.
-    Evaluating the objective in this order makes ``argmin``'s first
-    minimum the smallest-|level|, then negative, choice.
+    Evaluating the objective in this order makes the first minimum the
+    smallest-|level|, then negative, choice.
     """
     pref = np.lexsort((levels, np.abs(levels)))
     levels_pref = levels[pref]
     return pref, levels_pref, (0.5 * lam * gamma) * (levels_pref * levels_pref)
 
 
-def _rate_term(rates, pref, lam, gamma_term_pref, out=None):
+def _scalar_search_order(pref, levels_pref, gamma_term_pref):
+    """:func:`_search_order` as ``(index, level, gamma_term)`` Python tuples."""
+    return list(zip(pref.tolist(), levels_pref.tolist(), gamma_term_pref.tolist()))
+
+
+def _rate_term(rates, pref, lam, gamma_term_pref):
     """``lam * ratebits(g) - 0.5*lam*gamma*g^2`` over levels in tie-break order."""
-    out = rates.take(pref, out=out)
+    out = rates.take(pref)
     np.multiply(out, lam, out=out)
     return np.subtract(out, gamma_term_pref, out=out)
 
 
 def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
-    """Objective of every level in tie-break order for the entries ``w``.
+    """Objective of every level in tie-break order for an ``(n, 1)`` column.
 
     ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term`` (``None`` when
-    ``lam == 0``). ``w`` is one entry, giving a k-vector, or an ``(n, 1)``
-    column, giving an ``n x k`` table. Every path evaluates this one
-    sequence of elementwise operations, so their choices agree bitwise.
+    ``lam == 0``), as an ``n x k`` table. The operations are those of
+    :func:`_choose`, one element at a time, so the column path and the
+    per-entry walk choose bitwise alike.
     """
     out = np.subtract(levels_pref, w, out=out)
     np.multiply(out, out, out=out)
@@ -151,6 +158,26 @@ def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
     if rate_term is not None:
         np.add(out, rate_term, out=out)
     return out
+
+
+def _choose(w, half_inv_c2, search, lam, rates):
+    """Index of the level minimizing the objective for one entry ``w``.
+
+    Python floats throughout: for k of a few dozen levels a numpy call
+    costs more than the arithmetic. ``search`` comes from
+    :func:`_scalar_search_order`, ``rates`` is indexed by symbol. The
+    strict ``<`` keeps the first minimum in tie-break order. With
+    ``lam == 0`` the rate term adds exactly zero.
+    """
+    best = math.inf
+    choice = search[0][0]
+    for p, level, gamma_term in search:
+        d = level - w
+        obj = d * d * half_inv_c2 + (rates[p] * lam - gamma_term)
+        if obj < best:
+            best = obj
+            choice = p
+    return choice
 
 
 def quantize_layer(
@@ -190,12 +217,13 @@ def quantize_layer(
     k = grid.size
     pref, levels_pref, gamma_term_pref = _search_order(levels, lam, context.gamma)
 
-    indices = np.empty((n, m), dtype=np.int32)
-    err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
+    order = config.scan_order
 
     if model.kind == entropy.STATIC:
         # The rates never change, so every row sees the same costs in any
         # order: quantize one column for all rows at once.
+        indices = np.empty((n, m), dtype=np.int32)
+        err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
         rates = model.rate_vector()
         rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
         obj_buf = np.empty((n, k), dtype=np.float64)
@@ -210,28 +238,40 @@ def quantize_layer(
             err[:, j] = e
         bits = rates[indices]
     else:
-        bits = np.empty((n, m), dtype=np.float64)
-        obj_buf = np.empty(k, dtype=np.float64)
-        rate_buf = np.empty(k, dtype=np.float64)
-        if config.scan_order == ROW_MAJOR:
+        # The rates change after every symbol: visit the entries one by
+        # one in scan order, on Python scalars, reading each level's rate
+        # from the model's cumulative counts.
+        L = entropy.LOG2
+        cum_of = model.cum
+        update = model.update
+        search = _scalar_search_order(pref, levels_pref, gamma_term_pref)
+        symbols = range(k)
+        h = half_inv_c2.tolist()
+        inv_c_list = inv_c.tolist()
+        level_list = levels.tolist()
+        chol_tail = [chol[j, j + 1 :] for j in range(m)]
+        idx_seq, err_seq, bits_seq = [], [], []
+        if order == ROW_MAJOR:
             positions = ((i, j) for i in range(n) for j in range(m))
         else:
             positions = ((i, j) for j in range(m) for i in range(n))
         for i, j in positions:
-            rates = model.rate_vector()
-            wij = wp[i, j]
-            rate_term = _rate_term(rates, pref, lam, gamma_term_pref, rate_buf) if lam else None
-            obj = _objective(wij, half_inv_c2[j], levels_pref, rate_term, obj_buf)
-            idx = int(pref[obj.argmin()])
-            e = wij - levels[idx]
+            cum = cum_of()
+            log_total = L[cum[-1]]
+            rates = [log_total - L[cum[p + 1] - cum[p]] for p in symbols]
+            wij = wp.item(i, j)
+            idx = _choose(wij, h[j], search, lam, rates)
+            e = wij - level_list[idx]
             if j + 1 < m:
-                wp[i, j + 1 :] -= (e * inv_c[j]) * chol[j, j + 1 :]
-            indices[i, j] = idx
-            err[i, j] = e
-            bits[i, j] = rates[idx]
-            model.update(idx)
+                wp[i, j + 1 :] -= (e * inv_c_list[j]) * chol_tail[j]
+            idx_seq.append(idx)
+            err_seq.append(e)
+            bits_seq.append(rates[idx])
+            update(idx)
+        indices = np.ascontiguousarray(_from_scan_order(idx_seq, n, m, order, np.int32))
+        err = _from_scan_order(err_seq, n, m, order, np.float64)
+        bits = _from_scan_order(bits_seq, n, m, order, np.float64)
 
-    order = config.scan_order
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
         quantized=quantized,
@@ -240,6 +280,12 @@ def quantize_layer(
         symbols_in_scan_order=quantized.symbols_in_scan_order().copy(),
         grid_evaluations=n * m * k,
     )
+
+
+def _from_scan_order(values, n: int, m: int, scan_order: str, dtype) -> np.ndarray:
+    """``(n, m)`` array of values listed in scan order."""
+    a = np.array(values, dtype=dtype)
+    return a.reshape(n, m) if scan_order == ROW_MAJOR else a.reshape(m, n).T
 
 
 def _running_total(values: np.ndarray) -> float:

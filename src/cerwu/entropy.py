@@ -22,10 +22,14 @@ same model. A model is read only through :meth:`EntropyModel.cum` and
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
-The range coder codes straight from the cumulative counts, and a symbol
-with count ``c`` costs ``log2(T) - log2(c)`` bits, read from one table of
-base-2 logarithms so every rate path agrees bitwise. The worst-case
-symbol cost is 16 bits (15 for static).
+A model keeps only the cumulative counts, as a list of Python ints that
+an update changes in place, so the per-symbol paths (the engine's walk,
+the range coder) never touch numpy. The range coder codes straight from
+the cumulative counts, and a symbol with count ``c`` costs
+``log2(T) - log2(c)`` bits, read from one table of base-2 logarithms (as
+a numpy array for :meth:`EntropyModel.rate_vector`, as a list of the same
+floats, :data:`LOG2`, for per-symbol reads) so every rate path agrees
+bitwise. The worst-case symbol cost is 16 bits (15 for static).
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ MODEL_KINDS = (STATIC, ADAPTIVE, CONTEXT)
 # log2(n) for n = 0..COUNT_CAP; log2(0) = -inf prices a zero count at inf.
 with np.errstate(divide="ignore"):
     _LOG2 = np.log2(np.arange(COUNT_CAP + 1, dtype=np.float64))
+# The same table as Python floats, for per-symbol reads: indexing a list
+# costs less than a numpy scalar and yields the same doubles.
+LOG2 = _LOG2.tolist()
 
 
 def _rates(counts: np.ndarray, total: int) -> np.ndarray:
@@ -88,40 +95,42 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
 
 
 class _Counts:
-    """Integer counts with their cumulative list ``[0, c0, c0+c1, ..., T]``.
+    """Cumulative counts ``[0, c0, c0+c1, ..., T]`` as a list of ints.
 
-    ``observe`` adds one to a count and to the cumulative entries above it
-    (O(k), after Moffat's linear-time adaptive coder). When the total would
-    exceed ``COUNT_CAP`` every count is halved, rounding up, and the
-    cumulative list is rebuilt.
+    ``observe`` adds one to the cumulative entries above a symbol (O(k),
+    after Moffat's linear-time adaptive coder), so no per-symbol array is
+    kept. When the total would exceed ``COUNT_CAP`` every count, the
+    observed one included, is halved, rounding up, and the list is rebuilt.
     """
 
-    __slots__ = ("counts", "cum")
+    __slots__ = ("cum",)
 
     def __init__(self, counts):
-        self._set(np.array(counts, dtype=np.int64))
-
-    def _set(self, counts: np.ndarray) -> None:
-        self.counts = counts
-        self.cum = [0] + np.cumsum(counts).tolist()
+        self.cum = [0] + np.cumsum(counts, dtype=np.int64).tolist()
 
     def observe(self, symbol: int) -> None:
-        self.counts[symbol] += 1
         cum = self.cum
         if cum[-1] < COUNT_CAP:
             for i in range(symbol + 1, len(cum)):
                 cum[i] += 1
         else:
-            self._set((self.counts + 1) >> 1)
+            counts = np.diff(cum)
+            counts[symbol] += 1
+            self.cum = [0] + np.cumsum((counts + 1) >> 1).tolist()
 
     def rates(self) -> np.ndarray:
-        return _rates(self.counts, self.cum[-1])
+        return _rates(np.diff(self.cum), self.cum[-1])
 
 
 class EntropyModel:
-    """Common interface; concrete kinds override the hooks below."""
+    """Common interface; concrete kinds set ``_tab`` and override the hooks.
+
+    ``_tab`` is the active count table; the context model swaps it in
+    :meth:`update`.
+    """
 
     kind: str
+    _tab: _Counts
 
     def __init__(self, k: int):
         if not 2 <= k <= TOTAL:
@@ -129,9 +138,6 @@ class EntropyModel:
         self.k = k
 
     # -- hooks ------------------------------------------------------------
-    def _table(self) -> _Counts:
-        raise NotImplementedError
-
     def update(self, symbol: int) -> None:
         raise NotImplementedError
 
@@ -142,11 +148,11 @@ class EntropyModel:
     # -- derived ----------------------------------------------------------
     def cum(self) -> list:
         """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
-        return self._table().cum
+        return self._tab.cum
 
     def rate_vector(self) -> np.ndarray:
         """Per-symbol cost in bits: -log2(count / T)."""
-        return self._table().rates()
+        return self._tab.rates()
 
 
 class StaticModel(EntropyModel):
@@ -168,9 +174,6 @@ class StaticModel(EntropyModel):
         self.counts = quantize_counts(c)
         self._tab = _Counts(self.counts)
         self._rates = self._tab.rates()
-
-    def _table(self):
-        return self._tab
 
     def rate_vector(self) -> np.ndarray:
         return self._rates
@@ -194,10 +197,7 @@ class AdaptiveModel(EntropyModel):
 
     def __init__(self, k: int):
         super().__init__(k)
-        self._tab = _Counts(np.ones(k))
-
-    def _table(self):
-        return self._tab
+        self._tab = _Counts([1] * k)
 
     def update(self, symbol: int) -> None:
         self._tab.observe(symbol)
@@ -219,15 +219,20 @@ class ContextModel(EntropyModel):
     def __init__(self, k: int):
         super().__init__(k)
         self.zero_index = k // 2
-        self._tabs = (_Counts(np.ones(k)), _Counts(np.ones(k)))
-        self.current_context = 0
+        self._tabs = (_Counts([1] * k), _Counts([1] * k))
+        self._tab = self._tabs[0]
 
-    def _table(self):
-        return self._tabs[self.current_context]
+    @property
+    def current_context(self) -> int:
+        return 0 if self._tab is self._tabs[0] else 1
+
+    @current_context.setter
+    def current_context(self, context: int) -> None:
+        self._tab = self._tabs[context]
 
     def update(self, symbol: int) -> None:
-        self._tabs[self.current_context].observe(symbol)
-        self.current_context = 0 if symbol == self.zero_index else 1
+        self._tab.observe(symbol)
+        self._tab = self._tabs[0 if symbol == self.zero_index else 1]
 
     def fresh(self) -> "ContextModel":
         return ContextModel(self.k)
@@ -262,11 +267,14 @@ def sequence_rate_bits(symbols, model: EntropyModel) -> float:
     from the same table as :meth:`EntropyModel.rate_vector`, so totals
     match the other replay paths exactly.
     """
+    L = LOG2
+    cum_of = model.cum
+    update = model.update
     total = 0.0
     for s in np.asarray(symbols, dtype=np.int64).tolist():
-        cum = model.cum()
-        total += float(_LOG2[cum[-1]] - _LOG2[cum[s + 1] - cum[s]])
-        model.update(s)
+        cum = cum_of()
+        total += L[cum[-1]] - L[cum[s + 1] - cum[s]]
+        update(s)
     return total
 
 

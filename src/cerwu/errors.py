@@ -2,6 +2,13 @@
 
 ``InputError`` subclasses map to CLI exit status 1 (bad user input);
 everything else surfacing from the library maps to exit status 2.
+
+A corrupt or truncated payload in a ``.cwm`` file is bad user input:
+``QuantizedRecord.decode_layer`` turns the range coder's ``DecodeError``
+into a ``ParseError`` naming the record, its symbol count and the failing
+symbol, so ``cerwu decompress`` exits 1. A ``DecodeError`` that escapes
+otherwise comes from a caller handing ``rangecoder.decode`` bytes of its
+own, and stays internal.
 """
 
 

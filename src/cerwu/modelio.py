@@ -34,19 +34,27 @@ Compressed model (".cwm"):
 Reported bits per weight divide 8x the quantized records' bytes (headers
 plus payloads) by the number of quantized parameters; raw records and the
 file preamble are excluded.
+
+Readers check every length and count against the bytes actually present
+(a grid size must lie in ``[2, 2**15]``) and raise ParseError with the
+byte offset. Writers go through :func:`atomic_output`, so a failed write
+never leaves a partial file in place of an existing one.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import entropy
-from .errors import ParseError, ShapeError
+from .errors import DecodeError, ParseError, ShapeError
 from .grids import COLUMN_MAJOR, ROW_MAJOR, Grid, QuantizedLayer, grid_from_scale, layer_from_symbols
 from .rangecoder import Payload, decode
 
@@ -95,18 +103,39 @@ class TensorFile:
         return self.entries[name]
 
 
+@contextmanager
+def atomic_output(path):
+    """Binary file handle whose contents replace ``path`` when the block ends.
+
+    The bytes go to a new file in the same directory, which ``os.replace``
+    moves over ``path`` only once the block completes. If the block raises,
+    the new file is removed and an existing ``path`` is left untouched.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def write_tensor_file(tf: TensorFile, path) -> None:
-    blob = bytearray()
-    blob += TENSOR_MAGIC
-    blob += struct.pack("<HI", TENSOR_VERSION, len(tf.entries))
-    for name, arr in tf.entries.items():
-        raw = name.encode("utf-8")
-        blob += struct.pack("<H", len(raw)) + raw
-        blob += struct.pack("<BB", _DTYPE_F32, arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    with atomic_output(path) as fh:
+        fh.write(TENSOR_MAGIC + struct.pack("<HI", TENSOR_VERSION, len(tf.entries)))
+        for name, arr in tf.entries.items():
+            raw = name.encode("utf-8")
+            fh.write(
+                struct.pack("<H", len(raw)) + raw
+                + struct.pack("<BB", _DTYPE_F32, arr.ndim)
+                + struct.pack(f"<{arr.ndim}I", *arr.shape)
+            )
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").data)  # no copy on little-endian hosts
 
 
 class _Reader:
@@ -225,16 +254,15 @@ class QuantizedRecord:
         )
 
     def decode_layer(self) -> QuantizedLayer:
+        """Decode the payload; a corrupt or truncated one is a ParseError
+        naming the record, its symbol count and the failing symbol."""
         try:
             symbols = decode(
                 Payload(self.payload, self.symbol_count), self.model(), self.grid_size
             )
-        except MemoryError as exc:
-            # The header checks bound symbol_count by the payload length,
-            # which still admits counts no machine can hold.
+        except DecodeError as exc:
             raise ParseError(
-                f"record {self.name!r}: symbol_count {self.symbol_count} "
-                "is more than can be allocated"
+                f"record {self.name!r} (symbol_count {self.symbol_count}): {exc}"
             ) from exc
         return layer_from_symbols(
             symbols, self.rows, self.cols, self.grid(), self.scan_order
@@ -317,13 +345,10 @@ def _encode_record(rec: Record) -> bytes:
 
 
 def write_compressed(model: CompressedModel, path) -> None:
-    blob = bytearray()
-    blob += COMPRESSED_MAGIC
-    blob += struct.pack("<HI", model.version, len(model.records))
-    for rec in model.records:
-        blob += _encode_record(rec)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    with atomic_output(path) as fh:
+        fh.write(COMPRESSED_MAGIC + struct.pack("<HI", model.version, len(model.records)))
+        for rec in model.records:
+            fh.write(_encode_record(rec))
 
 
 def read_compressed(path) -> CompressedModel:
@@ -343,7 +368,13 @@ def read_compressed(path) -> CompressedModel:
         name = r.name()
         (kind,) = r.unpack("<B")
         if kind == _KIND_QUANTIZED:
+            grid_at = r.pos + 8  # after rows and cols
             rows, cols, grid_size, scan, mkind, scale_bits = r.unpack(_QUANT_FIELDS)
+            if not 2 <= grid_size <= entropy.TOTAL:
+                raise ParseError(
+                    f"{path}: record {name!r} has grid size {grid_size} at byte "
+                    f"offset {grid_at}, outside [2, {entropy.TOTAL}]"
+                )
             if scan not in _SCAN_NAMES:
                 raise ParseError(f"{path}: unknown scan code {scan} before offset {r.pos}")
             if mkind not in _MODEL_NAMES:

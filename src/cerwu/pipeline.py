@@ -35,6 +35,7 @@ from .modelio import (
     QuantizedRecord,
     RawRecord,
     TensorFile,
+    atomic_output,
     scale16_bits,
 )
 
@@ -112,7 +113,8 @@ def collect_hessians(
     if cache_path is not None and digest is not None:
         payload = {f"H::{n}": h for n, h in hessians.items()}
         payload["calib_sha256"] = np.str_(digest)
-        np.savez(cache_path, **payload)
+        with atomic_output(cache_path) as fh:
+            np.savez(fh, **payload)
         log.info("hessian cache written: %s", cache_path)
     return hessians
 

@@ -21,10 +21,13 @@ the payload end on an intact stream.
 
 Encoding visits symbols front to back and the decoder replays the same
 model transitions in the same order, as an autoregressive model requires.
+Both loops run on Python ints: the model's cumulative counts are a list,
+and its ``cum``/``update`` methods are looked up once per call.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -60,11 +63,13 @@ def encode(symbols, model: EntropyModel) -> Payload:
     if syms.size and (syms.min() < 0 or syms.max() >= k):
         raise ShapeError(f"symbol out of range for k={k}")
 
+    cum_of = model.cum
+    update = model.update
     out = bytearray()
     low = 0
     rng = _MASK32
     for s in syms.tolist():
-        cum = model.cum()
+        cum = cum_of()
         total = cum[-1]
         lo_inc = rng * cum[s] // total
         hi_inc = rng * cum[s + 1] // total
@@ -81,7 +86,7 @@ def encode(symbols, model: EntropyModel) -> Payload:
             out.append((low >> 24) & 0xFF)
             low = (low << 8) & _MASK32
             rng <<= 8
-        model.update(s)
+        update(s)
 
     out += low.to_bytes(4, "big")
     out += b"\x00\x00\x00\x00"
@@ -103,15 +108,21 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
             raise DecodeError("payload truncated: missing flush bytes")
         return np.zeros(0, dtype=np.int32)
     if len(data) < 4:
-        raise DecodeError("payload truncated: shorter than the priming window")
+        raise DecodeError("payload truncated at symbol 0: shorter than the priming window")
 
     d = int.from_bytes(data[:4], "big")
     pos = 4
     rng = _MASK32
     size = len(data)
-    out = np.empty(n, dtype=np.int32)
+    cum_of = model.cum
+    update = model.update
+    # Grown as symbols are decoded, not sized from the header's count: a
+    # hostile count then costs memory only as fast as the payload yields
+    # symbols.
+    out = array("i")
+    append = out.append
     for t in range(n):
-        cum = model.cum()
+        cum = cum_of()
         total = cum[-1]
         # s is the largest symbol whose lower boundary is <= d:
         # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
@@ -131,6 +142,6 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
             d = (d << 8) | data[pos]
             pos += 1
             rng <<= 8
-        out[t] = s
-        model.update(s)
-    return out
+        append(s)
+        update(s)
+    return np.array(out, dtype=np.int32)

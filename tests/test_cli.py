@@ -141,9 +141,9 @@ class TestErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_unallocatable_record_is_input_error(self, tmp_path, capsys):
-        # 2^40 symbols pass the header checks with a 2 MiB payload; the
-        # decoder's 4 TiB output buffer fails to allocate at once. Had it
-        # been granted, the 0xFF payload would stop decoding at symbol 0.
+        # 2^40 symbols pass the header checks with a 2 MiB payload. The
+        # decoder grows its output as it goes, so nothing that size is
+        # allocated: the 0xFF payload stops decoding at symbol 0.
         rec = QuantizedRecord(
             name="huge.weight", rows=2**20, cols=2**20, grid_size=9,
             scan_order="row-major", model_kind="context",
@@ -158,6 +158,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "huge.weight" in err and str(2**40) in err
+
+    @pytest.mark.parametrize("grid_size", [1, 2**15 + 1])
+    def test_grid_size_out_of_range_is_input_error(self, tmp_path, capsys, grid_size):
+        rec = QuantizedRecord(
+            name="fc0.weight", rows=2, cols=2, grid_size=grid_size,
+            scan_order="row-major", model_kind="context",
+            scale16_bits=scale16_bits(0.1), static_freqs=None,
+            symbol_count=4, payload=bytes(16),
+        )
+        path = tmp_path / "grid.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        self._assert_parse_error(
+            capsys, ["decompress", "--input", str(path), "--out", str(tmp_path / "o.tns")]
+        )
 
     def test_version_one_file_is_input_error(self, tmp_path, capsys):
         out = self._compressed(tmp_path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +269,46 @@ class TestQuantizeLayer:
         final_loss = float(0.5 * np.trace(d @ h_reg @ d.T))
         assert res.quadratic_loss_delta == pytest.approx(final_loss, rel=1e-8)
 
+    @pytest.mark.parametrize("kind, scan_order, lam, digest, bits, loss", [
+        (ADAPTIVE, ROW_MAJOR, 0.0,
+         "6dda232509b265430c15a4652b97f151042ad84cdde5ef3fcc6cd18da38735f6",
+         179.20413783468143, 0.5270497987281304),
+        (ADAPTIVE, ROW_MAJOR, 0.03,
+         "214e0a9adfe2f2095cb203bbcec45785b5fe11cf22cd82bec4e76cc37121e377",
+         174.67034798594975, 0.7072812556180188),
+        (ADAPTIVE, COLUMN_MAJOR, 0.0,
+         "6dda232509b265430c15a4652b97f151042ad84cdde5ef3fcc6cd18da38735f6",
+         179.2041378346814, 0.5270497987281304),
+        (ADAPTIVE, COLUMN_MAJOR, 0.03,
+         "5c56b142ac250744b63740026ce95480c6b5960b70a30f9fc7a3aae726c95a92",
+         173.74321659790363, 0.7943177714692394),
+        (CONTEXT, ROW_MAJOR, 0.0,
+         "6dda232509b265430c15a4652b97f151042ad84cdde5ef3fcc6cd18da38735f6",
+         183.80375040899276, 0.5270497987281304),
+        (CONTEXT, ROW_MAJOR, 0.03,
+         "05d5c670dab3f4f5e38e8224c339a1622d92afb62a0e7c6fff0244468cc3a551",
+         177.0297702258336, 0.7995754702295622),
+        (CONTEXT, COLUMN_MAJOR, 0.0,
+         "6dda232509b265430c15a4652b97f151042ad84cdde5ef3fcc6cd18da38735f6",
+         184.34807092521646, 0.5270497987281304),
+        (CONTEXT, COLUMN_MAJOR, 0.03,
+         "eb47484fe01a4d2acf8129c75c1163de57cd04aa0d46d129e869b64ff890a0c2",
+         165.97745203021, 1.0354211556338186),
+    ])
+    def test_walk_pinned(self, kind, scan_order, lam, digest, bits, loss):
+        # the per-entry walk's output, as computed with numpy over k-vectors
+        # before the walk moved to Python scalars: equal, not approximate
+        rng = np.random.default_rng(20250)
+        w = rng.normal(scale=0.1, size=(6, 10))
+        h = accumulate_hessian([rng.normal(size=(10, 40))])
+        cfg = CompressionConfig(lam=lam, grid_size=9, scan_order=scan_order, model_kind=kind)
+        res = quantize_layer(w, h, build_grid(w, 9), cfg)
+        indices = res.quantized.indices
+        assert indices.dtype == np.int32 and indices.flags.c_contiguous
+        assert hashlib.sha256(indices.astype("<i4").tobytes()).hexdigest() == digest
+        assert res.predicted_rate_bits == bits
+        assert res.quadratic_loss_delta == loss
+
     def test_gamma_zero_ablation_uses_plain_weights(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(3, 4))
@@ -384,6 +426,9 @@ class EntryByEntry(EntropyModel):
 
     def rate_vector(self):
         return self._inner.rate_vector()
+
+    def cum(self):
+        return self._inner.cum()
 
     def update(self, symbol):
         self._inner.update(symbol)

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import struct
 
 import numpy as np
@@ -10,6 +12,7 @@ from cerwu.entropy import CONTEXT, COUNT_CAP, STATIC
 from cerwu.errors import CerwuError, ParseError, ShapeError
 from cerwu.grids import ROW_MAJOR
 from cerwu.linalg import accumulate_hessian
+from cerwu import modelio
 from cerwu.modelio import (
     CompressedModel,
     QuantizedRecord,
@@ -22,7 +25,7 @@ from cerwu.modelio import (
     write_compressed,
     write_tensor_file,
 )
-from cerwu.pipeline import compress_model, decompress_model
+from cerwu.pipeline import collect_hessians, compress_model, decompress_model
 
 
 class TestTensorFile:
@@ -218,6 +221,22 @@ class TestCompressedModel:
         with pytest.raises(ParseError, match=f"flag .* {model_kind} model at byte offset"):
             read_compressed(path)
 
+    @pytest.mark.parametrize("grid_size", [1, 2, 2**15, 2**15 + 1])
+    def test_grid_size_bounds(self, tmp_path, grid_size):
+        rec = QuantizedRecord(
+            name="q", rows=1, cols=2, grid_size=grid_size, scan_order=ROW_MAJOR,
+            model_kind=CONTEXT, scale16_bits=scale16_bits(0.1), static_freqs=None,
+            symbol_count=2, payload=bytes(16),
+        )
+        path = tmp_path / "g.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        if 2 <= grid_size <= 2**15:
+            assert read_compressed(path).quantized()[0].grid_size == grid_size
+        else:
+            # preamble 10, name length 2, name 1, kind 1, rows 4, cols 4
+            with pytest.raises(ParseError, match="grid size .* at byte offset 22"):
+                read_compressed(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cwm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -252,6 +271,58 @@ class TestCompressedModel:
         )
         assert rec.scale16_bits == 0
         assert rec.grid().step == result.quantized.grid.step
+
+
+class _DiskFull:
+    """A file whose writes fail once ``room`` bytes are written."""
+
+    def __init__(self, fh, room):
+        self._fh = fh
+        self._room = room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(bytes(data[: self._room]))
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("what", ["tns", "cwm", "hcache"])
+def test_write_failing_midway_leaves_file_untouched(tmp_path, monkeypatch, what):
+    rng = np.random.default_rng(12)
+    model_tf = TensorFile()
+    model_tf.add("fc.weight", rng.normal(size=(16, 12)))
+    calib_tf = TensorFile()
+    calib_tf.add("fc.weight.activations", rng.normal(size=(12, 40)))
+    calib_path = tmp_path / "calib.tns"
+    write_tensor_file(calib_tf, calib_path)
+    path = tmp_path / {"tns": "out.tns", "cwm": "out.cwm", "hcache": "calib.tns.hcache.npz"}[what]
+    if what == "tns":
+        write = lambda: write_tensor_file(model_tf, path)
+    elif what == "cwm":
+        _, _, rec = _quantized_record(rng)
+        write = lambda: write_compressed(CompressedModel(records=[rec]), path)
+    else:
+        write = lambda: collect_hessians(model_tf, calib_tf, calib_path, cache_path=path)
+    path.write_bytes(b"previous contents")
+    monkeypatch.setattr(
+        modelio, "open", lambda p, mode: _DiskFull(builtins.open(p, mode), 20), raising=False
+    )
+    with pytest.raises(OSError, match="No space"):
+        write()
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["calib.tns", path.name]
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits
+from cerwu.entropy import (
+    ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, make_model, sequence_rate_bits,
+)
 from cerwu.errors import DecodeError, ShapeError
 from cerwu.rangecoder import FLUSH_BYTES, Payload, decode, encode
 
@@ -109,6 +113,39 @@ class TestRoundTrip:
         # a near-deterministic stream compresses to almost nothing
         assert len(payload.data) < 1200
         assert np.array_equal(decode(payload, make_model(ADAPTIVE, 5), 5), syms)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        counts=st.lists(st.integers(0, 2**16 - 1), min_size=2, max_size=40).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 600),
+    )
+    def test_static_tables(self, counts, seed, n):
+        # symbols drawn from any table, rare and zero-count ones included
+        syms = np.random.default_rng(seed).integers(0, len(counts), size=n)
+        factory = lambda: make_model(STATIC, len(counts), static_counts=counts)
+        payload = encode(syms, factory())
+        assert np.array_equal(decode(payload, factory(), len(counts)), syms)
+        assert 8 * len(payload.data) - sequence_rate_bits(syms, factory()) >= 0
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([ADAPTIVE, CONTEXT]),
+        k=st.integers(2, 17),
+        p_zero=st.sampled_from([0.0, 0.5, 0.99]),
+        extra=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adaptive_streams_across_halving(self, kind, k, p_zero, extra, seed):
+        # long enough that the busiest table reaches COUNT_CAP and halves
+        rng = np.random.default_rng(seed)
+        n = 2 * COUNT_CAP + extra
+        syms = np.where(rng.random(n) < p_zero, k // 2, rng.integers(0, k, size=n))
+        payload = encode(syms, make_model(kind, k))
+        back = decode(payload, make_model(kind, k), k)
+        assert back.dtype == np.int32 and np.array_equal(back, syms)
 
 
 class TestDecodeErrors:
