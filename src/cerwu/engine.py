@@ -297,21 +297,6 @@ def _running_total(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def obs_row_update(row_state: np.ndarray, j: int, quantized_value: float, chol_upper: np.ndarray) -> float:
-    """Apply the single-entry row compensation in place; returns the loss increase.
-
-    ``row_state`` holds the working row (entries < j already quantized,
-    entry j still unquantized). Exposed for verification against the
-    exact constrained minimizer.
-    """
-    c_jj = max(float(chol_upper[j, j]), CDIAG_FLOOR)
-    err = (float(row_state[j]) - quantized_value) / c_jj
-    if j + 1 < row_state.size:
-        row_state[j + 1 :] -= err * chol_upper[j, j + 1 :]
-    row_state[j] = quantized_value
-    return 0.5 * err * err
-
-
 def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyModel:
     """Fresh entropy model for a layer; quantize, encode and decode each
     replay a :meth:`~EntropyModel.fresh` copy of it.

@@ -276,10 +276,3 @@ def sequence_rate_bits(symbols, model: EntropyModel) -> float:
         total += L[cum[-1]] - L[cum[s + 1] - cum[s]]
         update(s)
     return total
-
-
-def entropy_bits(probabilities) -> float:
-    """Shannon entropy in bits of a probability vector (test helper)."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))

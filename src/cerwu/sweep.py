@@ -94,8 +94,7 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     return kept
 
 
-def _run_config(args):
-    model_tf, hessians, config, method, calib_tf, test_tf = args
+def _run_config(model_tf, hessians, config, method, calib_tf, test_tf) -> SweepPoint:
     t0 = time.perf_counter()
     try:
         report = compress_model(model_tf, hessians, config, method=method)
@@ -125,6 +124,22 @@ def _run_config(args):
         )
 
 
+# A pool worker's copy of the inputs every configuration shares:
+# (model, Hessians, method, calibration, test). Set once per worker by
+# ``_init_worker``; the process that calls ``run_sweep`` never sets it.
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*shared) -> None:
+    global _worker_inputs
+    _worker_inputs = shared
+
+
+def _run_in_worker(config: CompressionConfig) -> SweepPoint:
+    model_tf, hessians, method, calib_tf, test_tf = _worker_inputs
+    return _run_config(model_tf, hessians, config, method, calib_tf, test_tf)
+
+
 def run_sweep(
     model_tf: TensorFile,
     calib_tf: TensorFile,
@@ -143,6 +158,16 @@ def run_sweep(
 
     A failing configuration is recorded in its row (``error`` column) and
     the sweep continues.
+
+    With ``threads > 1`` the configurations run on a process pool of at
+    most ``min(threads, number of configurations)`` workers; with one
+    worker the sweep runs in this process. The inputs every configuration
+    shares (model, Hessians, method, calibration and test containers) go
+    to each worker once, through the pool's initializer, and each job
+    carries only its :class:`CompressionConfig`. Under the ``fork`` start
+    method the workers inherit them; under ``spawn`` and ``forkserver``
+    they are pickled once per worker. Rows are the same as a serial run's
+    but for ``wall_ms``.
     """
     if not (lambdas and grid_sizes and scan_orders and model_kinds):
         raise InputError("every parameter list must be nonempty")
@@ -160,11 +185,17 @@ def run_sweep(
         for scan in sorted(set(scan_orders))
         for kind in sorted(set(model_kinds))
     ]
-    jobs = [(model_tf, hessians, c, method, calib_tf, test_tf) for c in configs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_config, jobs))
-    return [_run_config(j) for j in jobs]
+    workers = min(threads, len(configs))
+    if workers > 1:
+        shared = (model_tf, hessians, method, calib_tf, test_tf)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=shared
+        ) as pool:
+            return list(pool.map(_run_in_worker, configs))
+    return [
+        _run_config(model_tf, hessians, c, method, calib_tf, test_tf)
+        for c in configs
+    ]
 
 
 def _fmt(v) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cerwu.engine import CDIAG_FLOOR
 from cerwu.fixtures import build_fixture_tensors, make_dataset
 from cerwu.pipeline import accuracy, collect_hessians
 
@@ -22,6 +23,28 @@ def chol_upper_of(hp):
     """Reference ``C'``: upper Cholesky factor of the explicit inverse of ``H'``."""
     hinv = np.linalg.inv(hp)
     return np.linalg.cholesky((hinv + hinv.T) / 2).T
+
+
+def entropy_bits(probabilities) -> float:
+    """Shannon entropy in bits of a probability vector."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def obs_row_update(row_state, j, quantized_value, chol_upper) -> float:
+    """Apply the single-entry row compensation in place; returns the loss increase.
+
+    ``row_state`` holds the working row (entries < j already quantized,
+    entry j still unquantized). A one-entry reference for the engine's
+    update, checked against the exact constrained minimizer.
+    """
+    c_jj = max(float(chol_upper[j, j]), CDIAG_FLOOR)
+    err = (float(row_state[j]) - quantized_value) / c_jj
+    if j + 1 < row_state.size:
+        row_state[j + 1 :] -= err * chol_upper[j, j + 1 :]
+    row_state[j] = quantized_value
+    return 0.5 * err * err
 
 
 @pytest.fixture(scope="session")

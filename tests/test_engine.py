@@ -10,7 +10,6 @@ from cerwu.engine import (
     GAMMA_ZERO,
     compress_layer,
     model_spec_for,
-    obs_row_update,
     quantization_step,
     quantize_layer,
     rtn_layer,
@@ -25,7 +24,7 @@ from cerwu.linalg import accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode
 
-from conftest import random_spd, regularized_hessian
+from conftest import obs_row_update, random_spd, regularized_hessian
 
 
 def nearest_with_ties(value, levels):
@@ -381,6 +380,33 @@ class TestAgainstBruteForce:
             assert engine_obj.total >= best.total - 1e-9
             ratios.append(engine_obj.total / max(best.total, 1e-12))
         assert np.exp(np.mean(np.log(ratios))) <= 1.25
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from([(n, m) for n in range(1, 7) for m in range(1, 7)
+                               if n * m <= 6]),
+        kind=st.sampled_from([STATIC, ADAPTIVE, CONTEXT]),
+        scan_order=st.sampled_from(SCAN_ORDERS),
+        lam=st.floats(1e-4, 1e-1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(2, 3), kind=STATIC, scan_order=COLUMN_MAJOR, lam=0.05, seed=0)
+    @example(shape=(3, 2), kind=CONTEXT, scan_order=COLUMN_MAJOR, lam=0.01, seed=1)
+    def test_never_beats_exhaustive_any_kind_or_order(self, shape, kind, scan_order,
+                                                      lam, seed):
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        w = rng.normal(size=(n, m))
+        x = rng.normal(size=(m, 3 * m))
+        h = accumulate_hessian([x])
+        grid = build_grid(w, 3)
+        cfg = CompressionConfig(lam=lam, grid_size=3, scan_order=scan_order,
+                                damping_delta=0.0, model_kind=kind)
+        model = model_spec_for(w, grid, cfg)
+        res = quantize_layer(w, h, grid, cfg, model=model.fresh())
+        engine_obj = evaluate_objective(w, x, res.quantized, lam, model.fresh)
+        _, best = brute_force_minimize(w, x, grid, lam, model.fresh, scan_order=scan_order)
+        assert engine_obj.total >= best.total - 1e-9
 
     def test_beats_rtn_on_combined_objective(self):
         # rate-aware greedy beats nearest-level under the quadratic+rate

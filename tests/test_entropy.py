@@ -7,12 +7,13 @@ from cerwu.entropy import (
     STATIC,
     COUNT_CAP,
     TOTAL,
-    entropy_bits,
     make_model,
     quantize_counts,
     sequence_rate_bits,
 )
 from cerwu.errors import ShapeError
+
+from conftest import entropy_bits
 
 
 class TestQuantizeCounts:

@@ -1,4 +1,8 @@
+import dataclasses
+import functools
 import logging
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from cerwu.pipeline import (
     forward,
     quantizable_names,
 )
+from cerwu import sweep
 from cerwu.sweep import run_sweep
 
 
@@ -235,16 +240,67 @@ class TestRunSweep:
     def test_worker_pool_matches_sequential(self):
         rng = np.random.default_rng(14)
         model, calib = tiny_model(rng)
+        test = TensorFile()
+        test.add("test.features", rng.normal(size=(20, 8)))
+        test.add("test.labels", rng.integers(0, 3, size=20).astype(np.float64))
         hes = collect_hessians(model, calib)
         kwargs = dict(
             lambdas=[1e-3, 1e-1],
-            grid_sizes=[3, 5],
+            grid_sizes=[3, 5, 40000],  # k=40000 is above the model cap: fails
             scan_orders=["row-major"],
-            model_kinds=["adaptive"],
+            model_kinds=["static", "adaptive", "context"],
+            test_tf=test,
         )
         seq = run_sweep(model, calib, hes, **kwargs)
         par = run_sweep(model, calib, hes, threads=2, **kwargs)
         # identical rows in identical order regardless of worker scheduling
-        assert [
-            (p.lam, p.grid_size, p.bits_per_weight, p.layer_loss) for p in seq
-        ] == [(p.lam, p.grid_size, p.bits_per_weight, p.layer_loss) for p in par]
+        assert [dataclasses.replace(p, wall_ms=None) for p in par] == [
+            dataclasses.replace(p, wall_ms=None) for p in seq
+        ]
+        assert all(p.wall_ms is not None for p in par)
+        assert all(p.accuracy is not None for p in seq if not p.error)
+        failed = [p for p in seq if p.error]
+        assert [p.grid_size for p in failed] == [40000] * 6
+        assert all(p.error.startswith("ShapeError: model needs") for p in failed)
+
+    def test_worker_pool_under_spawn_matches_sequential(self, monkeypatch):
+        # spawn pickles the initializer's inputs instead of inheriting them,
+        # as forkserver (Python 3.14's default on Linux) does
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        ))
+        self.test_worker_pool_matches_sequential()
+
+    @pytest.mark.parametrize("threads,configs,workers", [
+        (1, 4, None), (100_000, 1, None), (100_000, 2, 2),
+    ])
+    def test_pool_capped_at_configuration_count(self, monkeypatch, threads, configs,
+                                                 workers):
+        """No more workers than configurations, and none at all for one."""
+        started = []
+
+        class InProcessPool:
+            # runs the jobs here, the way a worker would, without a process
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                sweep._init_worker()
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+        rng = np.random.default_rng(18)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        lambdas = [10.0 ** -e for e in range(1, configs + 1)]
+        pts = run_sweep(model, calib, hes, lambdas, [3], ["row-major"], ["adaptive"],
+                        threads=threads)
+        assert started == ([] if workers is None else [workers])
+        assert [p.lam for p in pts] == sorted(lambdas)
+        assert all(not p.error for p in pts)
