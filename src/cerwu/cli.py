@@ -18,6 +18,7 @@ from . import entropy
 from .engine import CompressionConfig, GAMMA_STANDARD, GAMMA_ZERO
 from .errors import CerwuError, InputError
 from .grids import COLUMN_MAJOR, ROW_MAJOR, build_grid
+from .linalg import DEFAULT_DAMPING
 from .modelio import (
     COMPRESSED_MAGIC,
     TENSOR_MAGIC,
@@ -45,16 +46,21 @@ from .sweep import (
 log = logging.getLogger("cerwu")
 
 
-def _add_engine_flags(p: argparse.ArgumentParser, with_lambda: bool = True):
-    if with_lambda:
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                       help="rate-distortion trade-off weight (default 0)")
+def _add_engine_flags(p: argparse.ArgumentParser):
+    """Flags of one compression configuration (compress, oracle)."""
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                   help="rate-distortion trade-off weight (default 0)")
     p.add_argument("--grid-size", type=int, default=17, help="number of grid levels")
     p.add_argument("--scan-order", choices=[ROW_MAJOR, COLUMN_MAJOR],
                    default=ROW_MAJOR)
     p.add_argument("--model-kind", choices=list(entropy.MODEL_KINDS),
                    default=entropy.ADAPTIVE)
-    p.add_argument("--delta", type=float, default=1e-2,
+    _add_solver_flags(p)
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    """Flags a sweep holds fixed over its configurations."""
+    p.add_argument("--delta", type=float, default=DEFAULT_DAMPING,
                    help="relative Hessian damping")
     p.add_argument("--gamma-mode", choices=[GAMMA_STANDARD, GAMMA_ZERO],
                    default=GAMMA_STANDARD,
@@ -260,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[ROW_MAJOR, COLUMN_MAJOR])
     p.add_argument("--model-kinds", nargs="+", default=[entropy.ADAPTIVE],
                    choices=list(entropy.MODEL_KINDS))
-    p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--gamma-mode", choices=[GAMMA_STANDARD, GAMMA_ZERO],
-                   default=GAMMA_STANDARD)
-    p.add_argument("--method", choices=list(METHODS), default=METHOD_CERWU)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pareto", help="extract the Pareto front from a sweep CSV")

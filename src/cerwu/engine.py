@@ -47,7 +47,15 @@ import numpy as np
 from . import entropy
 from .entropy import EntropyModel, make_model
 from .errors import ShapeError
-from .grids import ROW_MAJOR, SCAN_ORDERS, Grid, QuantizedLayer, build_grid, in_scan_order
+from .grids import (
+    ROW_MAJOR,
+    SCAN_ORDERS,
+    Grid,
+    QuantizedLayer,
+    build_grid,
+    from_scan_order,
+    in_scan_order,
+)
 from .linalg import DEFAULT_DAMPING, LayerContext, as_matrix, build_context, compute_gamma
 from .rangecoder import Payload, encode
 
@@ -268,9 +276,11 @@ def quantize_layer(
             err_seq.append(e)
             bits_seq.append(rates[idx])
             update(idx)
-        indices = np.ascontiguousarray(_from_scan_order(idx_seq, n, m, order, np.int32))
-        err = _from_scan_order(err_seq, n, m, order, np.float64)
-        bits = _from_scan_order(bits_seq, n, m, order, np.float64)
+        indices = np.ascontiguousarray(
+            from_scan_order(np.array(idx_seq, dtype=np.int32), n, m, order)
+        )
+        err = from_scan_order(np.array(err_seq), n, m, order)
+        bits = from_scan_order(np.array(bits_seq), n, m, order)
 
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
@@ -280,12 +290,6 @@ def quantize_layer(
         symbols_in_scan_order=quantized.symbols_in_scan_order().copy(),
         grid_evaluations=n * m * k,
     )
-
-
-def _from_scan_order(values, n: int, m: int, scan_order: str, dtype) -> np.ndarray:
-    """``(n, m)`` array of values listed in scan order."""
-    a = np.array(values, dtype=dtype)
-    return a.reshape(n, m) if scan_order == ROW_MAJOR else a.reshape(m, n).T
 
 
 def _running_total(values: np.ndarray) -> float:

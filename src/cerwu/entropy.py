@@ -1,19 +1,23 @@
 """Autoregressive probability models over grid indices.
 
-Three interchangeable model kinds feed both the quantizer's rate
-estimates and the range coder. A model is a deterministic function of the
-symbol sequence it has seen, so replaying the same symbols on a fresh
-instance reproduces the exact per-symbol distributions; quantization-time
-rate estimates therefore equal encoding-time costs.
+One model class, :class:`EntropyModel`, serves three kinds; it feeds both
+the quantizer's rate estimates and the range coder. A model is a
+deterministic function of the symbol sequence it has seen, so replaying
+the same symbols on a fresh instance reproduces the exact per-symbol
+distributions; quantization-time rate estimates therefore equal
+encoding-time costs.
 
-Kinds:
-    static    fixed histogram, fitted once at construction to integer
-              frequencies summing to exactly 2**15 and never updated; its
-              frequency table is serialized in the layer header.
-    adaptive  Laplace-smoothed adaptive histogram (all counts start at 1).
-    context   adaptive histogram with two contexts keyed on whether the
-              previous symbol was the zero level ``k // 2``; captures
-              run-of-zeros statistics.
+Every kind is a pair of count tables, one per context (the previous
+symbol was the zero level ``k // 2``, or it was not), and differs only in
+its tables and in the transition ``update`` applies, chosen once when the
+model is built:
+    static    one histogram, fitted at construction to integer
+              frequencies summing to exactly 2**15, in both slots and
+              never updated; its table is serialized in the layer header.
+    adaptive  one Laplace-smoothed adaptive histogram (all counts start
+              at 1) in both slots: a context model whose contexts share
+              one table.
+    context   two adaptive histograms; captures run-of-zeros statistics.
 
 :func:`make_model` is the one constructor and :meth:`EntropyModel.fresh`
 the one way to copy a model, so quantize, encode and decode replay the
@@ -56,11 +60,6 @@ with np.errstate(divide="ignore"):
 LOG2 = _LOG2.tolist()
 
 
-def _rates(counts: np.ndarray, total: int) -> np.ndarray:
-    """Per-symbol bit costs ``log2(total) - log2(count)``."""
-    return _LOG2[total] - _LOG2[counts]
-
-
 def quantize_counts(counts: np.ndarray) -> np.ndarray:
     """Map positive-weight counts to frequencies summing to exactly 2**15.
 
@@ -94,148 +93,97 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
     return freqs
 
 
-class _Counts:
-    """Cumulative counts ``[0, c0, c0+c1, ..., T]`` as a list of ints.
-
-    ``observe`` adds one to the cumulative entries above a symbol (O(k),
-    after Moffat's linear-time adaptive coder), so no per-symbol array is
-    kept. When the total would exceed ``COUNT_CAP`` every count, the
-    observed one included, is halved, rounding up, and the list is rebuilt.
-    """
-
-    __slots__ = ("cum",)
-
-    def __init__(self, counts):
-        self.cum = [0] + np.cumsum(counts, dtype=np.int64).tolist()
-
-    def observe(self, symbol: int) -> None:
-        cum = self.cum
-        if cum[-1] < COUNT_CAP:
-            for i in range(symbol + 1, len(cum)):
-                cum[i] += 1
-        else:
-            counts = np.diff(cum)
-            counts[symbol] += 1
-            self.cum = [0] + np.cumsum((counts + 1) >> 1).tolist()
-
-    def rates(self) -> np.ndarray:
-        return _rates(np.diff(self.cum), self.cum[-1])
-
-
 class EntropyModel:
-    """Common interface; concrete kinds set ``_tab`` and override the hooks.
+    """One count-table model for every kind; build it with :func:`make_model`.
 
-    ``_tab`` is the active count table; the context model swaps it in
-    :meth:`update`.
+    Holds a pair of cumulative count tables ``[0, c0, c0+c1, ..., T]``
+    (lists of ints), one per context, and the active one, which
+    :meth:`cum` returns. Context 0 is active after the zero level
+    ``zero_index = k // 2`` (``Grid.zero_index`` of every grid), context 1
+    after any other symbol; a model starts in context 0. Static and
+    adaptive models put one table in both slots. ``counts`` is the static
+    kind's fitted table, the one a layer header stores, and ``None`` for
+    the adaptive kinds.
+
+    ``update(symbol)`` is the kind's transition, bound once here: a no-op
+    for static, one observation for adaptive, an observation then a switch
+    of table for context. An observation adds one to the cumulative
+    entries above the symbol (O(k), after Moffat's linear-time adaptive
+    coder); when the total would exceed ``COUNT_CAP`` every count, the
+    observed one included, is halved, rounding up. Tables change in place,
+    so a shared table stays shared.
     """
 
-    kind: str
-    _tab: _Counts
+    __slots__ = ("kind", "k", "zero_index", "counts", "update", "_tabs", "_tab")
 
-    def __init__(self, k: int):
+    def __init__(self, kind: str, k: int, static_counts: Optional[Sequence[int]] = None):
+        if kind not in MODEL_KINDS:
+            raise ShapeError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        if kind == STATIC and static_counts is None:
+            raise ShapeError("static model requires static_counts")
+        if kind != STATIC and static_counts is not None:
+            raise ShapeError(f"static_counts only valid for the static kind, not {kind!r}")
         if not 2 <= k <= TOTAL:
             raise ShapeError(f"model needs 2 <= k <= {TOTAL}, got {k}")
+        self.kind = kind
         self.k = k
-
-    # -- hooks ------------------------------------------------------------
-    def update(self, symbol: int) -> None:
-        raise NotImplementedError
-
-    def fresh(self) -> "EntropyModel":
-        """New instance of the same kind and parameters, initial state."""
-        raise NotImplementedError
-
-    # -- derived ----------------------------------------------------------
-    def cum(self) -> list:
-        """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
-        return self._tab.cum
-
-    def rate_vector(self) -> np.ndarray:
-        """Per-symbol cost in bits: -log2(count / T)."""
-        return self._tab.rates()
-
-
-class StaticModel(EntropyModel):
-    """Histogram fixed at construction; ``update`` is a no-op.
-
-    Any counts, including a table read from a file header, are re-fitted
-    by :func:`quantize_counts`, so every frequency is >= 1 and the total
-    is exactly 2**15. ``counts`` holds the fitted table, the one written
-    to a layer header; fitting it again leaves it unchanged.
-    """
-
-    kind = STATIC
-
-    def __init__(self, k: int, counts: Sequence[int]):
-        super().__init__(k)
-        c = np.asarray(counts, dtype=np.int64)
-        if c.shape != (k,):
-            raise ShapeError(f"static counts must have length {k}, got {c.shape}")
-        self.counts = quantize_counts(c)
-        self._tab = _Counts(self.counts)
-        self._rates = self._tab.rates()
-
-    def rate_vector(self) -> np.ndarray:
-        return self._rates
-
-    def update(self, symbol: int) -> None:
-        pass
-
-    def fresh(self) -> "StaticModel":
-        return StaticModel(self.k, self.counts)
-
-
-class AdaptiveModel(EntropyModel):
-    """Laplace-smoothed adaptive histogram.
-
-    Counts start at 1 and increment per observed symbol; when the total
-    exceeds 2**16 all counts are halved (rounding up), keeping integer
-    state bounded.
-    """
-
-    kind = ADAPTIVE
-
-    def __init__(self, k: int):
-        super().__init__(k)
-        self._tab = _Counts([1] * k)
-
-    def update(self, symbol: int) -> None:
-        self._tab.observe(symbol)
-
-    def fresh(self) -> "AdaptiveModel":
-        return AdaptiveModel(self.k)
-
-
-class ContextModel(EntropyModel):
-    """Two adaptive histograms keyed on the previous symbol.
-
-    Context 0 is active when the previous symbol was the zero level
-    ``k // 2`` (``Grid.zero_index`` of every grid), context 1 otherwise.
-    Starts in context 0.
-    """
-
-    kind = CONTEXT
-
-    def __init__(self, k: int):
-        super().__init__(k)
         self.zero_index = k // 2
-        self._tabs = (_Counts([1] * k), _Counts([1] * k))
-        self._tab = self._tabs[0]
+        self.counts = None
+        if kind == STATIC:
+            c = np.asarray(static_counts, dtype=np.int64)
+            if c.shape != (k,):
+                raise ShapeError(f"static counts must have length {k}, got {c.shape}")
+            # Any table, one read from a file header included, is re-fitted
+            # so every frequency is >= 1 and the total is exactly 2**15;
+            # fitting a fitted table again leaves it unchanged.
+            self.counts = quantize_counts(c)
+            first = [0] + np.cumsum(self.counts).tolist()
+            self.update = self._hold
+        else:
+            first = list(range(k + 1))
+            self.update = self._observe if kind == ADAPTIVE else self._observe_and_switch
+        self._tabs = (first, list(range(k + 1)) if kind == CONTEXT else first)
+        self._tab = first
 
     @property
     def current_context(self) -> int:
+        """Index of the active table; always 0 when both slots share one."""
         return 0 if self._tab is self._tabs[0] else 1
 
     @current_context.setter
     def current_context(self, context: int) -> None:
         self._tab = self._tabs[context]
 
-    def update(self, symbol: int) -> None:
-        self._tab.observe(symbol)
-        self._tab = self._tabs[0 if symbol == self.zero_index else 1]
+    def cum(self) -> list:
+        """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
+        return self._tab
 
-    def fresh(self) -> "ContextModel":
-        return ContextModel(self.k)
+    def rate_vector(self) -> np.ndarray:
+        """Per-symbol cost in bits: -log2(count / T)."""
+        cum = self._tab
+        return _LOG2[cum[-1]] - _LOG2[np.diff(cum)]
+
+    def fresh(self) -> "EntropyModel":
+        """New instance of the same kind and parameters, initial state."""
+        return EntropyModel(self.kind, self.k, self.counts)
+
+    # -- transitions; __init__ binds one of them as ``update`` -------------
+    def _hold(self, symbol: int) -> None:
+        pass
+
+    def _observe(self, symbol: int) -> None:
+        cum = self._tab
+        if cum[-1] < COUNT_CAP:
+            for i in range(symbol + 1, len(cum)):
+                cum[i] += 1
+        else:
+            counts = np.diff(cum)
+            counts[symbol] += 1
+            cum[1:] = np.cumsum((counts + 1) >> 1).tolist()
+
+    def _observe_and_switch(self, symbol: int) -> None:
+        self._observe(symbol)
+        self._tab = self._tabs[0 if symbol == self.zero_index else 1]
 
 
 def make_model(
@@ -247,17 +195,7 @@ def make_model(
 
     ``static_counts`` is required for (and only for) the static kind.
     """
-    if kind == STATIC:
-        if static_counts is None:
-            raise ShapeError("static model requires static_counts")
-        return StaticModel(k, static_counts)
-    if static_counts is not None:
-        raise ShapeError(f"static_counts only valid for the static kind, not {kind!r}")
-    if kind == ADAPTIVE:
-        return AdaptiveModel(k)
-    if kind == CONTEXT:
-        return ContextModel(k)
-    raise ShapeError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return EntropyModel(kind, k, static_counts)
 
 
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:

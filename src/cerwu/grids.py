@@ -134,6 +134,11 @@ def in_scan_order(a: np.ndarray, scan_order: str) -> np.ndarray:
     return a.ravel() if scan_order == ROW_MAJOR else a.T.ravel()
 
 
+def from_scan_order(a: np.ndarray, rows: int, cols: int, scan_order: str) -> np.ndarray:
+    """Inverse of :func:`in_scan_order`: the (rows, cols) view of a flat array."""
+    return a.reshape(rows, cols) if scan_order == ROW_MAJOR else a.reshape(cols, rows).T
+
+
 def layer_from_symbols(
     symbols: np.ndarray, rows: int, cols: int, grid: Grid, scan_order: str
 ) -> QuantizedLayer:
@@ -143,13 +148,8 @@ def layer_from_symbols(
         raise ShapeError(
             f"expected {rows * cols} symbols, got {symbols.size}"
         )
-    if scan_order == ROW_MAJOR:
-        idx = symbols.reshape(rows, cols)
-    elif scan_order == COLUMN_MAJOR:
-        idx = symbols.reshape(cols, rows).T
-    else:
-        raise ShapeError(f"unknown scan order {scan_order!r}")
-    return QuantizedLayer(rows, cols, np.ascontiguousarray(idx), grid, scan_order)
+    idx = np.ascontiguousarray(from_scan_order(symbols, rows, cols, scan_order))
+    return QuantizedLayer(rows, cols, idx, grid, scan_order)
 
 
 def nearest_indices(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import entropy
 from .engine import CompressionConfig, compress_layer, rtn_layer
 from .errors import InputError, ShapeError
 from .linalg import accumulate_hessian
@@ -187,7 +186,7 @@ def compress_model(
             scan_order=config.scan_order,
             model_kind=config.model_kind,
             scale16_bits=scale16_bits(grid.step),
-            static_freqs=model.counts if config.model_kind == entropy.STATIC else None,
+            static_freqs=model.counts,
             symbol_count=payload.symbol_count,
             payload=payload.data,
         )

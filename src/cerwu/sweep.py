@@ -13,6 +13,7 @@ import numpy as np
 
 from .engine import CompressionConfig, GAMMA_STANDARD
 from .errors import InputError
+from .linalg import DEFAULT_DAMPING
 from .modelio import TensorFile
 from .pipeline import (
     METHOD_CERWU,
@@ -150,7 +151,7 @@ def run_sweep(
     model_kinds: Sequence[str],
     test_tf: Optional[TensorFile] = None,
     method: str = METHOD_CERWU,
-    damping_delta: float = 1e-2,
+    damping_delta: float = DEFAULT_DAMPING,
     gamma_mode: str = GAMMA_STANDARD,
     threads: int = 1,
 ) -> List[SweepPoint]:

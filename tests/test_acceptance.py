@@ -5,11 +5,16 @@ per criterion. The rate-distortion criteria (8, 9) share sweep results
 through a module-level cache so each stays inside its own time budget.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import cerwu
 from cerwu.engine import (
     CompressionConfig,
     GAMMA_ZERO,
@@ -346,19 +351,45 @@ def test_mean_rate_nonincreasing_in_lambda(mlp_fixture):
     assert inversions <= 1, means
 
 
+# Times quantize_layer on three context layers; prints
+# {m: [seconds, grid evaluations]} as JSON.
+_CRITERION_10_TIMING = """
+import json, time
+import numpy as np
+from cerwu.engine import CompressionConfig, quantize_layer
+from cerwu.grids import build_grid
+from cerwu.linalg import accumulate_hessian
+
+rng = np.random.default_rng(110)
+k = 9
+out = {}
+for m in (32, 64, 128):
+    w = rng.normal(size=(m, m))
+    h = accumulate_hessian([rng.normal(size=(m, 2 * m))])
+    grid = build_grid(w, k)
+    cfg = CompressionConfig(lam=0.01, grid_size=k, model_kind="context")
+    t0 = time.perf_counter()
+    res = quantize_layer(w, h, grid, cfg)
+    out[m] = [time.perf_counter() - t0, res.grid_evaluations]
+print(json.dumps(out))
+"""
+
+
 def test_criterion_10_complexity_sanity():
-    rng = np.random.default_rng(110)
-    k = 9
-    times = {}
-    for m in (32, 64, 128):
-        w = rng.normal(size=(m, m))
-        h = accumulate_hessian([rng.normal(size=(m, 2 * m))])
-        grid = build_grid(w, k)
-        cfg = CompressionConfig(lam=0.01, grid_size=k, model_kind=CONTEXT)
-        t0 = time.perf_counter()
-        res = quantize_layer(w, h, grid, cfg)
-        times[m] = time.perf_counter() - t0
-        assert res.grid_evaluations == m * m * k
+    # Timed in a child process with one BLAS thread: the walk makes no
+    # BLAS call, but with several threads OpenBLAS's workers keep
+    # spinning after build_context's factorizations and, on a host with
+    # few cores, slow the walk that follows by up to 6x.
+    src = os.path.dirname(os.path.dirname(cerwu.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _CRITERION_10_TIMING], env=env,
+                           capture_output=True, text=True, check=True)
+    measured = {int(m): v for m, v in json.loads(child.stdout).items()}
+    times = {m: elapsed for m, (elapsed, _) in measured.items()}
+    for m, (_, evaluations) in measured.items():
+        assert evaluations == m * m * 9
     r1 = times[64] / times[32]
     r2 = times[128] / times[64]
     assert r1 <= 10.0 and r2 <= 10.0

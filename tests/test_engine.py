@@ -15,7 +15,7 @@ from cerwu.engine import (
     rtn_layer,
 )
 from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, STATIC, EntropyModel, make_model, sequence_rate_bits,
+    ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits,
 )
 from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, round_to_nearest,
@@ -440,14 +440,14 @@ class TestAgainstBruteForce:
         assert wins >= 9
 
 
-class EntryByEntry(EntropyModel):
+class EntryByEntry:
     """A static model under another kind: ``quantize_layer`` then visits
     the entries one by one instead of a column at a time."""
 
     kind = "static-entry-by-entry"
 
     def __init__(self, inner):
-        super().__init__(inner.k)
+        self.k = inner.k
         self._inner = inner
 
     def rate_vector(self):

@@ -6,6 +6,7 @@ from cerwu.entropy import (
     CONTEXT,
     STATIC,
     COUNT_CAP,
+    MODEL_KINDS,
     TOTAL,
     make_model,
     quantize_counts,
@@ -190,15 +191,26 @@ class TestReplayDeterminism:
             a.update(s)
             b.update(s)
 
-    def test_fresh_restores_initial_state(self):
-        m = make_model(CONTEXT, 4)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_fresh_restores_initial_state(self, kind):
+        counts = [5, 2, 1, 1] if kind == STATIC else None
+        initial = [0, 1, 2, 3, 4]
+        if kind == STATIC:
+            initial = [0] + np.cumsum(quantize_counts(counts)).tolist()
+        m = make_model(kind, 4, static_counts=counts)
         for s in (1, 2, 3, 0):
             m.update(s)
         f = m.fresh()
+        assert (f.kind, f.k) == (kind, 4)
         assert f.current_context == 0
-        assert f.cum() == [0, 1, 2, 3, 4]
+        assert f.cum() == initial
         f.current_context = 1
-        assert f.cum() == [0, 1, 2, 3, 4]
+        assert f.cum() == initial
+        # the copy shares no table with the model it came from
+        before = list(m.cum())
+        f.update(2)
+        f.update(0)
+        assert m.cum() == before
 
 
 def test_adaptive_approaches_source_entropy():
@@ -213,17 +225,21 @@ def test_adaptive_approaches_source_entropy():
     assert abs(total / n - h) / h <= 0.05
 
 
-def test_distribution_total_exact_across_reachable_states():
+@pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+def test_distribution_total_exact_across_reachable_states(kind):
     # incrementally kept cumulative counts equal a from-scratch count of
-    # the symbols seen per context, through several halvings
+    # the symbols seen per context, through several halvings; the
+    # adaptive kind keeps one table whatever the previous symbol was
     rng = np.random.default_rng(4)
     k = 6
-    m = make_model(CONTEXT, k)
+    m = make_model(kind, k)
     ref = [[1] * k, [1] * k]
     ctx = 0
+    halvings = 0
     seq = np.where(rng.random(150_000) < 0.9, 0, rng.integers(0, k, size=150_000))
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
+            assert m.current_context == ctx
             cum = m.cum()
             assert cum == [0] + np.cumsum(ref[ctx]).tolist()
             assert cum[-1] <= COUNT_CAP
@@ -233,4 +249,7 @@ def test_distribution_total_exact_across_reachable_states():
         ref[ctx][s] += 1
         if sum(ref[ctx]) > COUNT_CAP:
             ref[ctx] = [(c + 1) // 2 for c in ref[ctx]]
-        ctx = 0 if s == m.zero_index else 1
+            halvings += 1
+        if kind == CONTEXT:
+            ctx = 0 if s == m.zero_index else 1
+    assert halvings >= 3
