@@ -63,6 +63,15 @@ def _layer_weight_matrix(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _file_sha256(path) -> str:
+    """Hex sha256 of a file, read 1 MiB at a time rather than whole."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def collect_hessians(
     model_tf: TensorFile,
     calib_tf: TensorFile,
@@ -75,10 +84,7 @@ def collect_hessians(
     calibration file with the same content hash, accumulation is skipped.
     """
     names = quantizable_names(model_tf)
-    digest = None
-    if calib_path is not None:
-        with open(calib_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = None if calib_path is None else _file_sha256(calib_path)
 
     if cache_path is not None and digest is not None:
         try:

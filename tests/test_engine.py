@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cerwu.engine import (
+    BLOCK_SIZE,
     CompressionConfig,
     GAMMA_ZERO,
     compress_layer,
@@ -120,8 +121,11 @@ class TestOptqEquivalence:
     @pytest.mark.parametrize("delta", [0.0, 1e-2])
     def test_matches_independent_reference(self, delta):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        for trial in range(11):
+            if trial < 10:
+                n, m = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            else:  # past two block edges of the row update
+                n, m = 3, 2 * BLOCK_SIZE + 5
             w = rng.normal(size=(n, m))
             x = rng.normal(size=(m, 4 * m))
             h = accumulate_hessian([x])
@@ -464,7 +468,7 @@ class TestStaticColumnPath:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(1, 12),
-        m=st.integers(1, 12),
+        m=st.integers(1, 3 * BLOCK_SIZE),
         k=st.integers(2, 16),
         lam=st.sampled_from([0.0, 1e-3, 0.05, 1.0]),
         scan_order=st.sampled_from(SCAN_ORDERS),
@@ -473,6 +477,8 @@ class TestStaticColumnPath:
     @example(n=1, m=1, k=2, lam=0.0, scan_order=ROW_MAJOR, seed=0)
     @example(n=1, m=7, k=9, lam=0.05, scan_order=COLUMN_MAJOR, seed=1)
     @example(n=7, m=1, k=16, lam=1.0, scan_order=ROW_MAJOR, seed=2)
+    @example(n=5, m=2 * BLOCK_SIZE + 3, k=9, lam=0.05, scan_order=ROW_MAJOR, seed=3)
+    @example(n=5, m=2 * BLOCK_SIZE + 3, k=9, lam=0.05, scan_order=COLUMN_MAJOR, seed=4)
     def test_bitwise_equal_to_entry_by_entry(self, n, m, k, lam, scan_order, seed):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(n, m)) * rng.uniform(0.01, 10.0)

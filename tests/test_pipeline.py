@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -85,6 +86,22 @@ class TestHessians:
             assert not any("cache hit" in r.message for r in caplog.records)
         x = calib["l1.weight.activations"].astype(np.float64)
         assert np.allclose(h["l1.weight"], 2 * x @ x.T)
+
+    def test_cache_key_is_whole_file_sha256(self, tmp_path):
+        # a calibration file over 1 MiB is hashed in several chunks
+        rng = np.random.default_rng(4)
+        model, _ = tiny_model(rng)
+        calib = TensorFile()
+        calib.add("l1.weight.activations", rng.normal(size=(8, 40000)))
+        calib.add("l2.weight.activations", rng.normal(size=(6, 40000)))
+        calib_path = tmp_path / "calib.tns"
+        write_tensor_file(calib, calib_path)
+        assert calib_path.stat().st_size > 2 << 20
+        cache = tmp_path / "h.npz"
+        collect_hessians(model, calib, calib_path=calib_path, cache_path=cache)
+        with np.load(cache) as npz:
+            key = str(npz["calib_sha256"])
+        assert key == hashlib.sha256(calib_path.read_bytes()).hexdigest()
 
 
 class TestCompressDecompress:
