@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CerwuError as exc:

@@ -42,7 +42,8 @@ Adaptive and context models take the per-entry walk. It searches the k
 levels on Python floats, since for a handful of levels each numpy call
 costs more than its arithmetic, reads every level's rate
 ``log2(T) - log2(c)`` straight from the model's cumulative counts, and
-keeps numpy only for the row updates.
+keeps numpy only for the row updates; each entry makes one call into
+the model, the transition from :meth:`~EntropyModel.stepper`.
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -274,8 +275,7 @@ def quantize_layer(
         # one in scan order, on Python scalars, reading each level's rate
         # from the model's cumulative counts.
         L = entropy.LOG2
-        cum_of = model.cum
-        update = model.update
+        cum, step = model.stepper()
         search = _scalar_search_order(pref, levels_pref, gamma_term_pref)
         symbols = range(k)
         h = half_inv_c2.tolist()
@@ -284,7 +284,6 @@ def quantize_layer(
         chol_tail = [chol[j, j + 1 : b1] for b0, b1 in _blocks(m) for j in range(b0, b1)]
         idx_seq, err_seq, bits_seq = [], [], []
         for i, j, b1 in _walk(wp, order, err_seq, inv_c, chol):
-            cum = cum_of()
             log_total = L[cum[-1]]
             rates = [log_total - L[cum[p + 1] - cum[p]] for p in symbols]
             wij = wp.item(i, j)
@@ -295,7 +294,7 @@ def quantize_layer(
             idx_seq.append(idx)
             err_seq.append(e)
             bits_seq.append(rates[idx])
-            update(idx)
+            cum = step(idx)
         indices = np.ascontiguousarray(
             from_scan_order(np.array(idx_seq, dtype=np.int32), n, m, order)
         )

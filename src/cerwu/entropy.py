@@ -21,8 +21,9 @@ model is built:
 
 :func:`make_model` is the one constructor and :meth:`EntropyModel.fresh`
 the one way to copy a model, so quantize, encode and decode replay the
-same model. A model is read only through :meth:`EntropyModel.cum` and
-:meth:`EntropyModel.rate_vector`.
+same model. A model is read through :meth:`EntropyModel.cum` and
+:meth:`EntropyModel.rate_vector`, and per symbol through one transition
+from :meth:`EntropyModel.stepper`, ``cum = step(s)``.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
@@ -105,13 +106,13 @@ class EntropyModel:
     kind's fitted table, the one a layer header stores, and ``None`` for
     the adaptive kinds.
 
-    ``update(symbol)`` is the kind's transition, bound once here: a no-op
-    for static, one observation for adaptive, an observation then a switch
-    of table for context. An observation adds one to the cumulative
+    ``update(symbol)`` is the kind's transition, bound once here; it
+    returns the table then active. Static holds; the adaptive kinds observe
+    the symbol, then switch to its context's table (one table for both
+    contexts of adaptive). An observation adds one to the cumulative
     entries above the symbol (O(k), after Moffat's linear-time adaptive
     coder); when the total would exceed ``COUNT_CAP`` every count, the
-    observed one included, is halved, rounding up. Tables change in place,
-    so a shared table stays shared.
+    observed one included, is halved, rounding up. Tables change in place.
     """
 
     __slots__ = ("kind", "k", "zero_index", "counts", "update", "_tabs", "_tab")
@@ -141,7 +142,7 @@ class EntropyModel:
             self.update = self._hold
         else:
             first = list(range(k + 1))
-            self.update = self._observe if kind == ADAPTIVE else self._observe_and_switch
+            self.update = self._observe
         self._tabs = (first, list(range(k + 1)) if kind == CONTEXT else first)
         self._tab = first
 
@@ -158,6 +159,11 @@ class EntropyModel:
         """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
         return self._tab
 
+    def stepper(self):
+        """``(cum, step)``, the active table and the transition: each of the
+        four per-symbol loops reads ``cum``, then sets ``cum = step(symbol)``."""
+        return self._tab, self.update
+
     def rate_vector(self) -> np.ndarray:
         """Per-symbol cost in bits: -log2(count / T)."""
         cum = self._tab
@@ -168,10 +174,10 @@ class EntropyModel:
         return EntropyModel(self.kind, self.k, self.counts)
 
     # -- transitions; __init__ binds one of them as ``update`` -------------
-    def _hold(self, symbol: int) -> None:
-        pass
+    def _hold(self, symbol: int) -> list:
+        return self._tab
 
-    def _observe(self, symbol: int) -> None:
+    def _observe(self, symbol: int) -> list:
         cum = self._tab
         if cum[-1] < COUNT_CAP:
             for i in range(symbol + 1, len(cum)):
@@ -180,10 +186,8 @@ class EntropyModel:
             counts = np.diff(cum)
             counts[symbol] += 1
             cum[1:] = np.cumsum((counts + 1) >> 1).tolist()
-
-    def _observe_and_switch(self, symbol: int) -> None:
-        self._observe(symbol)
-        self._tab = self._tabs[0 if symbol == self.zero_index else 1]
+        self._tab = cum = self._tabs[symbol != self.zero_index]
+        return cum
 
 
 def make_model(
@@ -206,11 +210,9 @@ def sequence_rate_bits(symbols, model: EntropyModel) -> float:
     match the other replay paths exactly.
     """
     L = LOG2
-    cum_of = model.cum
-    update = model.update
+    cum, step = model.stepper()
     total = 0.0
     for s in np.asarray(symbols, dtype=np.int64).tolist():
-        cum = cum_of()
         total += L[cum[-1]] - L[cum[s + 1] - cum[s]]
-        update(s)
+        cum = step(s)
     return total

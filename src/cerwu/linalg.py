@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationError, ShapeError
 
@@ -140,6 +139,9 @@ def build_context(
     if gamma is None:
         gamma = compute_gamma(w)
     m = h.shape[0]
+
+    # Imported at its one use: it is most of the time importing cerwu takes.
+    import scipy.linalg
 
     # P H' P = L L^T gives H' = (P L P)(P L P)^T, so C' = P L^-1 P. The
     # reversed copy is Fortran-ordered so LAPACK works on it in place.

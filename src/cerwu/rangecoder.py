@@ -21,8 +21,9 @@ the payload end on an intact stream.
 
 Encoding visits symbols front to back and the decoder replays the same
 model transitions in the same order, as an autoregressive model requires.
-Both loops run on Python ints: the model's cumulative counts are a list,
-and its ``cum``/``update`` methods are looked up once per call.
+Both loops run on Python ints over the model's cumulative-count lists,
+and each symbol makes one call into the model, ``cum = step(s)``, with
+``step`` taken once from :meth:`~cerwu.entropy.EntropyModel.stepper`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Payload:
 def encode(symbols, model: EntropyModel) -> Payload:
     """Encode grid indices with a fresh entropy model.
 
-    The model is mutated (one ``update`` per symbol); pass a fresh
+    The model is mutated (one transition per symbol); pass a fresh
     instance. Decoding with an identically initialized model restores the
     exact sequence.
     """
@@ -63,13 +64,11 @@ def encode(symbols, model: EntropyModel) -> Payload:
     if syms.size and (syms.min() < 0 or syms.max() >= k):
         raise ShapeError(f"symbol out of range for k={k}")
 
-    cum_of = model.cum
-    update = model.update
+    cum, step = model.stepper()
     out = bytearray()
     low = 0
     rng = _MASK32
     for s in syms.tolist():
-        cum = cum_of()
         total = cum[-1]
         lo_inc = rng * cum[s] // total
         hi_inc = rng * cum[s + 1] // total
@@ -86,7 +85,7 @@ def encode(symbols, model: EntropyModel) -> Payload:
             out.append((low >> 24) & 0xFF)
             low = (low << 8) & _MASK32
             rng <<= 8
-        update(s)
+        cum = step(s)
 
     out += low.to_bytes(4, "big")
     out += b"\x00\x00\x00\x00"
@@ -114,15 +113,13 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
     pos = 4
     rng = _MASK32
     size = len(data)
-    cum_of = model.cum
-    update = model.update
+    cum, step = model.stepper()
     # Grown as symbols are decoded, not sized from the header's count: a
     # hostile count then costs memory only as fast as the payload yields
     # symbols.
     out = array("i")
     append = out.append
     for t in range(n):
-        cum = cum_of()
         total = cum[-1]
         # s is the largest symbol whose lower boundary is <= d:
         # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
@@ -143,5 +140,5 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
             pos += 1
             rng <<= 8
         append(s)
-        update(s)
+        cum = step(s)
     return np.array(out, dtype=np.int32)

@@ -100,6 +100,19 @@ class TestErrors:
                    "--out", str(tmp_path / "o.tns")])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        "decompress --input DIR --out OUT",
+        "eval --model MODEL --compressed DIR --calib CALIB",
+        "compress --model DIR --calib CALIB --out OUT",
+    ], ids=["decompress", "eval", "compress"])
+    def test_directory_as_file_is_input_error(self, tmp_path, capsys, argv):
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(6))
+        paths = {"DIR": tmp_path, "MODEL": model_path, "CALIB": calib_path, "OUT": tmp_path / "o"}
+        capsys.readouterr()
+        assert main([str(paths.get(a, a)) for a in argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_activations_names_layer(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         model = TensorFile()

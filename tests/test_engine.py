@@ -454,14 +454,8 @@ class EntryByEntry:
         self.k = inner.k
         self._inner = inner
 
-    def rate_vector(self):
-        return self._inner.rate_vector()
-
-    def cum(self):
-        return self._inner.cum()
-
-    def update(self, symbol):
-        self._inner.update(symbol)
+    def stepper(self):
+        return self._inner.stepper()
 
 
 class TestStaticColumnPath:

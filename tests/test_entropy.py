@@ -225,31 +225,39 @@ def test_adaptive_approaches_source_entropy():
     assert abs(total / n - h) / h <= 0.05
 
 
-@pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_distribution_total_exact_across_reachable_states(kind):
-    # incrementally kept cumulative counts equal a from-scratch count of
-    # the symbols seen per context, through several halvings; the
-    # adaptive kind keeps one table whatever the previous symbol was
+    # driven through stepper(): each step returns the active table, and it
+    # equals a from-scratch count of the symbols seen per context, through
+    # several halvings; the adaptive kind keeps one table whatever the
+    # previous symbol was, and the static kind's step returns its one table
+    # unchanged every time
     rng = np.random.default_rng(4)
     k = 6
-    m = make_model(kind, k)
-    ref = [[1] * k, [1] * k]
+    m = make_model(kind, k, static_counts=[3, 1, 4, 1, 5, 9] if kind == STATIC else None)
+    ref = [m.counts.tolist() if kind == STATIC else [1] * k for _ in range(2)]
     ctx = 0
     halvings = 0
     seq = np.where(rng.random(150_000) < 0.9, 0, rng.integers(0, k, size=150_000))
+    cum, step = m.stepper()
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
             assert m.current_context == ctx
-            cum = m.cum()
             assert cum == [0] + np.cumsum(ref[ctx]).tolist()
             assert cum[-1] <= COUNT_CAP
             rates = m.rate_vector()
             assert rates[s] == pytest.approx(np.log2(cum[-1]) - np.log2(ref[ctx][s]))
-        m.update(s)
+        before = cum
+        cum = step(s)
+        assert cum is m.cum()
+        if kind == STATIC:
+            assert cum is before
+            continue
         ref[ctx][s] += 1
         if sum(ref[ctx]) > COUNT_CAP:
             ref[ctx] = [(c + 1) // 2 for c in ref[ctx]]
             halvings += 1
         if kind == CONTEXT:
             ctx = 0 if s == m.zero_index else 1
-    assert halvings >= 3
+    assert cum == [0] + np.cumsum(ref[ctx]).tolist()
+    assert halvings >= 3 or kind == STATIC

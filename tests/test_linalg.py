@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cerwu
 from cerwu.errors import FactorizationError, ShapeError
 from cerwu.linalg import (
     accumulate_hessian,
@@ -206,3 +211,16 @@ def test_completing_the_square_identity(delta):
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ShapeError):
         as_matrix(np.array([[1.0, np.nan]]))
+
+
+def test_import_cerwu_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is most of the package's import time; only build_context
+    # needs it, and it imports it when first called.
+    src = os.path.dirname(os.path.dirname(cerwu.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, cerwu; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout.strip() == "False"
