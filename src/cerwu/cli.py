@@ -22,6 +22,7 @@ from .linalg import DEFAULT_DAMPING
 from .modelio import (
     COMPRESSED_MAGIC,
     TENSOR_MAGIC,
+    atomic_output,
     load_tensor_file,
     read_compressed,
     write_compressed,
@@ -169,21 +170,24 @@ def cmd_sweep(args) -> int:
         gamma_mode=args.gamma_mode,
         threads=args.threads,
     )
-    csv_text = points_to_csv(points)
-    with open(args.csv_out, "w") as fh:
-        fh.write(csv_text)
+    _write_csv(args.csv_out, points)
     failures = sum(1 for p in points if p.error)
     print(f"{len(points)} configurations -> {args.csv_out}"
           + (f" ({failures} failed)" if failures else ""))
     return 0
 
 
+def _write_csv(path, points) -> None:
+    """Write sweep points as CSV; a failed write leaves ``path`` as it was."""
+    with atomic_output(path) as fh:
+        fh.write(points_to_csv(points).encode("utf-8"))
+
+
 def cmd_pareto(args) -> int:
     with open(args.csv_in) as fh:
         points = points_from_csv(fh.read())
     front = pareto_front(points)
-    with open(args.csv_out, "w") as fh:
-        fh.write(points_to_csv(front))
+    _write_csv(args.csv_out, front)
     print(f"{len(front)} of {len(points)} points on the front -> {args.csv_out}")
     return 0
 

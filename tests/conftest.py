@@ -1,8 +1,13 @@
+import errno
+import math
+
 import numpy as np
 import pytest
 
-from cerwu.engine import CDIAG_FLOOR
+from cerwu.engine import BLOCK_SIZE, CDIAG_FLOOR, model_spec_for
+from cerwu.entropy import LOG2
 from cerwu.fixtures import build_fixture_tensors, make_dataset
+from cerwu.grids import ROW_MAJOR
 from cerwu.pipeline import accuracy, collect_hessians
 
 
@@ -45,6 +50,94 @@ def obs_row_update(row_state, j, quantized_value, chol_upper) -> float:
         row_state[j + 1 :] -= err * chol_upper[j, j + 1 :]
     row_state[j] = quantized_value
     return 0.5 * err * err
+
+
+def reference_walk(weights, grid, config, context):
+    """Exhaustive per-entry walk for the adaptive kinds, the engine's reference.
+
+    Every entry scans all k levels on Python floats in tie-break order
+    (``(|level|, level)``) and keeps the first minimum with a strict
+    ``<``, pricing each level from a full list of the model's current
+    rates. The row updates are the engine's: within a block of
+    ``BLOCK_SIZE`` columns each entry updates the rest of its block, and a
+    finished block reaches the columns right of it as one product per row.
+    Returns ``(indices, symbols in scan order, predicted bits, loss delta)``
+    with the totals summed left to right in scan order.
+    """
+    wp = context.w_prime.copy()
+    n, m = wp.shape
+    chol = context.chol_upper
+    cdiag = np.maximum(np.diag(chol), CDIAG_FLOOR)
+    half_inv_c2 = 0.5 / (cdiag * cdiag)
+    inv_c = 1.0 / cdiag
+    levels = grid.levels
+    lam = config.lam
+    pref = np.lexsort((levels, np.abs(levels)))
+    levels_pref = levels[pref]
+    gamma_term = (0.5 * lam * context.gamma) * (levels_pref * levels_pref)
+    search = list(zip(pref.tolist(), levels_pref.tolist(), gamma_term.tolist()))
+    cum, step = model_spec_for(weights, grid, config).stepper()
+    if config.scan_order == ROW_MAJOR:
+        positions = [(i, j) for i in range(n) for j in range(m)]
+    else:
+        positions = [(i, j) for j in range(m) for i in range(n)]
+    indices = np.empty((n, m), dtype=np.int32)
+    err = np.empty((n, m))
+    bits = []
+    for i, j in positions:
+        total = LOG2[cum[-1]]
+        rates = [total - LOG2[cum[p + 1] - cum[p]] for p in range(grid.size)]
+        w = float(wp[i, j])
+        best, choice = math.inf, search[0][0]
+        for p, level, gt in search:
+            d = level - w
+            obj = d * d * float(half_inv_c2[j]) + (rates[p] * lam - gt)
+            if obj < best:
+                best, choice = obj, p
+        e = w - float(levels[choice])
+        b0 = j - j % BLOCK_SIZE
+        b1 = min(b0 + BLOCK_SIZE, m)
+        if j + 1 < b1:
+            wp[i, j + 1 : b1] -= (e * float(inv_c[j])) * chol[j, j + 1 : b1]
+        indices[i, j] = choice
+        err[i, j] = e
+        bits.append(rates[choice])
+        cum = step(choice)
+        if j + 1 == b1 < m:
+            wp[i, b1:] -= (err[i, b0:b1] * inv_c[b0:b1]) @ chol[b0:b1, b1:]
+    loss = err * err * half_inv_c2
+    if config.scan_order != ROW_MAJOR:
+        loss = loss.T
+        symbols = indices.T.ravel()
+    else:
+        symbols = indices.ravel()
+    return (indices, symbols, float(np.cumsum(bits)[-1]),
+            float(np.cumsum(loss.ravel())[-1]))
+
+
+class DiskFull:
+    """A file whose writes fail once ``room`` bytes are written."""
+
+    def __init__(self, fh, room):
+        self._fh = fh
+        self._room = room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(bytes(data[: self._room]))
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 @pytest.fixture(scope="session")

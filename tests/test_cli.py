@@ -1,14 +1,18 @@
+import builtins
 import struct
 
 import numpy as np
 import pytest
 
+from cerwu import modelio
 from cerwu.cli import main
 from cerwu.modelio import (
     CompressedModel, QuantizedRecord, RawRecord, TensorFile, load_tensor_file,
     read_compressed, scale16_bits, write_compressed, write_tensor_file,
 )
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
+
+from conftest import DiskFull
 
 
 def write_diag_model(tmp_path, rng, m=6, n=4, layers=1):
@@ -261,6 +265,29 @@ class TestSweepPareto:
                      "--csv-out", str(front_path)]) == 0
         front = points_from_csv(front_path.read_text())
         assert 1 <= len(front) <= 4
+
+    @pytest.mark.parametrize("command", ["sweep", "pareto"])
+    def test_failed_csv_write_leaves_file_intact(self, tmp_path, monkeypatch, capsys,
+                                                 command):
+        rng = np.random.default_rng(8)
+        model_path, calib_path = write_diag_model(tmp_path, rng)
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep = ["sweep", "--model", str(model_path), "--calib", str(calib_path),
+                 "--lambdas", "0.01", "--grid-sizes", "3", "5", "--csv-out", str(sweep_csv)]
+        assert main(sweep) == 0  # also leaves the Hessian cache, so a rerun only writes the CSV
+        out = sweep_csv if command == "sweep" else tmp_path / "front.csv"
+        argv = sweep if command == "sweep" else [
+            "pareto", "--csv-in", str(sweep_csv), "--csv-out", str(out)]
+        out.write_bytes(b"previous,contents\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr(
+            modelio, "open", lambda p, mode: DiskFull(builtins.open(p, mode), 20), raising=False
+        )
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "No space" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous,contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_sweep_singleton_matches_compress_eval(self, tmp_path, capsys):
         rng = np.random.default_rng(6)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cerwu.engine import (
     BLOCK_SIZE,
     CompressionConfig,
+    GAMMA_STANDARD,
     GAMMA_ZERO,
     compress_layer,
     model_spec_for,
@@ -16,7 +17,7 @@ from cerwu.engine import (
     rtn_layer,
 )
 from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits,
+    ADAPTIVE, CONTEXT, LOG2, STATIC, make_model, sequence_rate_bits,
 )
 from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, round_to_nearest,
@@ -25,7 +26,7 @@ from cerwu.linalg import accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode
 
-from conftest import obs_row_update, random_spd, regularized_hessian
+from conftest import obs_row_update, random_spd, reference_walk, regularized_hessian
 
 
 def nearest_with_ties(value, levels):
@@ -52,6 +53,21 @@ def optq_reference(w, hessian, grid, delta):
             what[i, j] = g
         # leading entries were overwritten in place; keep quantized values
     return what
+
+
+def assert_pinned_walk(kind, scan_order, k, lam, digest, bits, loss):
+    """Check the walk on a fixed 6x10 layer against pinned outputs; returns
+    the indices."""
+    rng = np.random.default_rng(20250)
+    w = rng.normal(scale=0.1, size=(6, 10))
+    h = accumulate_hessian([rng.normal(size=(10, 40))])
+    cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order, model_kind=kind)
+    res = quantize_layer(w, h, build_grid(w, k), cfg)
+    indices = res.quantized.indices
+    assert hashlib.sha256(indices.astype("<i4").tobytes()).hexdigest() == digest
+    assert res.predicted_rate_bits == bits
+    assert res.quadratic_loss_delta == loss
+    return indices
 
 
 class TestQuantizationStep:
@@ -301,16 +317,63 @@ class TestQuantizeLayer:
     def test_walk_pinned(self, kind, scan_order, lam, digest, bits, loss):
         # the per-entry walk's output, as computed with numpy over k-vectors
         # before the walk moved to Python scalars: equal, not approximate
-        rng = np.random.default_rng(20250)
-        w = rng.normal(scale=0.1, size=(6, 10))
-        h = accumulate_hessian([rng.normal(size=(10, 40))])
-        cfg = CompressionConfig(lam=lam, grid_size=9, scan_order=scan_order, model_kind=kind)
-        res = quantize_layer(w, h, build_grid(w, 9), cfg)
-        indices = res.quantized.indices
+        indices = assert_pinned_walk(kind, scan_order, 9, lam, digest, bits, loss)
         assert indices.dtype == np.int32 and indices.flags.c_contiguous
-        assert hashlib.sha256(indices.astype("<i4").tobytes()).hexdigest() == digest
-        assert res.predicted_rate_bits == bits
-        assert res.quadratic_loss_delta == loss
+
+    @pytest.mark.parametrize("kind, scan_order, k, lam, digest, bits, loss", [
+        (ADAPTIVE, ROW_MAJOR, 2, 0.03,
+         "c47cf388395b2012a586c0bdad17a4ac11a619a9d1391f008f139cb854c30723",
+         28.311606318274634, 14.441476403377562),
+        (ADAPTIVE, COLUMN_MAJOR, 2, 0.03,
+         "c47cf388395b2012a586c0bdad17a4ac11a619a9d1391f008f139cb854c30723",
+         28.311606318274627, 14.441476403377564),
+        (CONTEXT, ROW_MAJOR, 2, 0.03,
+         "c47cf388395b2012a586c0bdad17a4ac11a619a9d1391f008f139cb854c30723",
+         30.122459557534146, 14.441476403377562),
+        (CONTEXT, COLUMN_MAJOR, 2, 0.03,
+         "c47cf388395b2012a586c0bdad17a4ac11a619a9d1391f008f139cb854c30723",
+         30.12245955753414, 14.441476403377564),
+        (ADAPTIVE, ROW_MAJOR, 8, 0.03,
+         "b0c459e0e3bad03c11ed984411d60db82cf468eb48d66d9224215466b9b89061",
+         169.99792264397826, 0.7895636417009743),
+        (ADAPTIVE, COLUMN_MAJOR, 8, 0.03,
+         "20a15f27285ae179fae1e3ac90d22bced68c4bf88b8cd77f916a97c8a52a1e06",
+         170.83949328137385, 0.8407948756912927),
+        (CONTEXT, ROW_MAJOR, 8, 0.03,
+         "3c1b523395b6a9c328364b6d9773d739dd5987cea13dd24f384bd86b5156b4c3",
+         172.9296335545482, 0.8067344360017517),
+        (CONTEXT, COLUMN_MAJOR, 8, 0.03,
+         "e770e0a653485af7ab5b151c97d7c56844614fdcbc2aa22131fd04ad525bbb62",
+         162.0868062083061, 0.9476432184946398),
+        (ADAPTIVE, ROW_MAJOR, 33, 0.03,
+         "6cbcb26d31fceefc3e0ce7722558257850a334fde145ea4ecc16cf8fa36fcced",
+         202.29782958034053, 1.1551040036098827),
+        (ADAPTIVE, COLUMN_MAJOR, 33, 0.03,
+         "aa084b9cb4a52c73443d1e5561c76552ee3e28cc678b0e99300dabb9b804a1ab",
+         207.13760598009048, 1.2826214576182906),
+        (CONTEXT, ROW_MAJOR, 33, 0.03,
+         "6cbcb26d31fceefc3e0ce7722558257850a334fde145ea4ecc16cf8fa36fcced",
+         204.9885867450842, 1.1551040036098827),
+        (CONTEXT, COLUMN_MAJOR, 33, 0.03,
+         "b4817ec708495e658bb74eabaeec177b10a9ac8d13f3a884ec8743e3e7ed3d24",
+         221.5407229579735, 0.8833679698500683),
+        (ADAPTIVE, ROW_MAJOR, 9, 1.0,
+         "1b58962684aca5b0486e7afd4120c97dc43b06c68293580dc4e64258e43addcd",
+         32.7833195171574, 7.707023101571261),
+        (ADAPTIVE, COLUMN_MAJOR, 9, 1.0,
+         "1b58962684aca5b0486e7afd4120c97dc43b06c68293580dc4e64258e43addcd",
+         32.7833195171574, 7.7070231015712585),
+        (CONTEXT, ROW_MAJOR, 9, 1.0,
+         "1b58962684aca5b0486e7afd4120c97dc43b06c68293580dc4e64258e43addcd",
+         32.7833195171574, 7.707023101571261),
+        (CONTEXT, COLUMN_MAJOR, 9, 1.0,
+         "1b58962684aca5b0486e7afd4120c97dc43b06c68293580dc4e64258e43addcd",
+         32.7833195171574, 7.7070231015712585),
+    ])
+    def test_walk_pinned_grid_sizes(self, kind, scan_order, k, lam, digest, bits, loss):
+        # test_walk_pinned's layer at other grid sizes and a large lambda,
+        # as the walk computed it when it scanned all k levels per entry
+        assert_pinned_walk(kind, scan_order, k, lam, digest, bits, loss)
 
     def test_gamma_zero_ablation_uses_plain_weights(self):
         rng = np.random.default_rng(11)
@@ -442,6 +505,69 @@ class TestAgainstBruteForce:
             ) + 1e-12:
                 wins += 1
         assert wins >= 9
+
+
+def assert_matches_reference(w, grid, cfg, ctx):
+    res = quantize_layer(w, None, grid, cfg, context=ctx)
+    indices, symbols, bits, loss = reference_walk(w, grid, cfg, ctx)
+    assert np.array_equal(res.quantized.indices, indices)
+    assert np.array_equal(res.symbols_in_scan_order, symbols)
+    assert res.predicted_rate_bits == bits
+    assert res.quadratic_loss_delta == loss
+
+
+class TestBoundedSearch:
+    """The walk's bounded level search chooses what a full scan chooses."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 2 * BLOCK_SIZE + 3),
+        k=st.integers(2, 64),
+        lam=st.sampled_from([0.0, 1e-3, 0.05, 1.0, 30.0]),
+        kind=st.sampled_from([ADAPTIVE, CONTEXT]),
+        gamma_mode=st.sampled_from([GAMMA_STANDARD, GAMMA_ZERO]),
+        scan_order=st.sampled_from(SCAN_ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, m=2 * BLOCK_SIZE + 3, k=64, lam=0.05, kind=CONTEXT,
+             gamma_mode=GAMMA_STANDARD, scan_order=COLUMN_MAJOR, seed=0)
+    @example(n=4, m=9, k=2, lam=30.0, kind=ADAPTIVE, gamma_mode=GAMMA_ZERO,
+             scan_order=ROW_MAJOR, seed=1)
+    def test_equals_exhaustive_scan(self, n, m, k, lam, kind, gamma_mode, scan_order, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, m)) * rng.uniform(0.01, 10.0)
+        h = accumulate_hessian([rng.normal(size=(m, int(rng.integers(1, 2 * m + 2))))])
+        grid = build_grid(w, k)
+        cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order,
+                                model_kind=kind, gamma_mode=gamma_mode)
+        gamma = 0.0 if gamma_mode == GAMMA_ZERO else None
+        ctx = build_context(w, h, lam, cfg.damping_delta, gamma=gamma)
+        assert_matches_reference(w, grid, cfg, ctx)
+
+    def test_rates_never_negative(self):
+        # the search's bound needs log2(T) - log2(c) >= 0 for every c <= T
+        assert all(a <= b for a, b in zip(LOG2[1:], LOG2[2:]))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 9, 33, 64])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05, 1.0, 30.0])
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    def test_column_of_edge_values(self, k, lam, kind):
+        # an n x 1 layer with no ridge quantizes W itself (W' == W): entries
+        # below the lowest level, above the highest, on every level and at
+        # every midpoint between neighbours, then the same again
+        grid = grid_from_scale(k, 0.25)
+        lv = grid.levels
+        values = np.concatenate([
+            [lv[0] - 1.0, lv[0] - 0.25, lv[-1] + 0.25, lv[-1] + 1.0],
+            lv, (lv[:-1] + lv[1:]) / 2, [0.0, -0.0],
+        ])
+        w = np.concatenate([values, values[::-1]])[:, None]
+        h = np.ones((1, 1))
+        cfg = CompressionConfig(lam=lam, grid_size=k, model_kind=kind, gamma_mode=GAMMA_ZERO)
+        ctx = build_context(w, h, lam, cfg.damping_delta, gamma=0.0)
+        assert np.array_equal(ctx.w_prime, w)
+        assert_matches_reference(w, grid, cfg, ctx)
 
 
 class EntryByEntry:

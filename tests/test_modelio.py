@@ -1,5 +1,4 @@
 import builtins
-import errno
 import struct
 
 import numpy as np
@@ -26,6 +25,8 @@ from cerwu.modelio import (
     write_tensor_file,
 )
 from cerwu.pipeline import collect_hessians, compress_model, decompress_model
+
+from conftest import DiskFull
 
 
 class TestTensorFile:
@@ -273,31 +274,6 @@ class TestCompressedModel:
         assert rec.grid().step == result.quantized.grid.step
 
 
-class _DiskFull:
-    """A file whose writes fail once ``room`` bytes are written."""
-
-    def __init__(self, fh, room):
-        self._fh = fh
-        self._room = room
-
-    def write(self, data):
-        if len(data) > self._room:
-            self._fh.write(bytes(data[: self._room]))
-            self._room = 0
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self._room -= len(data)
-        return self._fh.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-
 @pytest.mark.parametrize("what", ["tns", "cwm", "hcache"])
 def test_write_failing_midway_leaves_file_untouched(tmp_path, monkeypatch, what):
     rng = np.random.default_rng(12)
@@ -317,7 +293,7 @@ def test_write_failing_midway_leaves_file_untouched(tmp_path, monkeypatch, what)
         write = lambda: collect_hessians(model_tf, calib_tf, calib_path, cache_path=path)
     path.write_bytes(b"previous contents")
     monkeypatch.setattr(
-        modelio, "open", lambda p, mode: _DiskFull(builtins.open(p, mode), 20), raising=False
+        modelio, "open", lambda p, mode: DiskFull(builtins.open(p, mode), 20), raising=False
     )
     with pytest.raises(OSError, match="No space"):
         write()
