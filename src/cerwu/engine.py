@@ -17,8 +17,14 @@ The engine walks the weight matrix in scan order and, per entry:
    when the row's block ``[b0, b1)`` is finished the row takes the
    block's updates to every later column at once, as one product
    ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]`` of its
-   recorded errors ``e = w - g``;
-3. feeds the chosen symbol to the entropy model.
+   recorded errors ``e = w - g``. The row-major walk defers once more,
+   inside the block, to sub-blocks of :data:`SUB_BLOCK` columns: an entry
+   updates the rest of its sub-block on Python floats, and a finished
+   sub-block reaches the rest of its block in one fold per row that
+   subtracts the same products in the same order;
+3. feeds the chosen symbol to the entropy model and records its coder
+   interval ``(cum[s], cum[s+1], T)``, which the range coder then codes
+   (:func:`compress_layer`), so a compress replays the model once.
 
 A layer with at most :data:`BLOCK_SIZE` columns is one block and gets
 bitwise the arithmetic of updating the whole remaining row per entry.
@@ -28,22 +34,24 @@ values differ from it only by rounding.
 Row-major order finishes a row before moving down; column-major finishes
 a column first. Both use the same per-row compensation (the quadratic
 loss has no cross-row terms); only the traversal, and therefore the
-symbol stream seen by the model, differs. Since the model is a
-deterministic function of the symbol stream, encoding afterwards by
-replaying a fresh model pays exactly the predicted bits (up to coder
-flush overhead).
+symbol stream seen by the model, differs. The recorded intervals are
+exactly those a fresh model's replay over the symbol stream would give,
+since the model is a deterministic function of that stream, so the
+payload pays exactly the predicted bits (up to coder flush overhead).
 
 A static model's costs never change, so for it the row order does not
 matter: the engine quantizes one column at a time, for all rows at once
 (an ``n x k`` objective, a row-wise ``argmin`` and one rank-1 update of
-the rest of the block), then gives each row its block product. The
-elementwise arithmetic is the per-entry walk's and both paths make the
-same per-row block product call, so indices, symbols, loss delta and
-predicted bits are bitwise those of visiting the entries one by one.
+the rest of the block), then gives each row its block product, and reads
+the intervals from its one cumulative table. The elementwise arithmetic
+is the per-entry walk's and both paths make the same per-row block
+product call, so indices, symbols, loss delta and predicted bits are
+bitwise those of visiting the entries one by one.
 Adaptive and context models take the per-entry walk. It searches on
 Python floats, since for a handful of levels each numpy call costs more
-than its arithmetic, and keeps numpy only for the row updates; each
-entry makes one call into the model, the transition from
+than its arithmetic, and keeps numpy for the folds, the block products
+and the column-major walk's per-entry updates; each entry makes one
+call into the model, the transition from
 :meth:`~EntropyModel.stepper`. The search is bounded and exact: it
 starts at the levels on either side of the working value and walks
 outward, reads a level's rate ``log2(T) - log2(c)`` from the model's
@@ -62,6 +70,7 @@ choices but removes the Gaussian regularization from the updates.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -81,7 +90,8 @@ from .grids import (
     in_scan_order,
 )
 from .linalg import DEFAULT_DAMPING, LayerContext, as_matrix, build_context, compute_gamma
-from .rangecoder import Payload, encode
+# ``encode`` stays importable from here: perfbench/tracing.py wraps engine.encode.
+from .rangecoder import Payload, encode, encode_intervals  # noqa: F401
 
 GAMMA_STANDARD = "standard"
 GAMMA_ZERO = "zero"
@@ -96,6 +106,12 @@ CDIAG_FLOOR = 1e-12
 # updates). Widths 32 to 128 quantized 32x784 and 1000x1000 static layers
 # (k=9, one BLAS thread) equally fast; 16 took 1.5x as long on 1000x1000.
 BLOCK_SIZE = 64
+
+# Width of the sub-blocks of the row-major walk: inside a sub-block each
+# entry's value takes its predecessors' updates on Python floats, and the
+# rest of the block takes the sub-block's updates in one fold per row. On a
+# 256x32 context layer 16 measured the same and 4 took 1.2x as long.
+SUB_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,10 @@ class LayerResult:
     # Levels covered by the exact search: n*m*k. The walk's bounded search
     # evaluates fewer, but rules out the rest without changing the choice.
     grid_evaluations: int
+    # Each symbol's coder interval (lo, hi, total) in scan order, as int32
+    # arrays: what the model read when the symbol was chosen, and what
+    # :func:`~cerwu.rangecoder.encode_intervals` codes.
+    intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def quantization_step(
@@ -260,7 +280,7 @@ def quantize_layer(
             if b1 < m:
                 for i in range(n):
                     _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
-        bits = rates[indices]
+        intervals = entropy.replay_intervals(in_scan_order(indices, order), model)
     else:
         # The rates change after every symbol: visit the entries one by
         # one in scan order, on Python scalars, reading a level's rate from
@@ -273,13 +293,15 @@ def quantize_layer(
         rank = rank.tolist()
         first = int(pref[0])
         h = half_inv_c2.tolist()
-        inv_c_list = inv_c.tolist()
         level_list = levels.tolist()  # ascending, so position == index
-        chol_tail = [chol[j, j + 1 : b1] for b0, b1 in _blocks(m) for j in range(b0, b1)]
-        idx_seq, err_seq, bits_seq = [], [], []
-        for i, j, b1 in _walk(wp, order, err_seq, inv_c, chol):
-            log_total = L[cum[-1]]
-            wij = wp.item(i, j)
+        err_seq = []
+        idx_seq, lo_seq, hi_seq, total_seq = (array("i") for _ in range(4))
+        idx_append, err_append = idx_seq.append, err_seq.append
+        lo_append, hi_append, total_append = lo_seq.append, hi_seq.append, total_seq.append
+        walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
+        for j, wij in walk(wp, err_seq, inv_c, chol):
+            total = cum[-1]
+            log_total = L[total]
             hj = h[j]
             # Exact bounded search, equal to scanning all k levels in
             # tie-break order and keeping the first minimum. Each level's
@@ -309,27 +331,25 @@ def quantize_layer(
                         best = obj
                         idx = p
                         best_rank = rank[p]
-            e = wij - level_list[idx]
-            if j + 1 < b1:
-                v = wp[i, j + 1 : b1]
-                np.subtract(v, (e * inv_c_list[j]) * chol_tail[j], out=v)
-            idx_seq.append(idx)
-            err_seq.append(e)
-            bits_seq.append(log_total - L[cum[idx + 1] - cum[idx]])
+            idx_append(idx)
+            err_append(wij - level_list[idx])
+            lo_append(cum[idx])
+            hi_append(cum[idx + 1])
+            total_append(total)
             cum = step(idx)
-        indices = np.ascontiguousarray(
-            from_scan_order(np.array(idx_seq, dtype=np.int32), n, m, order)
-        )
+        symbols = np.frombuffer(idx_seq, dtype=np.intc)
+        indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
         err = from_scan_order(np.array(err_seq), n, m, order)
-        bits = from_scan_order(np.array(bits_seq), n, m, order)
+        intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in (lo_seq, hi_seq, total_seq))
 
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
         quantized=quantized,
-        predicted_rate_bits=_running_total(in_scan_order(bits, order)),
+        predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
         quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
         symbols_in_scan_order=quantized.symbols_in_scan_order().copy(),
         grid_evaluations=n * m * k,
+        intervals=intervals,
     )
 
 
@@ -350,34 +370,71 @@ def _block_update(wp, i, b0, b1, errs, inv_c, chol):
     wp[i, b1:] -= (errs * inv_c[b0:b1]) @ chol[b0:b1, b1:]
 
 
-def _walk(wp, order, err_seq, inv_c, chol):
-    """The per-entry walk's positions ``(i, j, b1)`` in scan order, ``b1``
-    the end of column ``j``'s block.
+def _row_major_walk(wp, err_seq, inv_c, chol):
+    """Row-major positions for the per-entry walk: yields ``(j, w)``, the
+    column and working value of each entry, and applies its row update
+    once the walk has appended the entry's error ``e`` to ``err_seq``.
 
-    Once row ``i`` has chosen every entry of a block that is not the last,
-    the generator reads the row's errors back from ``err_seq`` (the walk's
-    record, in scan order) and applies :func:`_block_update`, before any
-    entry right of the block is visited.
+    Blocks are split into sub-blocks of :data:`SUB_BLOCK` columns. A row's
+    sub-block is read once as Python floats, and each entry's value takes
+    the updates of the entries before it in the sub-block, subtracted one
+    by one. When the row finishes a sub-block, the rest of the block takes
+    the sub-block's updates in one fold: ``w - P[0] - P[1] - ...`` with
+    ``P[l] = (e_l / c_l) * C'[l, rest]``, subtracting in the order the
+    per-entry update would. A finished block gets :func:`_block_update`.
     """
     n, m = wp.shape
-    blocks = _blocks(m)
-    if order == ROW_MAJOR:
-        for i in range(n):
-            for b0, b1 in blocks:
-                for j in range(b0, b1):
-                    yield i, j, b1
-                if b1 < m:
-                    errs = np.array(err_seq[i * m + b0 : i * m + b1])
-                    _block_update(wp, i, b0, b1, errs, inv_c, chol)
-    else:
-        for b0, b1 in blocks:
-            for j in range(b0, b1):
-                for i in range(n):
-                    yield i, j, b1
-            if b1 < m:
-                for i in range(n):
-                    errs = np.array(err_seq[b0 * n + i : b1 * n : n])
-                    _block_update(wp, i, b0, b1, errs, inv_c, chol)
+    inv_c_list = inv_c.tolist()
+    # Per sub-block: its columns [s0, s1), its block's [b0, b1), the fold's
+    # coefficients C'[s0:s1, s1:b1], and the fold's buffer with views of
+    # its first row (the values) and the rest (the products).
+    spans = []
+    for b0, b1 in _blocks(m):
+        for s0 in range(b0, b1, SUB_BLOCK):
+            s1 = min(s0 + SUB_BLOCK, b1)
+            buf = np.empty((s1 - s0 + 1, b1 - s1))
+            spans.append((s0, s1, b0, b1, chol[s0:s1, s1:b1], buf, buf[0], buf[1:]))
+    # C'[s0:j, j]: the coefficients of column j's updates within its sub-block
+    above = [chol[s0:j, j].tolist() for s0, s1, *_ in spans for j in range(s0, s1)]
+    for i in range(n):
+        row = wp[i]
+        for s0, s1, b0, b1, fold, buf, head, products in spans:
+            f = []  # e_l / c_l of the sub-block's entries so far
+            for j, w in enumerate(row[s0:s1].tolist(), s0):
+                for f_l, c in zip(f, above[j]):
+                    w -= f_l * c
+                yield j, w
+                f.append(err_seq[-1] * inv_c_list[j])
+            if s1 < b1:
+                rest = row[s1:b1]
+                np.multiply(fold, np.array(f)[:, None], out=products)
+                head[...] = rest
+                np.subtract.reduce(buf, axis=0, out=rest)
+            elif b1 < m:
+                _block_update(wp, i, b0, b1, np.array(err_seq[b0 - b1 :]), inv_c, chol)
+
+
+def _column_major_walk(wp, err_seq, inv_c, chol):
+    """Column-major positions for the per-entry walk, like
+    :func:`_row_major_walk`: each entry updates the rest of its row's block
+    with one numpy call, and once every row has finished a block that is
+    not the last, each row gets :func:`_block_update` from its errors,
+    read back from ``err_seq``.
+    """
+    n, m = wp.shape
+    inv_c_list = inv_c.tolist()
+    for b0, b1 in _blocks(m):
+        for j in range(b0, b1):
+            tail = chol[j, j + 1 : b1]
+            for i in range(n):
+                yield j, wp.item(i, j)
+                if j + 1 < b1:
+                    v = wp[i, j + 1 : b1]
+                    np.subtract(v, (err_seq[-1] * inv_c_list[j]) * tail, out=v)
+        if b1 < m:
+            for i in range(n):
+                errs = np.array(err_seq[b0 * n + i : b1 * n : n])
+                _block_update(wp, i, b0, b1, errs, inv_c, chol)
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -409,7 +466,8 @@ def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyMod
 def compress_layer(
     weights, hessian, config: CompressionConfig
 ) -> Tuple[LayerResult, Payload, EntropyModel]:
-    """Quantize a layer, then entropy-code the symbols by model replay.
+    """Quantize a layer, then range-code the coder intervals the walk
+    recorded, so the model is replayed once.
 
     Returns the result, the payload and the layer's model in its initial
     state.
@@ -418,8 +476,7 @@ def compress_layer(
     grid = build_grid(w, config.grid_size)
     model = model_spec_for(w, grid, config)
     result = quantize_layer(w, hessian, grid, config, model=model.fresh())
-    payload = encode(result.symbols_in_scan_order, model.fresh())
-    return result, payload, model
+    return result, encode_intervals(*result.intervals), model
 
 
 def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload, EntropyModel]:
@@ -427,7 +484,8 @@ def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload,
 
     Shares the grid, model fitting and coding path with
     :func:`compress_layer`, so a zero-effect engine configuration and this
-    baseline produce byte-identical payloads.
+    baseline produce byte-identical payloads. One model replay gives both
+    the predicted bits and the payload.
     """
     from .grids import round_to_nearest
 
@@ -436,13 +494,13 @@ def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload,
     model = model_spec_for(w, grid, config)
     quantized = round_to_nearest(w, grid, config.scan_order)
     symbols = quantized.symbols_in_scan_order()
-    rate = entropy.sequence_rate_bits(symbols, model.fresh())
-    payload = encode(symbols, model.fresh())
+    intervals = entropy.replay_intervals(symbols, model.fresh())
     result = LayerResult(
         quantized=quantized,
-        predicted_rate_bits=rate,
+        predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
         quadratic_loss_delta=0.0,
         symbols_in_scan_order=symbols.astype(np.int32),
         grid_evaluations=0,
+        intervals=intervals,
     )
-    return result, payload, model
+    return result, encode_intervals(*intervals), model

@@ -39,6 +39,7 @@ bitwise. The worst-case symbol cost is 16 bits (15 for static).
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional, Sequence
 
 import numpy as np
@@ -202,17 +203,45 @@ def make_model(
     return EntropyModel(kind, k, static_counts)
 
 
+def replay_intervals(symbols, model: EntropyModel):
+    """Each symbol's coder interval under a replay of ``model``; mutates it.
+
+    Returns ``(lo, hi, total)``, three int32 arrays in sequence order: the
+    symbol ``s`` seen with cumulative counts ``cum`` gets
+    ``(cum[s], cum[s + 1], cum[-1])``. The range coder codes these, and
+    :func:`interval_bits` prices them. A static model never changes, so
+    its intervals are looked up in its one table at once.
+    """
+    syms = np.asarray(symbols, dtype=np.int64).ravel()
+    if model.kind == STATIC:
+        cum = np.array(model.cum(), dtype=np.intc)
+        return cum[:-1][syms], cum[1:][syms], np.full(syms.size, cum[-1], np.intc)
+    lo, hi, total = array("i"), array("i"), array("i")
+    lo_append, hi_append, total_append = lo.append, hi.append, total.append
+    cum, step = model.stepper()
+    for s in syms.tolist():
+        lo_append(cum[s])
+        hi_append(cum[s + 1])
+        total_append(cum[-1])
+        cum = step(s)
+    return tuple(np.frombuffer(a, dtype=np.intc) for a in (lo, hi, total))
+
+
+def interval_bits(lo, hi, total) -> np.ndarray:
+    """Per-symbol cost ``log2(T) - log2(c)`` in bits of coder intervals.
+
+    ``c = hi - lo`` is the symbol's count; the table is the one every rate
+    path reads, so these are the doubles the walk and
+    :meth:`EntropyModel.rate_vector` compute.
+    """
+    return _LOG2[total] - _LOG2[np.subtract(hi, lo)]
+
+
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:
     """Total predicted bits for a symbol sequence; mutates the model.
 
-    Accumulates in sequence order the costs ``log2(T) - log2(c_s)`` read
-    from the same table as :meth:`EntropyModel.rate_vector`, so totals
-    match the other replay paths exactly.
+    Sums the costs of :func:`replay_intervals` left to right, in sequence
+    order, so totals match the other replay paths exactly.
     """
-    L = LOG2
-    cum, step = model.stepper()
-    total = 0.0
-    for s in np.asarray(symbols, dtype=np.int64).tolist():
-        total += L[cum[-1]] - L[cum[s + 1] - cum[s]]
-        cum = step(s)
-    return total
+    bits = interval_bits(*replay_intervals(symbols, model))
+    return float(np.cumsum(bits)[-1]) if bits.size else 0.0

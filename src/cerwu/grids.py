@@ -89,6 +89,11 @@ def build_grid(weights, size: int) -> Grid:
     Odd sizes place the extreme levels at +/- max|W|; even sizes use
     step = max|W| / (size/2), so the largest positive level sits one step
     below max|W|. An all-zero matrix falls back to the degenerate step.
+
+    Raises:
+        ShapeError: the step exceeds :data:`FLOAT16_MAX`. The step is
+            stored as binary16, and clamping it would clip every weight
+            beyond the outermost clamped level.
     """
     if size < 2:
         raise ShapeError(f"grid size must be >= 2, got {size}")
@@ -98,6 +103,11 @@ def build_grid(weights, size: int) -> Grid:
         raw = max_abs / ((size - 1) / 2)
     else:
         raw = max_abs / (size / 2)
+    if raw > FLOAT16_MAX:
+        raise ShapeError(
+            f"weights up to {max_abs:.6g} need a grid step of {raw:.6g} at grid size "
+            f"{size}, above the largest storable step {FLOAT16_MAX:g}"
+        )
     return grid_from_scale(size, round_scale16(raw))
 
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .engine import CompressionConfig, compress_layer, rtn_layer
-from .errors import InputError, ShapeError
+from .errors import CerwuError, InputError, ShapeError
 from .linalg import accumulate_hessian
 from .modelio import (
     CompressedModel,
@@ -177,12 +177,15 @@ def compress_model(
             )
             continue
         w = _layer_weight_matrix(arr)
-        if method == METHOD_CERWU:
-            if name not in hessians:
-                raise InputError(f"no Hessian available for layer {name!r}")
-            result, payload, model = compress_layer(w, hessians[name], config)
-        else:
-            result, payload, model = rtn_layer(w, config)
+        if method == METHOD_CERWU and name not in hessians:
+            raise InputError(f"no Hessian available for layer {name!r}")
+        try:
+            if method == METHOD_CERWU:
+                result, payload, model = compress_layer(w, hessians[name], config)
+            else:
+                result, payload, model = rtn_layer(w, config)
+        except CerwuError as exc:
+            raise type(exc)(f"layer {name!r}: {exc}") from exc
         grid = result.quantized.grid
         rec = QuantizedRecord(
             name=name,
@@ -300,8 +303,9 @@ def evaluate_model(
         what = _layer_weight_matrix(recon_tf[name])
         if what.shape != w.shape:
             raise ShapeError(f"shape mismatch for layer {name!r}")
-        x = calib_tf[act_name].astype(np.float64)
-        err = (w - what) @ x
+        # The float64 copy of the activations dies with this statement, so
+        # it is not held through the next layer or the accuracy pass.
+        err = (w - what) @ calib_tf[act_name].astype(np.float64)
         losses[name] = float(np.sum(err * err))
     acc = accuracy(recon_tf, test_tf) if test_tf is not None else None
     bpw = compressed.bits_per_weight() if compressed is not None else None

@@ -21,9 +21,14 @@ the payload end on an intact stream.
 
 Encoding visits symbols front to back and the decoder replays the same
 model transitions in the same order, as an autoregressive model requires.
-Both loops run on Python ints over the model's cumulative-count lists,
-and each symbol makes one call into the model, ``cum = step(s)``, with
-``step`` taken once from :meth:`~cerwu.entropy.EntropyModel.stepper`.
+The encoder codes recorded intervals ``(cum[s], cum[s+1], T)``, one per
+symbol: :func:`encode` takes them from a replay of a fresh model
+(:func:`~cerwu.entropy.replay_intervals`), and a compress takes the ones
+the engine's walk recorded, so both go through the one coding loop,
+:func:`encode_intervals`. Both loops run on Python ints; the decoder reads
+the model's cumulative-count lists and makes one call into the model per
+symbol, ``cum = step(s)``, with ``step`` taken once from
+:meth:`~cerwu.entropy.EntropyModel.stepper`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyModel
+from .entropy import EntropyModel, replay_intervals
 from .errors import DecodeError, ShapeError
 
 _MASK32 = 0xFFFFFFFF
@@ -53,9 +58,11 @@ class Payload:
 def encode(symbols, model: EntropyModel) -> Payload:
     """Encode grid indices with a fresh entropy model.
 
-    The model is mutated (one transition per symbol); pass a fresh
-    instance. Decoding with an identically initialized model restores the
-    exact sequence.
+    Replays the model over the symbols into coder intervals
+    (:func:`~cerwu.entropy.replay_intervals`) and codes those with
+    :func:`encode_intervals`. The model is mutated (one transition per
+    symbol); pass a fresh instance. Decoding with an identically
+    initialized model restores the exact sequence.
     """
     syms = np.asarray(symbols, dtype=np.int64)
     if syms.ndim != 1:
@@ -63,15 +70,23 @@ def encode(symbols, model: EntropyModel) -> Payload:
     k = model.k
     if syms.size and (syms.min() < 0 or syms.max() >= k):
         raise ShapeError(f"symbol out of range for k={k}")
+    return encode_intervals(*replay_intervals(syms, model))
 
-    cum, step = model.stepper()
+
+def encode_intervals(lo, hi, total) -> Payload:
+    """Code recorded intervals: symbol ``t`` takes ``[lo[t], hi[t])`` of
+    ``total[t]``, with ``0 <= lo < hi <= total <= 2**16``.
+
+    The one range-coding loop. The arrays (int32, as
+    :func:`~cerwu.entropy.replay_intervals` and the engine's walk record
+    them) are read through memoryviews, so no list of Python ints is built.
+    """
     out = bytearray()
     low = 0
     rng = _MASK32
-    for s in syms.tolist():
-        total = cum[-1]
-        lo_inc = rng * cum[s] // total
-        hi_inc = rng * cum[s + 1] // total
+    for c_lo, c_hi, t in zip(memoryview(lo), memoryview(hi), memoryview(total)):
+        lo_inc = rng * c_lo // t
+        hi_inc = rng * c_hi // t
         low += lo_inc
         if low > _MASK32:
             i = len(out) - 1
@@ -85,11 +100,10 @@ def encode(symbols, model: EntropyModel) -> Payload:
             out.append((low >> 24) & 0xFF)
             low = (low << 8) & _MASK32
             rng <<= 8
-        cum = step(s)
 
     out += low.to_bytes(4, "big")
     out += b"\x00\x00\x00\x00"
-    return Payload(bytes(out), int(syms.size))
+    return Payload(bytes(out), len(lo))
 
 
 def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:

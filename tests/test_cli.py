@@ -243,6 +243,28 @@ class TestErrors:
         path.write_bytes(bytes(data))
         self._assert_parse_error(capsys, self._compress_argv(tmp_path, path))
 
+    @pytest.mark.parametrize("method", ["cerwu", "rtn"])
+    @pytest.mark.parametrize("peak, rc", [(4 * 65504.0, 0), (3e5, 1), (1e38, 1)])
+    def test_grid_step_beyond_binary16_names_layer(self, tmp_path, capsys, method, peak, rc):
+        # at k=9 the step is max|W| / 4, stored as binary16 (at most 65504):
+        # a larger step would clip every weight beyond +-262016
+        rng = np.random.default_rng(9)
+        w = rng.normal(size=(4, 6))
+        w[1, 2] = peak
+        model, calib = TensorFile(), TensorFile()
+        model.add("big.weight", w)
+        calib.add("big.weight.activations", rng.normal(size=(6, 12)))
+        mp, cp = tmp_path / "m.tns", tmp_path / "c.tns"
+        write_tensor_file(model, mp)
+        write_tensor_file(calib, cp)
+        capsys.readouterr()
+        assert main(["compress", "--model", str(mp), "--calib", str(cp), "--grid-size", "9",
+                     "--method", method, "--out", str(tmp_path / "o.cwm")]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error:") and "'big.weight'" in err and "65504" in err
+            assert "Traceback" not in err
+
 
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from cerwu.engine import (
     CompressionConfig,
     GAMMA_STANDARD,
     GAMMA_ZERO,
+    SUB_BLOCK,
     compress_layer,
     model_spec_for,
     quantization_step,
@@ -24,7 +25,7 @@ from cerwu.grids import (
 )
 from cerwu.linalg import accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
-from cerwu.rangecoder import decode
+from cerwu.rangecoder import decode, encode
 
 from conftest import obs_row_update, random_spd, reference_walk, regularized_hessian
 
@@ -417,6 +418,21 @@ class TestCompressLayer:
             sizes[lam] = len(payload.data)
         assert sizes[1e-1] < sizes[1e-8]
 
+    @pytest.mark.parametrize("k", [2, 9, 33])
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
+    def test_recorded_intervals_code_like_a_replay(self, kind, scan_order, k):
+        # the payload coded from the walk's recorded intervals is the one a
+        # fresh model's replay codes, and the predicted bits are the replay's
+        rng = np.random.default_rng(18)
+        w = rng.normal(size=(6, 19))
+        h = accumulate_hessian([rng.normal(size=(19, 40))])
+        cfg = CompressionConfig(lam=0.03, grid_size=k, scan_order=scan_order, model_kind=kind)
+        res, payload, model = compress_layer(w, h, cfg)
+        assert payload == encode(res.symbols_in_scan_order, model.fresh())
+        assert res.predicted_rate_bits == sequence_rate_bits(
+            res.symbols_in_scan_order, model.fresh())
+
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(15)
         w = rng.normal(size=(6, 6))
@@ -544,6 +560,21 @@ class TestBoundedSearch:
         gamma = 0.0 if gamma_mode == GAMMA_ZERO else None
         ctx = build_context(w, h, lam, cfg.damping_delta, gamma=gamma)
         assert_matches_reference(w, grid, cfg, ctx)
+
+    @pytest.mark.parametrize("m", [7, SUB_BLOCK, SUB_BLOCK + 1, 2 * SUB_BLOCK + 1,
+                                   BLOCK_SIZE, BLOCK_SIZE + 1])
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    def test_sub_block_edges(self, m, kind, scan_order):
+        # widths on either side of a sub-block and of a block, where the
+        # row-major walk's fold and block product take over from the
+        # per-entry updates
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(3, m))
+        h = accumulate_hessian([rng.normal(size=(m, 2 * m))])
+        cfg = CompressionConfig(lam=0.05, grid_size=9, scan_order=scan_order, model_kind=kind)
+        ctx = build_context(w, h, cfg.lam, cfg.damping_delta)
+        assert_matches_reference(w, build_grid(w, 9), cfg, ctx)
 
     def test_rates_never_negative(self):
         # the search's bound needs log2(T) - log2(c) >= 0 for every c <= T

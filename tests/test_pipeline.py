@@ -278,7 +278,8 @@ class TestRunSweep:
         assert all(p.accuracy is not None for p in seq if not p.error)
         failed = [p for p in seq if p.error]
         assert [p.grid_size for p in failed] == [40000] * 6
-        assert all(p.error.startswith("ShapeError: model needs") for p in failed)
+        assert all(p.error.startswith("ShapeError: layer 'l1.weight': model needs")
+                   for p in failed)
 
     def test_worker_pool_under_spawn_matches_sequential(self, monkeypatch):
         # spawn pickles the initializer's inputs instead of inheriting them,
