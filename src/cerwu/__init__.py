@@ -9,7 +9,6 @@ from .engine import (
     CompressionConfig,
     LayerResult,
     compress_layer,
-    quantization_step,
     quantize_layer,
     rtn_layer,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "load_tensor_file",
     "make_model",
     "pareto_front",
-    "quantization_step",
     "quantize_layer",
     "read_compressed",
     "round_to_nearest",

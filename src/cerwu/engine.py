@@ -17,11 +17,7 @@ The engine walks the weight matrix in scan order and, per entry:
    when the row's block ``[b0, b1)`` is finished the row takes the
    block's updates to every later column at once, as one product
    ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]`` of its
-   recorded errors ``e = w - g``. The row-major walk defers once more,
-   inside the block, to sub-blocks of :data:`SUB_BLOCK` columns: an entry
-   updates the rest of its sub-block on Python floats, and a finished
-   sub-block reaches the rest of its block in one fold per row that
-   subtracts the same products in the same order;
+   recorded errors ``e = w - g``;
 3. feeds the chosen symbol to the entropy model and records its coder
    interval ``(cum[s], cum[s+1], T)``, which the range coder then codes
    (:func:`compress_layer`), so a compress replays the model once.
@@ -39,19 +35,30 @@ exactly those a fresh model's replay over the symbol stream would give,
 since the model is a deterministic function of that stream, so the
 payload pays exactly the predicted bits (up to coder flush overhead).
 
-A static model's costs never change, so for it the row order does not
-matter: the engine quantizes one column at a time, for all rows at once
-(an ``n x k`` objective, a row-wise ``argmin`` and one rank-1 update of
-the rest of the block), then gives each row its block product, and reads
-the intervals from its one cumulative table. The elementwise arithmetic
-is the per-entry walk's and both paths make the same per-row block
-product call, so indices, symbols, loss delta and predicted bits are
-bitwise those of visiting the entries one by one.
-Adaptive and context models take the per-entry walk. It searches on
-Python floats, since for a handful of levels each numpy call costs more
-than its arithmetic, and keeps numpy for the folds, the block products
-and the column-major walk's per-entry updates; each entry makes one
-call into the model, the transition from
+Two traversals apply the updates:
+
+- The column pass (:func:`_column_steps`) hands out one column at a
+  time; once every row's entry in it is chosen, one rank-1 update moves
+  the rest of the block for all rows, and a finished block gives each row
+  its block product. A static model's costs never change, so the row
+  order does not matter and it takes this pass in either scan order,
+  choosing a whole column at once (an ``n x k`` objective and a row-wise
+  ``argmin``) and reading the intervals from its one cumulative table.
+  Adaptive and context models take it in column-major order, choosing the
+  column's entries one by one.
+- The row-major walk (:func:`_row_major_walk`) of the adaptive and
+  context models defers once more, inside the block, to sub-blocks of
+  :data:`SUB_BLOCK` columns: an entry updates the rest of its sub-block
+  on Python floats, and a finished sub-block reaches the rest of its
+  block in one fold per row that subtracts the same products in the same
+  order.
+
+Every path does the per-entry walk's elementwise arithmetic and makes the
+same per-row block product call, so indices, symbols, loss delta and
+predicted bits are bitwise those of visiting the entries one by one.
+Adaptive and context entries are chosen on Python floats, since for a
+handful of levels each numpy call costs more than its arithmetic, and
+each entry makes one call into the model, the transition from
 :meth:`~EntropyModel.stepper`. The search is bounded and exact: it
 starts at the levels on either side of the working value and walks
 outward, reads a level's rate ``log2(T) - log2(c)`` from the model's
@@ -149,7 +156,6 @@ class LayerResult:
     quantized: QuantizedLayer
     predicted_rate_bits: float
     quadratic_loss_delta: float
-    symbols_in_scan_order: np.ndarray
     # Levels covered by the exact search: n*m*k. The walk's bounded search
     # evaluates fewer, but rules out the rest without changing the choice.
     grid_evaluations: int
@@ -157,31 +163,6 @@ class LayerResult:
     # arrays: what the model read when the symbol was chosen, and what
     # :func:`~cerwu.rangecoder.encode_intervals` codes.
     intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def quantization_step(
-    w_prime_entry: float,
-    c_diag: float,
-    grid: Grid,
-    lam: float,
-    gamma: float,
-    rates: np.ndarray,
-) -> int:
-    """Grid search for a single entry; returns the grid index.
-
-    ``rates`` is the model's current :meth:`~EntropyModel.rate_vector`.
-    Ties break toward the level with smaller absolute value, then toward
-    the negative one. This is the static column path's search on a
-    one-entry column.
-    """
-    if c_diag <= 0:
-        raise ShapeError("c_diag must be positive")
-    c = max(c_diag, CDIAG_FLOOR)
-    pref, levels_pref, gamma_term_pref = _search_order(grid.levels, lam, gamma)
-    rates = np.asarray(rates, dtype=np.float64)
-    rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
-    obj = _objective(np.array([[float(w_prime_entry)]]), 0.5 / (c * c), levels_pref, rate_term)
-    return int(pref[obj.argmin(axis=1)[0]])
 
 
 def _search_order(levels: np.ndarray, lam: float, gamma: float):
@@ -195,13 +176,6 @@ def _search_order(levels: np.ndarray, lam: float, gamma: float):
     pref = np.lexsort((levels, np.abs(levels)))
     levels_pref = levels[pref]
     return pref, levels_pref, (0.5 * lam * gamma) * (levels_pref * levels_pref)
-
-
-def _rate_term(rates, pref, lam, gamma_term_pref):
-    """``lam * ratebits(g) - 0.5*lam*gamma*g^2`` over levels in tie-break order."""
-    out = rates.take(pref)
-    np.multiply(out, lam, out=out)
-    return np.subtract(out, gamma_term_pref, out=out)
 
 
 def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
@@ -264,22 +238,15 @@ def quantize_layer(
         # order: quantize one column for all rows at once.
         indices = np.empty((n, m), dtype=np.int32)
         err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
-        rates = model.rate_vector()
-        rate_term = _rate_term(rates, pref, lam, gamma_term_pref) if lam else None
+        # lam * ratebits(g) - 0.5*lam*gamma*g^2 over levels in tie-break order
+        rate_term = model.rate_vector()[pref] * lam - gamma_term_pref if lam else None
         obj_buf = np.empty((n, k), dtype=np.float64)
-        for b0, b1 in _blocks(m):
-            for j in range(b0, b1):
-                col = wp[:, j]
-                obj = _objective(col[:, None], half_inv_c2[j], levels_pref, rate_term, obj_buf)
-                idx = pref[obj.argmin(axis=1)]
-                e = col - levels[idx]
-                if j + 1 < b1:
-                    wp[:, j + 1 : b1] -= (e * inv_c[j])[:, None] * chol[j, j + 1 : b1]
-                indices[:, j] = idx
-                err[:, j] = e
-            if b1 < m:
-                for i in range(n):
-                    _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
+        for j in _column_steps(wp, err, inv_c, chol):
+            col = wp[:, j]
+            obj = _objective(col[:, None], half_inv_c2[j], levels_pref, rate_term, obj_buf)
+            idx = pref[obj.argmin(axis=1)]
+            indices[:, j] = idx
+            np.subtract(col, levels[idx], out=err[:, j])
         intervals = entropy.replay_intervals(in_scan_order(indices, order), model)
     else:
         # The rates change after every symbol: visit the entries one by
@@ -347,7 +314,6 @@ def quantize_layer(
         quantized=quantized,
         predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
         quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
-        symbols_in_scan_order=quantized.symbols_in_scan_order().copy(),
         grid_evaluations=n * m * k,
         intervals=intervals,
     )
@@ -363,9 +329,9 @@ def _block_update(wp, i, b0, b1, errs, inv_c, chol):
     """Apply a finished block's deferred updates to row ``i`` right of it.
 
     ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]``, with ``errs``
-    the row's recorded errors ``e`` on the block's columns. The column path
-    and the walk both call this once per row and block, on the same values,
-    so they stay bitwise equal.
+    the row's recorded errors ``e`` on the block's columns. The column pass
+    and the row-major walk both call this once per row and block, on the
+    same values, so they stay bitwise equal.
     """
     wp[i, b1:] -= (errs * inv_c[b0:b1]) @ chol[b0:b1, b1:]
 
@@ -414,27 +380,36 @@ def _row_major_walk(wp, err_seq, inv_c, chol):
                 _block_update(wp, i, b0, b1, np.array(err_seq[b0 - b1 :]), inv_c, chol)
 
 
-def _column_major_walk(wp, err_seq, inv_c, chol):
-    """Column-major positions for the per-entry walk, like
-    :func:`_row_major_walk`: each entry updates the rest of its row's block
-    with one numpy call, and once every row has finished a block that is
-    not the last, each row gets :func:`_block_update` from its errors,
-    read back from ``err_seq``.
+def _column_steps(wp, err, inv_c, chol):
+    """The column-at-a-time pass: yields each column ``j`` in order and,
+    once the caller has written every row's error ``e`` into ``err[:, j]``,
+    updates the rest of the column's block for all rows at once,
+    ``W'[:, j+1:b1] -= (e / c_j) C'[j, j+1:b1]`` (the per-entry update,
+    elementwise). When every row has finished a block that is not the
+    last, each row gets :func:`_block_update`.
     """
     n, m = wp.shape
-    inv_c_list = inv_c.tolist()
     for b0, b1 in _blocks(m):
         for j in range(b0, b1):
-            tail = chol[j, j + 1 : b1]
-            for i in range(n):
-                yield j, wp.item(i, j)
-                if j + 1 < b1:
-                    v = wp[i, j + 1 : b1]
-                    np.subtract(v, (err_seq[-1] * inv_c_list[j]) * tail, out=v)
+            yield j
+            if j + 1 < b1:
+                wp[:, j + 1 : b1] -= (err[:, j] * inv_c[j])[:, None] * chol[j, j + 1 : b1]
         if b1 < m:
             for i in range(n):
-                errs = np.array(err_seq[b0 * n + i : b1 * n : n])
-                _block_update(wp, i, b0, b1, errs, inv_c, chol)
+                _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
+
+
+def _column_major_walk(wp, err_seq, inv_c, chol):
+    """Column-major positions for the per-entry walk, like
+    :func:`_row_major_walk`, on :func:`_column_steps`: yields every row's
+    entry of a column, then hands the column's errors to the pass.
+    """
+    n = wp.shape[0]
+    err = np.empty_like(wp)
+    for j in _column_steps(wp, err, inv_c, chol):
+        for w in wp[:, j].tolist():
+            yield j, w
+        err[:, j] = err_seq[-n:]
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -499,7 +474,6 @@ def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload,
         quantized=quantized,
         predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
         quadratic_loss_delta=0.0,
-        symbols_in_scan_order=symbols.astype(np.int32),
         grid_evaluations=0,
         intervals=intervals,
     )

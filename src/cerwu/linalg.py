@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FactorizationError, ShapeError
 
-# Population variance below this is treated as degenerate when deriving gamma.
+# Population variance below this is a degenerate Gaussian fit: gamma is 0.
 VAR_FLOOR = 1e-30
 
 # Relative ridge added to the Hessian diagonal before regularization.
@@ -94,14 +94,15 @@ def accumulate_hessian(activation_batches: Sequence[np.ndarray]) -> np.ndarray:
 def compute_gamma(weights) -> float:
     """Rate-proxy scale ``1 / (ln 2 * Var(W))`` from a Gaussian fit.
 
-    Uses the population variance of all entries. Variance below
-    ``VAR_FLOOR`` is clamped to keep the result finite for (near-)constant
-    matrices.
+    Uses the population variance of all entries. Below ``VAR_FLOOR`` the
+    fit is degenerate and the result is ``0.0``: a (near-)constant matrix
+    gets no Gaussian regularization. (A clamped variance would give gamma
+    near 1e30, whose ridge and Gaussian term do not cancel in float64.)
     """
     w = as_matrix(weights, "weights")
     var = float(np.var(w))
     if var < VAR_FLOOR:
-        var = VAR_FLOOR
+        return 0.0
     return 1.0 / (np.log(2.0) * var)
 
 

@@ -97,6 +97,25 @@ class TestCompressDecompressEval:
                   "--out", str(tmp_path / "y.cwm")])
             assert any("cache hit" in r.message for r in caplog.records)
 
+    def test_constant_layers_keep_their_sign(self, tmp_path):
+        # a constant layer has zero variance: its Gaussian fit is degenerate
+        rng = np.random.default_rng(4)
+        model, calib = TensorFile(), TensorFile()
+        for name, value in (("pos", 0.5), ("neg", -0.25), ("zero", 0.0)):
+            model.add(f"{name}.weight", np.full((4, 16), value))
+            calib.add(f"{name}.weight.activations", rng.normal(size=(16, 64)))
+        write_tensor_file(model, tmp_path / "model.tns")
+        write_tensor_file(calib, tmp_path / "calib.tns")
+        out, recon = tmp_path / "out.cwm", tmp_path / "recon.tns"
+        assert main([
+            "compress", "--model", str(tmp_path / "model.tns"),
+            "--calib", str(tmp_path / "calib.tns"), "--lambda", "0.03", "--out", str(out),
+        ]) == 0
+        assert main(["decompress", "--input", str(out), "--out", str(recon)]) == 0
+        back = load_tensor_file(recon)
+        for name, w in model.entries.items():
+            assert np.array_equal(np.sign(back.entries[name]), np.sign(w)), name
+
 
 class TestErrors:
     def test_missing_file_is_input_error(self, tmp_path):

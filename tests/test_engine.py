@@ -13,7 +13,6 @@ from cerwu.engine import (
     SUB_BLOCK,
     compress_layer,
     model_spec_for,
-    quantization_step,
     quantize_layer,
     rtn_layer,
 )
@@ -21,9 +20,10 @@ from cerwu.entropy import (
     ADAPTIVE, CONTEXT, LOG2, STATIC, make_model, sequence_rate_bits,
 )
 from cerwu.grids import (
-    COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, round_to_nearest,
+    COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
+    round_to_nearest,
 )
-from cerwu.linalg import accumulate_hessian, build_context
+from cerwu.linalg import LayerContext, accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
 
@@ -71,13 +71,25 @@ def assert_pinned_walk(kind, scan_order, k, lam, digest, bits, loss):
     return indices
 
 
+def quantize_column(values, grid, lam, gamma, model):
+    """Indices :func:`quantize_layer` picks for an n x 1 layer whose working
+    values are ``values`` and whose factor ``C'`` is 1, so that each entry
+    minimizes ``0.5*(w - g)^2 + lam*ratebits(g) - 0.5*lam*gamma*g^2``."""
+    w = np.array(values, dtype=np.float64)[:, None]
+    ctx = LayerContext(w_prime=w, chol_upper=np.ones((1, 1)), gamma=gamma, lam=lam,
+                       damping_delta=0.0)
+    cfg = CompressionConfig(lam=lam, grid_size=grid.size, model_kind=model.kind)
+    res = quantize_layer(w, None, grid, cfg, model=model, context=ctx)
+    return res.quantized.indices[:, 0].tolist()
+
+
 class TestQuantizationStep:
+    """The per-entry choice, on the column path (static) and the walk."""
+
     def test_lambda_zero_nearest(self):
         grid = grid_from_scale(3, 1.0)
-        rates = make_model(ADAPTIVE, 3).rate_vector()
-        assert quantization_step(0.74, 1.0, grid, 0.0, 0.0, rates) == 2
-        assert quantization_step(-0.74, 1.0, grid, 0.0, 0.0, rates) == 0
-        assert quantization_step(0.4, 1.0, grid, 0.0, 0.0, rates) == 1
+        for model in (make_model(ADAPTIVE, 3), make_model(STATIC, 3, static_counts=[1, 5, 2])):
+            assert quantize_column([0.74, -0.74, 0.4], grid, 0.0, 0.0, model) == [2, 0, 1]
 
     def test_hand_evaluated_objectives(self):
         # levels {-1, 0, 1}; a 0.8-at-zero model; entry 0.4, c=1, lam=1:
@@ -87,8 +99,7 @@ class TestQuantizationStep:
         model = make_model(STATIC, 3, static_counts=[1, 8, 1])
         rates = model.rate_vector()
         assert np.diff(model.cum()).tolist() == [3277, 26214, 3277]
-        got = quantization_step(0.4, 1.0, grid, 1.0, 0.0, rates)
-        assert got == 1  # the zero level
+        assert quantize_column([0.4], grid, 1.0, 0.0, model) == [1]  # the zero level
         obj_zero = 0.5 * 0.4**2 + rates[1]
         obj_one = 0.5 * 0.6**2 + rates[2]
         assert obj_zero == pytest.approx(0.4019, abs=5e-4)
@@ -97,16 +108,15 @@ class TestQuantizationStep:
     def test_large_lambda_peaked_model_forces_zero(self):
         grid = grid_from_scale(5, 0.5)
         model = make_model(STATIC, 5, static_counts=[1, 1, 5000, 1, 1])
-        rates = model.rate_vector()
         # gamma modest so the Gaussian bonus cannot outweigh the rate gap
-        for w in (-1.0, -0.3, 0.24, 0.9, 1.0):
-            assert quantization_step(w, 1.0, grid, 1e4, 1.0, rates) == 2
+        values = [-1.0, -0.3, 0.24, 0.9, 1.0]
+        assert quantize_column(values, grid, 1e4, 1.0, model) == [2] * 5
 
     def test_tie_breaks_toward_smaller_abs(self):
         grid = grid_from_scale(3, 1.0)
-        rates = make_model(STATIC, 3, static_counts=[1, 1, 1]).rate_vector()
-        # 0.5 sits exactly between levels 0 and 1 under a symmetric model
-        assert quantization_step(0.5, 1.0, grid, 0.0, 0.0, rates) == 1
+        # +-0.5 sit exactly between level 0 and level +-1 under a symmetric model
+        for model in (make_model(STATIC, 3, static_counts=[1, 1, 1]), make_model(ADAPTIVE, 3)):
+            assert quantize_column([0.5, -0.5], grid, 0.0, 0.0, model) == [1, 1]
 
 
 class TestDiagonalReduction:
@@ -244,10 +254,9 @@ class TestQuantizeLayer:
         h = accumulate_hessian([rng.normal(size=(4, 8))])
         grid = build_grid(w, 5)
         cfg = CompressionConfig(lam=0.0, grid_size=5, scan_order=COLUMN_MAJOR)
-        res = quantize_layer(w, h, grid, cfg)
-        assert np.array_equal(
-            res.symbols_in_scan_order.reshape(4, 3).T, res.quantized.indices
-        )
+        res, payload, model = compress_layer(w, h, cfg)
+        back = decode(payload, model.fresh(), 5)
+        assert np.array_equal(back.reshape(4, 3).T, res.quantized.indices)
 
     def test_scan_orders_same_update_math(self):
         # with a model that treats every symbol alike (static uniform), the
@@ -395,7 +404,7 @@ class TestCompressLayer:
             cfg = CompressionConfig(lam=0.01, grid_size=5, model_kind=kind)
             res, payload, model = compress_layer(w, h, cfg)
             back = decode(payload, model.fresh(), 5)
-            assert np.array_equal(back, res.symbols_in_scan_order)
+            assert np.array_equal(back, res.quantized.symbols_in_scan_order())
 
     def test_predicted_vs_actual_bits(self):
         rng = np.random.default_rng(13)
@@ -429,9 +438,26 @@ class TestCompressLayer:
         h = accumulate_hessian([rng.normal(size=(19, 40))])
         cfg = CompressionConfig(lam=0.03, grid_size=k, scan_order=scan_order, model_kind=kind)
         res, payload, model = compress_layer(w, h, cfg)
-        assert payload == encode(res.symbols_in_scan_order, model.fresh())
-        assert res.predicted_rate_bits == sequence_rate_bits(
-            res.symbols_in_scan_order, model.fresh())
+        symbols = res.quantized.symbols_in_scan_order()
+        assert payload == encode(symbols, model.fresh())
+        assert res.predicted_rate_bits == sequence_rate_bits(symbols, model.fresh())
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
+    @pytest.mark.parametrize("lam", [0.0, 0.03])
+    @pytest.mark.parametrize("value", [0.5, 0.0])
+    def test_constant_layer_round_trips_exactly(self, value, lam, kind, scan_order):
+        # zero variance is a degenerate Gaussian fit (gamma = 0); a huge
+        # gamma turns 0.5 into -0.5 and 0 into +-4e-12
+        rng = np.random.default_rng(19)
+        w = np.full((4, 16), value)
+        h = accumulate_hessian([rng.normal(size=(16, 64))])
+        cfg = CompressionConfig(lam=lam, grid_size=9, scan_order=scan_order, model_kind=kind)
+        res, payload, model = compress_layer(w, h, cfg)
+        back = layer_from_symbols(decode(payload, model.fresh(), 9), 4, 16, res.quantized.grid,
+                                  scan_order)
+        assert np.array_equal(res.quantized.dequantize(), w)
+        assert np.array_equal(back.dequantize(), w)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(15)
@@ -527,7 +553,7 @@ def assert_matches_reference(w, grid, cfg, ctx):
     res = quantize_layer(w, None, grid, cfg, context=ctx)
     indices, symbols, bits, loss = reference_walk(w, grid, cfg, ctx)
     assert np.array_equal(res.quantized.indices, indices)
-    assert np.array_equal(res.symbols_in_scan_order, symbols)
+    assert np.array_equal(res.quantized.symbols_in_scan_order(), symbols)
     assert res.predicted_rate_bits == bits
     assert res.quadratic_loss_delta == loss
 
@@ -642,7 +668,8 @@ class TestStaticColumnPath:
         col = quantize_layer(w, h, grid, cfg, model=model.fresh(), context=ctx)
         ent = quantize_layer(w, h, grid, cfg, model=EntryByEntry(model.fresh()), context=ctx)
         for a, b in ((col.quantized.indices, ent.quantized.indices),
-                     (col.symbols_in_scan_order, ent.symbols_in_scan_order)):
+                     (col.quantized.symbols_in_scan_order(),
+                      ent.quantized.symbols_in_scan_order())):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert col.predicted_rate_bits == ent.predicted_rate_bits
         assert col.quadratic_loss_delta == ent.quadratic_loss_delta
