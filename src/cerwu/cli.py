@@ -70,19 +70,22 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="'rtn' is the nearest-level + entropy coding baseline")
 
 
-def _hessian_cache_path(calib_path: str) -> str:
-    return calib_path + ".hcache.npz"
-
-
-def cmd_compress(args) -> int:
+def _load_model_and_calibration(args):
+    """Model and calibration containers, and the Hessians the method needs
+    (none for rtn), cached next to the calibration file."""
     model_tf = load_tensor_file(args.model)
     calib_tf = load_tensor_file(args.calib)
     hessians = {}
     if args.method == METHOD_CERWU:
         hessians = collect_hessians(
             model_tf, calib_tf, calib_path=args.calib,
-            cache_path=_hessian_cache_path(args.calib),
+            cache_path=args.calib + ".hcache.npz",
         )
+    return model_tf, calib_tf, hessians
+
+
+def cmd_compress(args) -> int:
+    model_tf, _, hessians = _load_model_and_calibration(args)
     config = CompressionConfig(
         lam=args.lam,
         grid_size=args.grid_size,
@@ -146,15 +149,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model_tf = load_tensor_file(args.model)
-    calib_tf = load_tensor_file(args.calib)
+    model_tf, calib_tf, hessians = _load_model_and_calibration(args)
     test_tf = load_tensor_file(args.test) if args.test else None
-    hessians = {}
-    if args.method == METHOD_CERWU:
-        hessians = collect_hessians(
-            model_tf, calib_tf, calib_path=args.calib,
-            cache_path=_hessian_cache_path(args.calib),
-        )
     lambdas = args.lambdas or list(DEFAULT_LAMBDAS)
     points = run_sweep(
         model_tf,
@@ -184,8 +180,13 @@ def _write_csv(path, points) -> None:
 
 
 def cmd_pareto(args) -> int:
-    with open(args.csv_in) as fh:
-        points = points_from_csv(fh.read())
+    with open(args.csv_in, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")  # as _write_csv writes it
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.csv_in}: not UTF-8 text: {exc}") from exc
+    points = points_from_csv(text)
     front = pareto_front(points)
     _write_csv(args.csv_out, front)
     print(f"{len(front)} of {len(points)} points on the front -> {args.csv_out}")

@@ -23,7 +23,7 @@ Compressed model (".cwm"):
             rows u32 | cols u32 | grid size u32
             scan order u8 (0 = row-major, 1 = column-major)
             model kind u8 (0 = static, 1 = adaptive, 2 = context)
-            scale u16 (binary16 bits of the grid step)
+            scale binary16 (the grid step)
             has static table u8 (1 for the static kind, else 0); if set:
             grid-size x u16 frequencies (re-fitted to a 2**15 total when read)
             symbol count u64 (= rows * cols) | payload length u64 | payload bytes
@@ -31,9 +31,13 @@ Compressed model (".cwm"):
             dtype u8 (0 = float32) | ndim u8 | dims u32 x ndim
             data length u64 (= 4 * prod(dims)) | raw bytes
 
-Reported bits per weight divide 8x the quantized records' bytes (headers
-plus payloads) by the number of quantized parameters; raw records and the
-file preamble are excluded.
+A tensor entry and a raw record share the dtype/ndim/dims header, written
+by ``_tensor_header`` and read by ``_Reader.shape``. A quantized record's
+bytes up to its payload are defined in one place,
+:meth:`QuantizedRecord.header`: the writer emits them, and header sizes are
+measured from them. Reported bits per weight divide 8x the quantized
+records' bytes (headers plus payloads) by the number of quantized
+parameters; raw records and the file preamble are excluded.
 
 Readers check every length and count against the bytes actually present
 (a grid size must lie in ``[2, 2**15]``) and raise ParseError with the
@@ -70,14 +74,8 @@ _SCAN_CODES = {ROW_MAJOR: 0, COLUMN_MAJOR: 1}
 _SCAN_NAMES = {v: n for n, v in _SCAN_CODES.items()}
 _MODEL_CODES = {entropy.STATIC: 0, entropy.ADAPTIVE: 1, entropy.CONTEXT: 2}
 _MODEL_NAMES = {v: n for n, v in _MODEL_CODES.items()}
-# A quantized record's header is its name, its static table if any, and
-# these fixed fields: name length and kind; rows, cols, grid size, scan,
-# model, scale; has-table flag; symbol count and payload length.
-_QUANT_FIELDS = "<IIIBBH"
-_QUANT_COUNTS = "<QQ"
-_QUANT_FIXED_BYTES = (
-    struct.calcsize("<HB") + struct.calcsize(_QUANT_FIELDS) + 1 + struct.calcsize(_QUANT_COUNTS)
-)
+_QUANT_FIELDS = "<IIIBBe"  # rows, cols, grid size, scan, model, binary16 step
+_QUANT_COUNTS = "<QQ"  # symbol count, payload length
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +123,23 @@ def atomic_output(path):
         raise
 
 
+def _name_bytes(name: str) -> bytes:
+    """A name as :meth:`_Reader.name` reads it: u16 length, then UTF-8."""
+    raw = name.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def _tensor_header(shape: Tuple[int, ...]) -> bytes:
+    """A float32 tensor's header as :meth:`_Reader.shape` reads it:
+    dtype u8 | ndim u8 | dims u32 x ndim."""
+    return struct.pack(f"<BB{len(shape)}I", _DTYPE_F32, len(shape), *shape)
+
+
 def write_tensor_file(tf: TensorFile, path) -> None:
     with atomic_output(path) as fh:
         fh.write(TENSOR_MAGIC + struct.pack("<HI", TENSOR_VERSION, len(tf.entries)))
         for name, arr in tf.entries.items():
-            raw = name.encode("utf-8")
-            fh.write(
-                struct.pack("<H", len(raw)) + raw
-                + struct.pack("<BB", _DTYPE_F32, arr.ndim)
-                + struct.pack(f"<{arr.ndim}I", *arr.shape)
-            )
+            fh.write(_name_bytes(name) + _tensor_header(arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f4").data)  # no copy on little-endian hosts
 
 
@@ -171,6 +176,33 @@ class _Reader:
                 f"{self.what}: name at byte offset {at} is not valid UTF-8"
             ) from exc
 
+    def shape(self) -> Tuple[int, ...]:
+        """A tensor header: dtype u8 (float32 only), ndim u8, dims u32 x ndim."""
+        dtype, ndim = self.unpack("<BB")
+        if dtype != _DTYPE_F32:
+            raise ParseError(
+                f"{self.what}: unknown dtype code {dtype} at byte offset {self.pos - 2}"
+            )
+        return self.unpack(f"<{ndim}I")
+
+
+def _open_container(path, magic: bytes, version: int, what: str) -> Tuple[_Reader, int]:
+    """A reader past ``path``'s checked preamble (magic | version u16 |
+    count u32), and the count."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    r = _Reader(data, str(path))
+    if r.take(4) != magic:
+        raise ParseError(
+            f"{path}: bad magic at byte offset 0 (expected {magic.decode('ascii')})"
+        )
+    found, count = r.unpack("<HI")
+    if found != version:
+        raise ParseError(
+            f"{path}: unsupported {what} version {found}; supported: {version}"
+        )
+    return r, count
+
 
 def _float32_view(raw: bytes, shape: Tuple[int, ...], what: str) -> np.ndarray:
     """``raw`` as a little-endian float32 array of ``shape``, without a copy.
@@ -186,26 +218,11 @@ def _float32_view(raw: bytes, shape: Tuple[int, ...], what: str) -> np.ndarray:
 
 def load_tensor_file(path) -> TensorFile:
     """Parse a tensor container; validates magic, version, shapes and values."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data, str(path))
-    if r.take(4) != TENSOR_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0 (expected TNSR)")
-    version, count = r.unpack("<HI")
-    if version != TENSOR_VERSION:
-        raise ParseError(
-            f"{path}: unsupported tensor container version {version}; "
-            f"supported: {TENSOR_VERSION}"
-        )
+    r, count = _open_container(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor container")
     tf = TensorFile()
     for _ in range(count):
         name = r.name()
-        dtype, ndim = r.unpack("<BB")
-        if dtype != _DTYPE_F32:
-            raise ParseError(
-                f"{path}: unknown dtype code {dtype} at byte offset {r.pos - 2}"
-            )
-        shape = r.unpack(f"<{ndim}I")
+        shape = r.shape()
         at = r.pos
         what = f"{path}: tensor {name!r} at byte offset {at}"
         a = _float32_view(r.take(4 * math.prod(shape)), shape, what)
@@ -229,7 +246,7 @@ class QuantizedRecord:
     grid_size: int
     scan_order: str
     model_kind: str
-    scale16_bits: int  # raw binary16 bit pattern of the grid step
+    step: float  # the grid step, stored as binary16
     static_freqs: Optional[np.ndarray]
     symbol_count: int
     payload: bytes
@@ -239,13 +256,24 @@ class QuantizedRecord:
         return self.rows * self.cols
 
     def grid(self) -> Grid:
-        (step,) = struct.unpack("<e", struct.pack("<H", self.scale16_bits))
-        return grid_from_scale(self.grid_size, float(step))
+        return grid_from_scale(self.grid_size, self.step)
+
+    def header(self) -> bytes:
+        """The record's serialized bytes up to its payload."""
+        has_table = self.static_freqs is not None
+        table = np.asarray(self.static_freqs, dtype="<u2").tobytes() if has_table else b""
+        fields = (self.rows, self.cols, self.grid_size, _SCAN_CODES[self.scan_order],
+                  _MODEL_CODES[self.model_kind], self.step)
+        return (
+            _name_bytes(self.name) + struct.pack("<B", _KIND_QUANTIZED)
+            + struct.pack(_QUANT_FIELDS, *fields)
+            + struct.pack("<B", has_table) + table
+            + struct.pack(_QUANT_COUNTS, self.symbol_count, len(self.payload))
+        )
 
     def header_bytes(self) -> int:
         """Serialized size of the record minus its payload bytes."""
-        table = 0 if self.static_freqs is None else 2 * len(self.static_freqs)
-        return _QUANT_FIXED_BYTES + len(self.name.encode("utf-8")) + table
+        return len(self.header())
 
     def model(self):
         """Fresh entropy model for decoding this record."""
@@ -286,7 +314,6 @@ Record = Union[QuantizedRecord, RawRecord]
 
 @dataclass
 class CompressedModel:
-    version: int = COMPRESSED_VERSION
     records: List[Record] = field(default_factory=list)
 
     def quantized(self) -> List[QuantizedRecord]:
@@ -308,68 +335,34 @@ def bits_per_weight(total_bytes: int, param_count: int) -> float:
     return 8.0 * total_bytes / param_count
 
 
-def scale16_bits(step: float) -> int:
-    """Binary16 bit pattern of a grid step."""
-    return struct.unpack("<H", struct.pack("<e", np.float16(step)))[0]
-
-
 def _encode_record(rec: Record) -> bytes:
-    blob = bytearray()
-    raw_name = rec.name.encode("utf-8")
-    blob += struct.pack("<H", len(raw_name)) + raw_name
     if isinstance(rec, QuantizedRecord):
-        blob += struct.pack("<B", _KIND_QUANTIZED)
-        blob += struct.pack(
-            _QUANT_FIELDS,
-            rec.rows,
-            rec.cols,
-            rec.grid_size,
-            _SCAN_CODES[rec.scan_order],
-            _MODEL_CODES[rec.model_kind],
-            rec.scale16_bits,
-        )
-        if rec.static_freqs is not None:
-            blob += struct.pack("<B", 1)
-            blob += np.asarray(rec.static_freqs, dtype="<u2").tobytes()
-        else:
-            blob += struct.pack("<B", 0)
-        blob += struct.pack(_QUANT_COUNTS, rec.symbol_count, len(rec.payload))
-        blob += rec.payload
-    else:
-        blob += struct.pack("<B", _KIND_RAW)
-        blob += struct.pack("<BB", _DTYPE_F32, len(rec.shape))
-        blob += struct.pack(f"<{len(rec.shape)}I", *rec.shape)
-        blob += struct.pack("<Q", len(rec.data))
-        blob += rec.data
-    return bytes(blob)
+        return rec.header() + rec.payload
+    return (
+        _name_bytes(rec.name)
+        + struct.pack("<B", _KIND_RAW)
+        + _tensor_header(rec.shape)
+        + struct.pack("<Q", len(rec.data))
+        + rec.data
+    )
 
 
 def write_compressed(model: CompressedModel, path) -> None:
     with atomic_output(path) as fh:
-        fh.write(COMPRESSED_MAGIC + struct.pack("<HI", model.version, len(model.records)))
+        fh.write(COMPRESSED_MAGIC + struct.pack("<HI", COMPRESSED_VERSION, len(model.records)))
         for rec in model.records:
             fh.write(_encode_record(rec))
 
 
 def read_compressed(path) -> CompressedModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data, str(path))
-    if r.take(4) != COMPRESSED_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0 (expected CERW)")
-    version, count = r.unpack("<HI")
-    if version != COMPRESSED_VERSION:
-        raise ParseError(
-            f"{path}: unsupported compressed-model version {version}; "
-            f"supported: {COMPRESSED_VERSION}"
-        )
-    model = CompressedModel(version=version)
+    r, count = _open_container(path, COMPRESSED_MAGIC, COMPRESSED_VERSION, "compressed-model")
+    model = CompressedModel()
     for _ in range(count):
         name = r.name()
         (kind,) = r.unpack("<B")
         if kind == _KIND_QUANTIZED:
             grid_at = r.pos + 8  # after rows and cols
-            rows, cols, grid_size, scan, mkind, scale_bits = r.unpack(_QUANT_FIELDS)
+            rows, cols, grid_size, scan, mkind, step = r.unpack(_QUANT_FIELDS)
             if not 2 <= grid_size <= entropy.TOTAL:
                 raise ParseError(
                     f"{path}: record {name!r} has grid size {grid_size} at byte "
@@ -380,6 +373,10 @@ def read_compressed(path) -> CompressedModel:
             if mkind not in _MODEL_NAMES:
                 raise ParseError(f"{path}: unknown model code {mkind} before offset {r.pos}")
             model_kind = _MODEL_NAMES[mkind]
+            if not math.isfinite(step):  # no writer stores one; a NaN would not re-write exactly
+                raise ParseError(
+                    f"{path}: record {name!r} has a non-finite grid step before offset {r.pos}"
+                )
             (has_static,) = r.unpack("<B")
             if has_static != (model_kind == entropy.STATIC):
                 raise ParseError(
@@ -412,19 +409,14 @@ def read_compressed(path) -> CompressedModel:
                     grid_size=grid_size,
                     scan_order=_SCAN_NAMES[scan],
                     model_kind=model_kind,
-                    scale16_bits=scale_bits,
+                    step=step,
                     static_freqs=static_freqs,
                     symbol_count=symbol_count,
                     payload=payload,
                 )
             )
         elif kind == _KIND_RAW:
-            dtype, ndim = r.unpack("<BB")
-            if dtype != _DTYPE_F32:
-                raise ParseError(
-                    f"{path}: unknown dtype code {dtype} at byte offset {r.pos - 2}"
-                )
-            shape = r.unpack(f"<{ndim}I")
+            shape = r.shape()
             (length,) = r.unpack("<Q")
             at = r.pos
             raw = r.take(length)

@@ -35,7 +35,6 @@ from .modelio import (
     RawRecord,
     TensorFile,
     atomic_output,
-    scale16_bits,
 )
 
 log = logging.getLogger("cerwu")
@@ -72,6 +71,20 @@ def _file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def _activations(calib_tf: TensorFile, name: str, m: int) -> np.ndarray:
+    """Layer ``name``'s calibration activations, checked to be m x p."""
+    act_name = name + ACTIVATION_SUFFIX
+    if act_name not in calib_tf:
+        raise InputError(
+            f"missing calibration activations for layer {name!r} "
+            f"(expected entry {act_name!r})"
+        )
+    x = calib_tf[act_name]
+    if x.ndim != 2 or x.shape[0] != m:
+        raise ShapeError(f"activations for {name!r} must be {m} x p, got {x.shape}")
+    return x
+
+
 def collect_hessians(
     model_tf: TensorFile,
     calib_tf: TensorFile,
@@ -101,18 +114,8 @@ def collect_hessians(
 
     hessians = {}
     for name in names:
-        act_name = name + ACTIVATION_SUFFIX
-        if act_name not in calib_tf:
-            raise InputError(
-                f"missing calibration activations for layer {name!r} "
-                f"(expected entry {act_name!r})"
-            )
-        x = calib_tf[act_name].astype(np.float64)
         m = _layer_weight_matrix(model_tf[name]).shape[1]
-        if x.ndim != 2 or x.shape[0] != m:
-            raise ShapeError(
-                f"activations for {name!r} must be {m} x p, got {x.shape}"
-            )
+        x = _activations(calib_tf, name, m).astype(np.float64)
         hessians[name] = accumulate_hessian([x])
 
     if cache_path is not None and digest is not None:
@@ -194,7 +197,7 @@ def compress_model(
             grid_size=grid.size,
             scan_order=config.scan_order,
             model_kind=config.model_kind,
-            scale16_bits=scale16_bits(grid.step),
+            step=grid.step,
             static_freqs=model.counts,
             symbol_count=payload.symbol_count,
             payload=payload.data,
@@ -242,6 +245,8 @@ def _bias_name(weight_name: str) -> str:
 def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
     """Feed-forward pass through the dense layers in name order."""
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"features must be samples x inputs, got shape {x.shape}")
     names = quantizable_names(model_tf)
     if not names:
         raise InputError("model has no dense layers to run")
@@ -255,6 +260,8 @@ def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
         x = x @ w.T
         bias = _bias_name(name)
         if bias in model_tf:
+            if model_tf[bias].shape != (w.shape[0],):
+                raise ShapeError(f"bias {bias!r} must have shape ({w.shape[0]},)")
             x = x + model_tf[bias].astype(np.float64)
         if pos + 1 < len(names):
             x = np.maximum(x, 0.0)
@@ -293,19 +300,14 @@ def evaluate_model(
     for name in quantizable_names(model_tf):
         if name not in recon_tf:
             raise InputError(f"reconstruction is missing layer {name!r}")
-        act_name = name + ACTIVATION_SUFFIX
-        if act_name not in calib_tf:
-            raise InputError(
-                f"missing calibration activations for layer {name!r} "
-                f"(expected entry {act_name!r})"
-            )
         w = _layer_weight_matrix(model_tf[name])
+        x = _activations(calib_tf, name, w.shape[1])
         what = _layer_weight_matrix(recon_tf[name])
         if what.shape != w.shape:
             raise ShapeError(f"shape mismatch for layer {name!r}")
         # The float64 copy of the activations dies with this statement, so
         # it is not held through the next layer or the accuracy pass.
-        err = (w - what) @ calib_tf[act_name].astype(np.float64)
+        err = (w - what) @ x.astype(np.float64)
         losses[name] = float(np.sum(err * err))
     acc = accuracy(recon_tf, test_tf) if test_tf is not None else None
     bpw = compressed.bits_per_weight() if compressed is not None else None

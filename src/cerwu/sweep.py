@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,17 +24,33 @@ from .pipeline import (
     evaluate_model,
 )
 
-CSV_COLUMNS = (
-    "lambda",
-    "grid_size",
-    "scan_order",
-    "model_kind",
-    "bpw",
-    "layer_loss",
-    "accuracy",
-    "wall_ms",
-    "error",
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not finite")
+    return value
+
+
+def _optional(cell: str) -> Optional[float]:
+    """A measurement: empty when it was not taken."""
+    return _finite(cell) if cell else None
+
+
+# The sweep CSV, one entry per column: header, SweepPoint field, and the
+# parser of the cell's text.
+_CSV_LAYOUT = (
+    ("lambda", "lam", _finite),
+    ("grid_size", "grid_size", int),
+    ("scan_order", "scan_order", str),
+    ("model_kind", "model_kind", str),
+    ("bpw", "bits_per_weight", _optional),
+    ("layer_loss", "layer_loss", _optional),
+    ("accuracy", "accuracy", _optional),
+    ("wall_ms", "wall_ms", _optional),
+    ("error", "error", str),
 )
+CSV_COLUMNS = tuple(header for header, _, _ in _CSV_LAYOUT)
 
 # Default trade-off sweep: 10^-8 .. 10^-1 at half-decade steps.
 DEFAULT_LAMBDAS = tuple(10.0**e for e in np.arange(-8.0, -0.75, 0.5))
@@ -74,24 +92,14 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     so duplicates survive. Result is sorted by rate ascending (original
     order within equal rates) and is idempotent under re-application.
     """
-    pts = [p for p in points if not p.error]
-    order = sorted(range(len(pts)), key=lambda i: pts[i].rate())
+    pts = sorted((p for p in points if not p.error), key=SweepPoint.rate)
     kept: List[SweepPoint] = []
-    best = -np.inf
-    i = 0
-    while i < len(order):
-        # process one equal-rate group against the running best
-        j = i
-        rate = pts[order[i]].rate()
-        group = []
-        while j < len(order) and pts[order[j]].rate() == rate:
-            group.append(order[j])
-            j += 1
-        for idx in sorted(group):
-            if pts[idx].objective() > best:
-                kept.append(pts[idx])
-        best = max(best, max(pts[idx].objective() for idx in group))
-        i = j
+    best = -math.inf
+    for _, group in itertools.groupby(pts, key=SweepPoint.rate):
+        # an equal-rate group is judged against the best at lower rates only
+        group = list(group)
+        kept += [p for p in group if p.objective() > best]
+        best = max([best] + [p.objective() for p in group])
     return kept
 
 
@@ -103,26 +111,21 @@ def _run_config(model_tf, hessians, config, method, calib_tf, test_tf) -> SweepP
         ev = evaluate_model(
             model_tf, recon, calib_tf, test_tf, compressed=report.compressed
         )
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        return SweepPoint(
-            lam=config.lam,
-            grid_size=config.grid_size,
-            scan_order=config.scan_order,
-            model_kind=config.model_kind,
+        outcome = dict(
             bits_per_weight=ev.bits_per_weight,
             layer_loss=ev.total_loss,
             accuracy=ev.accuracy,
-            wall_ms=wall_ms,
         )
     except Exception as exc:
-        return SweepPoint(
-            lam=config.lam,
-            grid_size=config.grid_size,
-            scan_order=config.scan_order,
-            model_kind=config.model_kind,
-            wall_ms=1000.0 * (time.perf_counter() - t0),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcome = dict(error=f"{type(exc).__name__}: {exc}")
+    return SweepPoint(
+        lam=config.lam,
+        grid_size=config.grid_size,
+        scan_order=config.scan_order,
+        model_kind=config.model_kind,
+        wall_ms=1000.0 * (time.perf_counter() - t0),
+        **outcome,
+    )
 
 
 # A pool worker's copy of the inputs every configuration shares:
@@ -212,43 +215,29 @@ def points_to_csv(points: Sequence[SweepPoint]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for p in points:
-        writer.writerow(
-            [
-                _fmt(p.lam),
-                _fmt(p.grid_size),
-                p.scan_order,
-                p.model_kind,
-                _fmt(p.bits_per_weight),
-                _fmt(p.layer_loss),
-                _fmt(p.accuracy),
-                _fmt(p.wall_ms),
-                p.error,
-            ]
-        )
+        writer.writerow([_fmt(getattr(p, name)) for _, name, _ in _CSV_LAYOUT])
     return buf.getvalue()
 
 
 def points_from_csv(text: str) -> List[SweepPoint]:
+    """Parse a sweep CSV; a malformed row raises InputError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_COLUMNS:
-        raise InputError(f"unexpected CSV header {header!r}")
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        lam, k, scan, kind, bpw, loss, acc, wall, err = row
-        points.append(
-            SweepPoint(
-                lam=float(lam),
-                grid_size=int(k),
-                scan_order=scan,
-                model_kind=kind,
-                bits_per_weight=float(bpw) if bpw else None,
-                layer_loss=float(loss) if loss else None,
-                accuracy=float(acc) if acc else None,
-                wall_ms=float(wall) if wall else None,
-                error=err,
-            )
-        )
-    return points
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise InputError(f"unexpected CSV header {header!r}")
+        return [_csv_point(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise InputError(f"CSV line {reader.line_num}: {exc}") from exc
+
+
+def _csv_point(line: int, row: List[str]) -> SweepPoint:
+    if len(row) != len(_CSV_LAYOUT):
+        raise InputError(f"CSV line {line}: expected {len(_CSV_LAYOUT)} fields, got {len(row)}")
+    fields = {}
+    for cell, (header, name, parse) in zip(row, _CSV_LAYOUT):
+        try:
+            fields[name] = parse(cell)
+        except ValueError as exc:
+            raise InputError(f"CSV line {line}: column {header}: {exc}") from exc
+    return SweepPoint(**fields)

@@ -8,7 +8,7 @@ from cerwu import modelio
 from cerwu.cli import main
 from cerwu.modelio import (
     CompressedModel, QuantizedRecord, RawRecord, TensorFile, load_tensor_file,
-    read_compressed, scale16_bits, write_compressed, write_tensor_file,
+    read_compressed, write_compressed, write_tensor_file,
 )
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
 
@@ -149,6 +149,29 @@ class TestErrors:
         assert rc == 1
         assert "alpha.weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["activation-height", "1-d-features", "bias-length"])
+    def test_eval_input_shapes_are_input_errors(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(7)
+        model_path, calib_path = write_diag_model(tmp_path, rng)  # fc0.weight is 4 x 6
+        test = TensorFile()
+        test.add("test.labels", np.zeros(1))
+        test.add("test.features", rng.normal(size=6 if bad == "1-d-features" else (1, 6)))
+        if bad == "activation-height":
+            calib = TensorFile()
+            calib.add("fc0.weight.activations", rng.normal(size=(5, 8)))
+            write_tensor_file(calib, calib_path)
+        elif bad == "bias-length":
+            model = load_tensor_file(model_path)
+            model.add("fc0.bias", np.zeros(3))
+            write_tensor_file(model, model_path)
+        test_path = tmp_path / "test.tns"
+        write_tensor_file(test, test_path)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--compressed", str(model_path),
+                     "--calib", str(calib_path), "--test", str(test_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_container_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.tns"
         bad.write_bytes(b"garbage!")
@@ -183,7 +206,7 @@ class TestErrors:
         rec = QuantizedRecord(
             name="huge.weight", rows=2**20, cols=2**20, grid_size=9,
             scan_order="row-major", model_kind="context",
-            scale16_bits=scale16_bits(0.1), static_freqs=None,
+            step=0.1, static_freqs=None,
             symbol_count=2**40, payload=b"\xff" * 2**21,
         )
         path = tmp_path / "huge.cwm"
@@ -200,7 +223,7 @@ class TestErrors:
         rec = QuantizedRecord(
             name="fc0.weight", rows=2, cols=2, grid_size=grid_size,
             scan_order="row-major", model_kind="context",
-            scale16_bits=scale16_bits(0.1), static_freqs=None,
+            step=0.1, static_freqs=None,
             symbol_count=4, payload=bytes(16),
         )
         path = tmp_path / "grid.cwm"

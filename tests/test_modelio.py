@@ -20,7 +20,6 @@ from cerwu.modelio import (
     bits_per_weight,
     load_tensor_file,
     read_compressed,
-    scale16_bits,
     write_compressed,
     write_tensor_file,
 )
@@ -111,7 +110,7 @@ def _quantized_record(rng, name="layer", model_kind=CONTEXT, k=5, n=6, m=8, lam=
         grid_size=k,
         scan_order=ROW_MAJOR,
         model_kind=model_kind,
-        scale16_bits=scale16_bits(result.quantized.grid.step),
+        step=result.quantized.grid.step,
         static_freqs=model.counts if model_kind == STATIC else None,
         symbol_count=payload.symbol_count,
         payload=payload.data,
@@ -226,7 +225,7 @@ class TestCompressedModel:
     def test_grid_size_bounds(self, tmp_path, grid_size):
         rec = QuantizedRecord(
             name="q", rows=1, cols=2, grid_size=grid_size, scan_order=ROW_MAJOR,
-            model_kind=CONTEXT, scale16_bits=scale16_bits(0.1), static_freqs=None,
+            model_kind=CONTEXT, step=0.1, static_freqs=None,
             symbol_count=2, payload=bytes(16),
         )
         path = tmp_path / "g.cwm"
@@ -237,6 +236,18 @@ class TestCompressedModel:
             # preamble 10, name length 2, name 1, kind 1, rows 4, cols 4
             with pytest.raises(ParseError, match="grid size .* at byte offset 22"):
                 read_compressed(path)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_non_finite_step_rejected(self, tmp_path, step):
+        rec = QuantizedRecord(
+            name="q", rows=1, cols=2, grid_size=5, scan_order=ROW_MAJOR,
+            model_kind=CONTEXT, step=step, static_freqs=None,
+            symbol_count=2, payload=bytes(16),
+        )
+        path = tmp_path / "s.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        with pytest.raises(ParseError, match="'q' has a non-finite grid step"):
+            read_compressed(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cwm"
@@ -266,12 +277,15 @@ class TestCompressedModel:
         result, payload, model = compress_layer(w, h, cfg)
         rec = QuantizedRecord(
             name="z", rows=2, cols=2, grid_size=5, scan_order=ROW_MAJOR,
-            model_kind="adaptive",
-            scale16_bits=scale16_bits(result.quantized.grid.step),
+            model_kind="adaptive", step=result.quantized.grid.step,
             static_freqs=None, symbol_count=4, payload=payload.data,
         )
-        assert rec.scale16_bits == 0
+        # the scale sits before the table flag (1 byte) and the counts (16)
+        assert rec.header()[-19:-17] == b"\x00\x00"
         assert rec.grid().step == result.quantized.grid.step
+        path = tmp_path / "z.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        assert read_compressed(path).quantized()[0].grid().step == result.quantized.grid.step
 
 
 @pytest.mark.parametrize("what", ["tns", "cwm", "hcache"])

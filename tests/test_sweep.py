@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cerwu.cli import main
 from cerwu.errors import InputError
 from cerwu.grids import ROW_MAJOR
 from cerwu.sweep import (
@@ -108,6 +109,21 @@ class TestCsv:
     def test_header_validated(self):
         with pytest.raises(InputError):
             points_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("row, error", [
+        (b"0.01,9,row-major,adaptive", "CSV line 2"),  # short row
+        (b"abc,9,row-major,adaptive,1.5,0.1,0.9,1.0,", "CSV line 2"),
+        (b"0.01,9,row-major,adaptive,nan,0.1,0.9,1.0,", "CSV line 2"),
+        (b'"' + b"x" * 200_000 + b'"', "CSV line 2"),  # beyond the csv module's field limit
+        (b"0.01,9,row-major,adaptive,1.5,0.1,0.9,1.0,\xff", "not UTF-8"),
+    ], ids=["short-row", "lambda-abc", "bpw-nan", "huge-field", "not-utf8"])
+    def test_pareto_rejects_malformed_row(self, tmp_path, capsys, row, error):
+        csv_in = tmp_path / "sweep.csv"
+        csv_in.write_bytes(",".join(CSV_COLUMNS).encode() + b"\n" + row + b"\n")
+        argv = ["pareto", "--csv-in", str(csv_in), "--csv-out", str(tmp_path / "front.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and error in err and "Traceback" not in err
 
     def test_full_float_precision(self):
         p = _pt(1.0 / 3.0, 2.0 / 3.0)
