@@ -10,7 +10,6 @@ from .engine import (
     LayerResult,
     compress_layer,
     quantize_layer,
-    rtn_layer,
 )
 from .entropy import (
     ADAPTIVE,
@@ -109,7 +108,6 @@ __all__ = [
     "quantize_layer",
     "read_compressed",
     "round_to_nearest",
-    "rtn_layer",
     "run_sweep",
     "write_compressed",
     "write_tensor_file",

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import entropy
-from .engine import CompressionConfig, GAMMA_STANDARD, GAMMA_ZERO
+from .engine import GAMMA_STANDARD, GAMMA_ZERO, METHOD_CERWU, METHODS, CompressionConfig
 from .errors import CerwuError, InputError
 from .grids import COLUMN_MAJOR, ROW_MAJOR, build_grid
 from .linalg import DEFAULT_DAMPING
@@ -29,8 +29,6 @@ from .modelio import (
     write_tensor_file,
 )
 from .pipeline import (
-    METHOD_CERWU,
-    METHODS,
     collect_hessians,
     compress_model,
     decompress_model,
@@ -84,17 +82,23 @@ def _load_model_and_calibration(args):
     return model_tf, calib_tf, hessians
 
 
-def cmd_compress(args) -> int:
-    model_tf, _, hessians = _load_model_and_calibration(args)
-    config = CompressionConfig(
+def _config(args) -> CompressionConfig:
+    """The run configuration that :func:`_add_engine_flags` describes."""
+    return CompressionConfig(
         lam=args.lam,
         grid_size=args.grid_size,
         scan_order=args.scan_order,
         model_kind=args.model_kind,
         damping_delta=args.delta,
         gamma_mode=args.gamma_mode,
+        method=args.method,
     )
-    report = compress_model(model_tf, hessians, config, method=args.method)
+
+
+def cmd_compress(args) -> int:
+    config = _config(args)  # a bad flag is reported before any Hessian work
+    model_tf, _, hessians = _load_model_and_calibration(args)
+    report = compress_model(model_tf, hessians, config)
     write_compressed(report.compressed, args.out)
     for st in report.layers:
         print(
@@ -200,15 +204,12 @@ def cmd_oracle(args) -> int:
     from .linalg import accumulate_hessian
     from .oracle import brute_force_minimize, evaluate_objective
 
+    config = _config(args)
     rng = np.random.default_rng(args.seed)
     w = rng.normal(size=(args.rows, args.cols))
     x = rng.normal(size=(args.cols, 4 * args.cols))
     hessian = accumulate_hessian([x])
     grid = build_grid(w, args.grid_size)
-    config = CompressionConfig(
-        lam=args.lam, grid_size=args.grid_size, scan_order=args.scan_order,
-        model_kind=args.model_kind, damping_delta=args.delta,
-    )
     factory = model_spec_for(w, grid, config).fresh
     best_layer, best = brute_force_minimize(
         w, x, grid, args.lam, factory, scan_order=args.scan_order

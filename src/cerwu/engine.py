@@ -72,6 +72,11 @@ from 5 to 33; the window widens as ``lam`` grows (6 of 9 levels at
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
 choices but removes the Gaussian regularization from the updates.
+
+:func:`compress_layer` is the one per-layer entry for both methods of
+:class:`CompressionConfig`: ``cerwu`` is the walk above, and ``rtn``, the
+baseline the paper compares against, takes the nearest levels without
+weight updates. Both then share the grid, the entropy model and the coder.
 """
 
 from __future__ import annotations
@@ -95,13 +100,22 @@ from .grids import (
     build_grid,
     from_scan_order,
     in_scan_order,
+    nearest_indices,
+    round_to_nearest,
 )
-from .linalg import DEFAULT_DAMPING, LayerContext, as_matrix, build_context, compute_gamma
+from .linalg import (DEFAULT_DAMPING, LayerContext, as_matrix, build_context,
+                     check_finite_nonnegative, compute_gamma)
 # ``encode`` stays importable from here: perfbench/tracing.py wraps engine.encode.
 from .rangecoder import Payload, encode, encode_intervals  # noqa: F401
 
 GAMMA_STANDARD = "standard"
 GAMMA_ZERO = "zero"
+
+# The paper's rate-aware quantizer with weight updates, and the baseline it
+# is compared with: nearest levels, then the same entropy coding.
+METHOD_CERWU = "cerwu"
+METHOD_RTN = "rtn"
+METHODS = (METHOD_CERWU, METHOD_RTN)
 
 # Cholesky diagonals at or below this are treated as degenerate
 # (distortion-insensitive direction).
@@ -126,7 +140,9 @@ class CompressionConfig:
     """Knobs for one compression run.
 
     ``lam=0`` reproduces the rate-oblivious ablation; ``gamma_mode="zero"``
-    reproduces the unregularized-update ablation.
+    reproduces the unregularized-update ablation; ``method="rtn"`` is the
+    nearest-level baseline, which ignores ``lam``, ``damping_delta`` and
+    ``gamma_mode`` but not their checks.
     """
 
     lam: float
@@ -135,10 +151,11 @@ class CompressionConfig:
     model_kind: str = entropy.ADAPTIVE
     damping_delta: float = DEFAULT_DAMPING
     gamma_mode: str = GAMMA_STANDARD
+    method: str = METHOD_CERWU
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ShapeError("lam must be nonnegative")
+        check_finite_nonnegative(self.lam, "lam")
+        check_finite_nonnegative(self.damping_delta, "damping_delta")
         if self.grid_size < 2:
             raise ShapeError("grid_size must be >= 2")
         if self.scan_order not in SCAN_ORDERS:
@@ -147,6 +164,8 @@ class CompressionConfig:
             raise ShapeError(f"unknown model kind {self.model_kind!r}")
         if self.gamma_mode not in (GAMMA_STANDARD, GAMMA_ZERO):
             raise ShapeError(f"unknown gamma mode {self.gamma_mode!r}")
+        if self.method not in METHODS:
+            raise ShapeError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
 
 @dataclass
@@ -431,8 +450,6 @@ def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyMod
     """
     counts = None
     if config.model_kind == entropy.STATIC:
-        from .grids import nearest_indices
-
         w = as_matrix(weights, "weights")
         counts = np.bincount(nearest_indices(w, grid).ravel(), minlength=grid.size)
     return make_model(config.model_kind, grid.size, static_counts=counts)
@@ -441,8 +458,12 @@ def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyMod
 def compress_layer(
     weights, hessian, config: CompressionConfig
 ) -> Tuple[LayerResult, Payload, EntropyModel]:
-    """Quantize a layer, then range-code the coder intervals the walk
-    recorded, so the model is replayed once.
+    """Quantize a layer by ``config.method``, then range-code the coder
+    intervals the quantizer recorded, so the model is replayed once.
+
+    ``rtn`` leaves ``hessian`` unused and reports a zero loss delta and no
+    grid evaluations; a zero-effect ``cerwu`` configuration (``lam=0``, no
+    damping, a diagonal Hessian) gives byte-identical payloads.
 
     Returns the result, the payload and the layer's model in its initial
     state.
@@ -450,31 +471,11 @@ def compress_layer(
     w = as_matrix(weights, "weights")
     grid = build_grid(w, config.grid_size)
     model = model_spec_for(w, grid, config)
-    result = quantize_layer(w, hessian, grid, config, model=model.fresh())
+    if config.method == METHOD_RTN:
+        quantized = round_to_nearest(w, grid, config.scan_order)
+        intervals = entropy.replay_intervals(quantized.symbols_in_scan_order(), model.fresh())
+        bits = _running_total(entropy.interval_bits(*intervals))
+        result = LayerResult(quantized, bits, 0.0, 0, intervals)
+    else:
+        result = quantize_layer(w, hessian, grid, config, model=model.fresh())
     return result, encode_intervals(*result.intervals), model
-
-
-def rtn_layer(weights, config: CompressionConfig) -> Tuple[LayerResult, Payload, EntropyModel]:
-    """Nearest-level quantization plus entropy coding (no weight updates).
-
-    Shares the grid, model fitting and coding path with
-    :func:`compress_layer`, so a zero-effect engine configuration and this
-    baseline produce byte-identical payloads. One model replay gives both
-    the predicted bits and the payload.
-    """
-    from .grids import round_to_nearest
-
-    w = as_matrix(weights, "weights")
-    grid = build_grid(w, config.grid_size)
-    model = model_spec_for(w, grid, config)
-    quantized = round_to_nearest(w, grid, config.scan_order)
-    symbols = quantized.symbols_in_scan_order()
-    intervals = entropy.replay_intervals(symbols, model.fresh())
-    result = LayerResult(
-        quantized=quantized,
-        predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
-        quadratic_loss_delta=0.0,
-        grid_evaluations=0,
-        intervals=intervals,
-    )
-    return result, encode_intervals(*intervals), model

@@ -24,6 +24,7 @@ All arithmetic is 64-bit; 32-bit inputs are widened on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,6 +49,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ShapeError(f"{name}: contains non-finite entries")
     return m
+
+
+def check_finite_nonnegative(value: float, name: str) -> None:
+    """Raise ShapeError unless ``0 <= value < inf``; NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise ShapeError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +142,8 @@ def build_context(
         raise ShapeError(
             f"weights cols ({w.shape[1]}) must match hessian size ({h.shape[0]})"
         )
-    if lam < 0 or damping_delta < 0:
-        raise ShapeError("lam and damping_delta must be nonnegative")
+    check_finite_nonnegative(lam, "lam")
+    check_finite_nonnegative(damping_delta, "damping_delta")
     if gamma is None:
         gamma = compute_gamma(w)
     m = h.shape[0]

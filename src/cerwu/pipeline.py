@@ -1,5 +1,10 @@
 """Whole-model compression, decompression and evaluation.
 
+:func:`compress_model` hands every quantizable layer to
+:func:`~cerwu.engine.compress_layer` with one :class:`CompressionConfig`,
+whose ``method`` picks the rate-aware engine or the nearest-level baseline;
+only the engine needs the layer's Hessian.
+
 Conventions for the tensor containers:
 
 * every 2-D or 4-D entry in the model file is quantized and must have a
@@ -26,7 +31,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .engine import CompressionConfig, compress_layer, rtn_layer
+# Method names re-exported: perfbench/harness.py reads pipeline.METHOD_CERWU.
+from .engine import METHOD_CERWU, METHOD_RTN, METHODS  # noqa: F401
+from .engine import CompressionConfig, compress_layer
 from .errors import CerwuError, InputError, ShapeError
 from .linalg import accumulate_hessian
 from .modelio import (
@@ -40,10 +47,6 @@ from .modelio import (
 log = logging.getLogger("cerwu")
 
 ACTIVATION_SUFFIX = ".activations"
-
-METHOD_CERWU = "cerwu"
-METHOD_RTN = "rtn"
-METHODS = (METHOD_CERWU, METHOD_RTN)
 
 
 def quantizable_names(model_tf: TensorFile) -> List[str]:
@@ -161,11 +164,8 @@ def compress_model(
     model_tf: TensorFile,
     hessians: Dict[str, np.ndarray],
     config: CompressionConfig,
-    method: str = METHOD_CERWU,
 ) -> CompressionReport:
-    """Compress every quantizable tensor; store the rest raw."""
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Compress every quantizable tensor by ``config.method``; store the rest raw."""
     t0 = time.perf_counter()
     cm = CompressedModel()
     stats: List[LayerStats] = []
@@ -180,13 +180,10 @@ def compress_model(
             )
             continue
         w = _layer_weight_matrix(arr)
-        if method == METHOD_CERWU and name not in hessians:
+        if config.method == METHOD_CERWU and name not in hessians:
             raise InputError(f"no Hessian available for layer {name!r}")
         try:
-            if method == METHOD_CERWU:
-                result, payload, model = compress_layer(w, hessians[name], config)
-            else:
-                result, payload, model = rtn_layer(w, config)
+            result, payload, model = compress_layer(w, hessians.get(name), config)
         except CerwuError as exc:
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         grid = result.quantized.grid

@@ -13,16 +13,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .engine import CompressionConfig, GAMMA_STANDARD
+from .engine import METHOD_CERWU, CompressionConfig, GAMMA_STANDARD
 from .errors import InputError
 from .linalg import DEFAULT_DAMPING
 from .modelio import TensorFile
-from .pipeline import (
-    METHOD_CERWU,
-    compress_model,
-    decompress_model,
-    evaluate_model,
-)
+from .pipeline import compress_model, decompress_model, evaluate_model
 
 
 def _finite(cell: str) -> float:
@@ -103,10 +98,10 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     return kept
 
 
-def _run_config(model_tf, hessians, config, method, calib_tf, test_tf) -> SweepPoint:
+def _run_config(config, model_tf, hessians, calib_tf, test_tf) -> SweepPoint:
     t0 = time.perf_counter()
     try:
-        report = compress_model(model_tf, hessians, config, method=method)
+        report = compress_model(model_tf, hessians, config)
         recon = decompress_model(report.compressed)
         ev = evaluate_model(
             model_tf, recon, calib_tf, test_tf, compressed=report.compressed
@@ -129,7 +124,7 @@ def _run_config(model_tf, hessians, config, method, calib_tf, test_tf) -> SweepP
 
 
 # A pool worker's copy of the inputs every configuration shares:
-# (model, Hessians, method, calibration, test). Set once per worker by
+# (model, Hessians, calibration, test). Set once per worker by
 # ``_init_worker``; the process that calls ``run_sweep`` never sets it.
 _worker_inputs: tuple = ()
 
@@ -140,8 +135,7 @@ def _init_worker(*shared) -> None:
 
 
 def _run_in_worker(config: CompressionConfig) -> SweepPoint:
-    model_tf, hessians, method, calib_tf, test_tf = _worker_inputs
-    return _run_config(model_tf, hessians, config, method, calib_tf, test_tf)
+    return _run_config(config, *_worker_inputs)
 
 
 def run_sweep(
@@ -160,18 +154,20 @@ def run_sweep(
 ) -> List[SweepPoint]:
     """One point per configuration, rows in lexicographic parameter order.
 
+    ``method``, ``damping_delta`` and ``gamma_mode`` go into every
+    configuration; an invalid value raises before any configuration runs.
     A failing configuration is recorded in its row (``error`` column) and
     the sweep continues.
 
     With ``threads > 1`` the configurations run on a process pool of at
     most ``min(threads, number of configurations)`` workers; with one
     worker the sweep runs in this process. The inputs every configuration
-    shares (model, Hessians, method, calibration and test containers) go
-    to each worker once, through the pool's initializer, and each job
-    carries only its :class:`CompressionConfig`. Under the ``fork`` start
-    method the workers inherit them; under ``spawn`` and ``forkserver``
-    they are pickled once per worker. Rows are the same as a serial run's
-    but for ``wall_ms``.
+    shares (model, Hessians, calibration and test containers) go to each
+    worker once, through the pool's initializer, and each job carries only
+    its :class:`CompressionConfig`. Under the ``fork`` start method the
+    workers inherit them; under ``spawn`` and ``forkserver`` they are
+    pickled once per worker. Rows are the same as a serial run's but for
+    ``wall_ms``.
     """
     if not (lambdas and grid_sizes and scan_orders and model_kinds):
         raise InputError("every parameter list must be nonempty")
@@ -183,23 +179,21 @@ def run_sweep(
             model_kind=kind,
             damping_delta=damping_delta,
             gamma_mode=gamma_mode,
+            method=method,
         )
         for lam in sorted(set(float(v) for v in lambdas))
         for k in sorted(set(int(v) for v in grid_sizes))
         for scan in sorted(set(scan_orders))
         for kind in sorted(set(model_kinds))
     ]
+    shared = (model_tf, hessians, calib_tf, test_tf)
     workers = min(threads, len(configs))
     if workers > 1:
-        shared = (model_tf, hessians, method, calib_tf, test_tf)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool:
             return list(pool.map(_run_in_worker, configs))
-    return [
-        _run_config(model_tf, hessians, c, method, calib_tf, test_tf)
-        for c in configs
-    ]
+    return [_run_config(c, *shared) for c in configs]
 
 
 def _fmt(v) -> str:

@@ -20,7 +20,6 @@ from cerwu.engine import (
     GAMMA_ZERO,
     compress_layer,
     quantize_layer,
-    rtn_layer,
 )
 from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits
 from cerwu.grids import ROW_MAJOR, build_grid
@@ -205,10 +204,9 @@ def test_criterion_6_reduction_properties():
         w = rng.normal(size=(6, 8))
         x = np.diag(rng.uniform(0.5, 2.0, size=8))
         h = accumulate_hessian([x])
-        cfg = CompressionConfig(lam=0.0, grid_size=5, damping_delta=0.0,
-                                model_kind=CONTEXT)
-        _, p_engine, _ = compress_layer(w, h, cfg)
-        _, p_rtn, _ = rtn_layer(w, cfg)
+        cfg = dict(lam=0.0, grid_size=5, damping_delta=0.0, model_kind=CONTEXT)
+        _, p_engine, _ = compress_layer(w, h, CompressionConfig(**cfg))
+        _, p_rtn, _ = compress_layer(w, None, CompressionConfig(**cfg, method="rtn"))
         assert p_engine.data == p_rtn.data
 
     # general Hessian, lam=0: entrywise match with the independent
@@ -276,10 +274,9 @@ def _sweep_points(fix, method, gamma_mode="standard", lambdas=DEFAULT_LAMBDAS):
         for k in GRID_SIZES:
             cfg = CompressionConfig(
                 lam=float(lam), grid_size=k, scan_order=ROW_MAJOR,
-                model_kind=STATIC, gamma_mode=gamma_mode,
+                model_kind=STATIC, gamma_mode=gamma_mode, method=method,
             )
-            report_ = compress_model(fix["model"], fix["hessians"], cfg,
-                                     method=method)
+            report_ = compress_model(fix["model"], fix["hessians"], cfg)
             recon = decompress_model(report_.compressed)
             ev = evaluate_model(fix["model"], recon, fix["calib"], fix["test"],
                                 compressed=report_.compressed)
@@ -403,8 +400,8 @@ def test_criterion_11_decompression_speed(tmp_path):
     side = 1000
     model = TensorFile()
     model.add("big.weight", rng.normal(size=(side, side)) * 0.05)
-    cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=STATIC)
-    report_ = compress_model(model, {}, cfg, method="rtn")
+    cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=STATIC, method="rtn")
+    report_ = compress_model(model, {}, cfg)
     path = tmp_path / "big.cwm"
     from cerwu.modelio import read_compressed, write_compressed
 

@@ -6,10 +6,13 @@ import pytest
 
 from cerwu import modelio
 from cerwu.cli import main
+from cerwu.engine import CompressionConfig, compress_layer
+from cerwu.linalg import accumulate_hessian
 from cerwu.modelio import (
     CompressedModel, QuantizedRecord, RawRecord, TensorFile, load_tensor_file,
     read_compressed, write_compressed, write_tensor_file,
 )
+from cerwu.oracle import evaluate_objective
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
 
 from conftest import DiskFull
@@ -308,6 +311,27 @@ class TestErrors:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command,flags", [
+        ("compress", ["--lambda", "nan"]), ("compress", ["--lambda", "inf"]),
+        ("compress", ["--lambda", "-1"]), ("compress", ["--delta", "nan"]),
+        ("compress", ["--delta", "inf"]), ("compress", ["--delta", "-1"]),
+        ("sweep", ["--lambdas", "nan", "0.01"]), ("sweep", ["--delta", "inf"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-") + "=" + v[1])
+    def test_bad_lambda_or_delta_is_input_error(self, tmp_path, capsys, command, flags):
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(8))
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "compress" else "--csv-out"
+        capsys.readouterr()
+        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
+                     out_flag, str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "finite and nonnegative" in errors[0]
+        assert "Traceback" not in err and not out.exists()
+        if command == "compress":  # rejected before any Hessian work
+            assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
+
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -443,3 +467,21 @@ class TestOracleCommand:
         bf = float(out.splitlines()[0].split("total ")[1].split()[0])
         eng = float(out.splitlines()[1].split("total ")[1].split()[0])
         assert eng >= bf - 1e-9
+
+    @pytest.mark.parametrize("flags,settings", [
+        ([], {}),
+        (["--gamma-mode", "zero"], {"gamma_mode": "zero"}),
+        (["--method", "rtn"], {"method": "rtn"}),
+    ], ids=["standard", "gamma-zero", "rtn"])
+    def test_engine_line_follows_flags(self, capsys, flags, settings):
+        assert main(["oracle", "--rows", "1", "--cols", "3", "--grid-size", "3",
+                     "--lambda", "0.5", "--seed", "1", *flags]) == 0
+        engine_line = capsys.readouterr().out.splitlines()[1]
+        # the command's instance, run through compress_layer with the same settings
+        rng = np.random.default_rng(1)
+        w = rng.normal(size=(1, 3))
+        x = rng.normal(size=(3, 12))
+        cfg = CompressionConfig(lam=0.5, grid_size=3, **settings)
+        result, _, model = compress_layer(w, accumulate_hessian([x]), cfg)
+        expected = evaluate_objective(w, x, result.quantized, 0.5, model.fresh)
+        assert engine_line.startswith(f"engine:      total {expected.total:.6f} ")

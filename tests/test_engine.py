@@ -14,7 +14,6 @@ from cerwu.engine import (
     compress_layer,
     model_spec_for,
     quantize_layer,
-    rtn_layer,
 )
 from cerwu.entropy import (
     ADAPTIVE, CONTEXT, LOG2, STATIC, make_model, sequence_rate_bits,
@@ -23,6 +22,7 @@ from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
     round_to_nearest,
 )
+from cerwu.errors import ShapeError
 from cerwu.linalg import LayerContext, accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
@@ -136,11 +136,9 @@ class TestDiagonalReduction:
         w = rng.normal(size=(3, 4))
         x = np.diag(np.ones(4))
         h = accumulate_hessian([x])
-        cfg = CompressionConfig(
-            lam=0.0, grid_size=5, damping_delta=0.0, model_kind=CONTEXT
-        )
-        _, payload_engine, _ = compress_layer(w, h, cfg)
-        _, payload_rtn, _ = rtn_layer(w, cfg)
+        cfg = dict(lam=0.0, grid_size=5, damping_delta=0.0, model_kind=CONTEXT)
+        _, payload_engine, _ = compress_layer(w, h, CompressionConfig(**cfg))
+        _, payload_rtn, _ = compress_layer(w, None, CompressionConfig(**cfg, method="rtn"))
         assert payload_engine.data == payload_rtn.data
 
 
@@ -458,6 +456,32 @@ class TestCompressLayer:
                                   scan_order)
         assert np.array_equal(res.quantized.dequantize(), w)
         assert np.array_equal(back.dequantize(), w)
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
+    def test_rtn_codes_nearest_levels_without_hessian(self, kind, scan_order):
+        rng = np.random.default_rng(20)
+        w = rng.normal(size=(6, 19))
+        cfg = CompressionConfig(lam=0.03, grid_size=9, scan_order=scan_order, model_kind=kind,
+                                method="rtn")
+        res, payload, model = compress_layer(w, None, cfg)
+        nearest = round_to_nearest(w, res.quantized.grid, scan_order)
+        assert np.array_equal(res.quantized.indices, nearest.indices)
+        assert res.quadratic_loss_delta == 0.0 and res.grid_evaluations == 0
+        symbols = res.quantized.symbols_in_scan_order()
+        assert payload == encode(symbols, model.fresh())
+        assert res.predicted_rate_bits == sequence_rate_bits(symbols, model.fresh())
+
+    @pytest.mark.parametrize("field,value", [
+        ("lam", float("nan")), ("lam", float("inf")), ("lam", -1.0),
+        ("damping_delta", float("nan")), ("damping_delta", float("inf")),
+        ("damping_delta", -1.0), ("method", "gptq"),
+    ])
+    def test_config_rejects_bad_value(self, field, value):
+        settings = dict(lam=0.03, grid_size=9)
+        settings[field] = value
+        with pytest.raises(ShapeError, match=field):
+            CompressionConfig(**settings)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(15)

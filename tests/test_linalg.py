@@ -165,6 +165,14 @@ class TestBuildContext:
         with pytest.raises(ShapeError):
             build_context(np.ones((2, 3)), np.eye(4), lam=0.0)
 
+    @pytest.mark.parametrize("lam,delta", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (-1.0, 0.0),
+        (0.0, float("nan")), (0.0, float("inf")), (0.0, -1.0),
+    ])
+    def test_rejects_non_finite_or_negative_lam_and_delta(self, lam, delta):
+        with pytest.raises(ShapeError, match="finite and nonnegative"):
+            build_context(np.ones((2, 3)), np.eye(3), lam=lam, damping_delta=delta)
+
 
 def completing_square_spread(rng, n, m, lam, delta, n_samples=10):
     """Spread of the difference between the two loss forms over random

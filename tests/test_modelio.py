@@ -335,8 +335,8 @@ def sample_files(tmp_path_factory):
     model.add("fc.bias", rng.normal(size=3))
     model.add("fc.weight", rng.normal(size=(3, 4)))
     for kind in (STATIC, CONTEXT):
-        cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=kind)
-        write_compressed(compress_model(model, {}, cfg, method="rtn").compressed, d / kind)
+        cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=kind, method="rtn")
+        write_compressed(compress_model(model, {}, cfg).compressed, d / kind)
         files[kind] = (d / kind).read_bytes()
     return files
 

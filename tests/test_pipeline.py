@@ -11,7 +11,7 @@ import pytest
 from cerwu.engine import CompressionConfig
 from cerwu.entropy import CONTEXT
 from cerwu.errors import InputError, ShapeError
-from cerwu.modelio import TensorFile, write_tensor_file
+from cerwu.modelio import QuantizedRecord, TensorFile, write_tensor_file
 from cerwu.pipeline import (
     accuracy,
     collect_hessians,
@@ -133,9 +133,23 @@ class TestCompressDecompress:
         rng = np.random.default_rng(6)
         model, _ = tiny_model(rng)
         report = compress_model(
-            model, {}, CompressionConfig(lam=0.0, grid_size=5), method="rtn"
+            model, {}, CompressionConfig(lam=0.0, grid_size=5, method="rtn")
         )
         assert len(report.layers) == 2
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("static", "a77977b54bdb3bdd17273700a2e77471d2909827375a25a5ffd53a22cfd20621"),
+        ("adaptive", "528fc73a055697e7baf8e4ebbb3b1f921b48e94d0e4156c90d83305a7cadba93"),
+        ("context", "53a0852127b6384fa6f27d4c22afa8d493073df0e485d081ee2f0ddd365c9279"),
+    ], ids=["static", "adaptive", "context"])
+    def test_rtn_payloads_pinned(self, mlp_fixture, kind, digest):
+        # sha256 of the fixture's two layer payloads, concatenated: the
+        # engine-vs-baseline byte checks would miss a drift both share
+        cfg = CompressionConfig(lam=0.03, grid_size=9, model_kind=kind, method="rtn")
+        records = compress_model(mlp_fixture["model"], {}, cfg).compressed.records
+        payloads = [r.payload for r in records if isinstance(r, QuantizedRecord)]
+        assert len(payloads) == 2
+        assert hashlib.sha256(b"".join(payloads)).hexdigest() == digest
 
     def test_column_major_file_round_trip(self, tmp_path):
         from cerwu.engine import model_spec_for, quantize_layer
@@ -202,7 +216,7 @@ class TestEvaluate:
         rng = np.random.default_rng(10)
         model, calib = tiny_model(rng)
         report = compress_model(
-            model, {}, CompressionConfig(lam=0.0, grid_size=3), method="rtn"
+            model, {}, CompressionConfig(lam=0.0, grid_size=3, method="rtn")
         )
         recon = decompress_model(report.compressed)
         ev = evaluate_model(model, recon, calib)
