@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from . import entropy
-from .engine import GAMMA_STANDARD, GAMMA_ZERO, METHOD_CERWU, METHODS, CompressionConfig
+from .engine import (GAMMA_STANDARD, GAMMA_ZERO, METHOD_CERWU, METHOD_RTN, METHODS,
+                     CompressionConfig)
 from .errors import CerwuError, InputError
 from .grids import COLUMN_MAJOR, ROW_MAJOR, build_grid
 from .linalg import DEFAULT_DAMPING
@@ -40,6 +41,7 @@ from .sweep import (
     points_from_csv,
     points_to_csv,
     run_sweep,
+    sweep_configs,
 )
 
 log = logging.getLogger("cerwu")
@@ -153,22 +155,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model_tf, calib_tf, hessians = _load_model_and_calibration(args)
-    test_tf = load_tensor_file(args.test) if args.test else None
-    lambdas = args.lambdas or list(DEFAULT_LAMBDAS)
-    points = run_sweep(
-        model_tf,
-        calib_tf,
-        hessians,
-        lambdas=lambdas,
+    settings = dict(
+        lambdas=args.lambdas or list(DEFAULT_LAMBDAS),
         grid_sizes=args.grid_sizes,
         scan_orders=args.scan_orders,
         model_kinds=args.model_kinds,
-        test_tf=test_tf,
         method=args.method,
         damping_delta=args.delta,
         gamma_mode=args.gamma_mode,
-        threads=args.threads,
+    )
+    sweep_configs(**settings)  # a bad flag is reported before any Hessian work
+    model_tf, calib_tf, hessians = _load_model_and_calibration(args)
+    test_tf = load_tensor_file(args.test) if args.test else None
+    points = run_sweep(
+        model_tf, calib_tf, hessians, test_tf=test_tf, threads=args.threads, **settings
     )
     _write_csv(args.csv_out, points)
     failures = sum(1 for p in points if p.error)
@@ -198,7 +198,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # Debugging aid: exhaustive optimum vs engine on a tiny random instance.
+    # Debugging aid: exhaustive optimum vs the method on a tiny random instance.
     from .engine import compress_layer, model_spec_for
     from .grids import round_to_nearest
     from .linalg import accumulate_hessian
@@ -215,15 +215,17 @@ def cmd_oracle(args) -> int:
         w, x, grid, args.lam, factory, scan_order=args.scan_order
     )
     result, _, _ = compress_layer(w, hessian, config)
-    engine_obj = evaluate_objective(w, x, result.quantized, args.lam, factory)
-    rtn_obj = evaluate_objective(
-        w, x, round_to_nearest(w, grid, args.scan_order), args.lam, factory
-    )
+    ran = evaluate_objective(w, x, result.quantized, args.lam, factory)
     print(f"brute force: total {best.total:.6f} "
           f"(distortion {best.distortion:.6f}, rate {best.rate_bits:.3f} bits)")
-    print(f"engine:      total {engine_obj.total:.6f} "
-          f"(distortion {engine_obj.distortion:.6f}, rate {engine_obj.rate_bits:.3f} bits)")
-    print(f"nearest:     total {rtn_obj.total:.6f}")
+    # Labelled by the method that ran; rtn's line already is the nearest levels.
+    print(f"{config.method + ':':<13}total {ran.total:.6f} "
+          f"(distortion {ran.distortion:.6f}, rate {ran.rate_bits:.3f} bits)")
+    if config.method != METHOD_RTN:
+        nearest = evaluate_objective(
+            w, x, round_to_nearest(w, grid, args.scan_order), args.lam, factory
+        )
+        print(f"nearest:     total {nearest.total:.6f}")
     return 0
 
 

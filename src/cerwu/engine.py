@@ -77,6 +77,9 @@ choices but removes the Gaussian regularization from the updates.
 :class:`CompressionConfig`: ``cerwu`` is the walk above, and ``rtn``, the
 baseline the paper compares against, takes the nearest levels without
 weight updates. Both then share the grid, the entropy model and the coder.
+The walk's ``C'`` and ``W'`` come from :func:`layer_context`, which
+configurations that differ only in grid size, scan order or model kind
+can build once and share.
 """
 
 from __future__ import annotations
@@ -213,6 +216,23 @@ def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
     return out
 
 
+def layer_context(weights, hessian, config: CompressionConfig) -> LayerContext:
+    """The layer's ``C'`` and ``W'`` for ``config``'s ``lam``, ``damping_delta``
+    and ``gamma_mode``, the only settings they depend on.
+
+    Configurations that differ only in grid size, scan order or model kind
+    can share the result (:func:`compress_layer`'s ``context``).
+    """
+    w = as_matrix(weights, "weights")
+    return build_context(w, hessian, config.lam, config.damping_delta, gamma=_gamma(w, config))
+
+
+def _gamma(w: np.ndarray, config: CompressionConfig) -> float:
+    """The gamma rule: ``gamma_mode="zero"`` forces 0, otherwise
+    :func:`~cerwu.linalg.compute_gamma` of the weights."""
+    return 0.0 if config.gamma_mode == GAMMA_ZERO else compute_gamma(w)
+
+
 def quantize_layer(
     weights,
     hessian,
@@ -225,15 +245,13 @@ def quantize_layer(
 
     ``hessian`` must come from the layer's calibration activations and
     ``grid`` from its weights. A prebuilt ``model`` (fresh) or ``context``
-    may be supplied; by default they are derived from the config.
+    may be supplied; by default they are derived from the config, the
+    context by :func:`layer_context`.
     """
     w = as_matrix(weights, "weights")
     n, m = w.shape
     if context is None:
-        gamma = 0.0 if config.gamma_mode == GAMMA_ZERO else compute_gamma(w)
-        context = build_context(
-            w, hessian, config.lam, config.damping_delta, gamma=gamma
-        )
+        context = layer_context(w, hessian, config)
     if model is None:
         model = model_spec_for(w, grid, config)
     if model.k != grid.size:
@@ -456,19 +474,31 @@ def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyMod
 
 
 def compress_layer(
-    weights, hessian, config: CompressionConfig
+    weights, hessian, config: CompressionConfig, context: Optional[LayerContext] = None
 ) -> Tuple[LayerResult, Payload, EntropyModel]:
     """Quantize a layer by ``config.method``, then range-code the coder
     intervals the quantizer recorded, so the model is replayed once.
 
-    ``rtn`` leaves ``hessian`` unused and reports a zero loss delta and no
-    grid evaluations; a zero-effect ``cerwu`` configuration (``lam=0``, no
-    damping, a diagonal Hessian) gives byte-identical payloads.
+    ``rtn`` leaves ``hessian`` and ``context`` unused and reports a zero
+    loss delta and no grid evaluations; a zero-effect ``cerwu``
+    configuration (``lam=0``, no damping, a diagonal Hessian) gives
+    byte-identical payloads. ``cerwu`` takes a ``context`` that
+    :func:`layer_context` built for these weights and Hessian at the
+    config's settings, or builds it; the result is the same. A context of
+    another shape, ``lam``, ``damping_delta`` or gamma raises ShapeError.
 
     Returns the result, the payload and the layer's model in its initial
     state.
     """
     w = as_matrix(weights, "weights")
+    if context is not None and config.method == METHOD_CERWU:
+        built = (context.w_prime.shape, context.lam, context.damping_delta, context.gamma)
+        wanted = (w.shape, config.lam, config.damping_delta, _gamma(w, config))
+        if built != wanted:
+            raise ShapeError(
+                f"context built for (shape, lam, damping_delta, gamma) = {built}, "
+                f"layer needs {wanted}"
+            )
     grid = build_grid(w, config.grid_size)
     model = model_spec_for(w, grid, config)
     if config.method == METHOD_RTN:
@@ -477,5 +507,5 @@ def compress_layer(
         bits = _running_total(entropy.interval_bits(*intervals))
         result = LayerResult(quantized, bits, 0.0, 0, intervals)
     else:
-        result = quantize_layer(w, hessian, grid, config, model=model.fresh())
+        result = quantize_layer(w, hessian, grid, config, model=model.fresh(), context=context)
     return result, encode_intervals(*result.intervals), model

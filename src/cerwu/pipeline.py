@@ -33,9 +33,9 @@ import numpy as np
 
 # Method names re-exported: perfbench/harness.py reads pipeline.METHOD_CERWU.
 from .engine import METHOD_CERWU, METHOD_RTN, METHODS  # noqa: F401
-from .engine import CompressionConfig, compress_layer
+from .engine import CompressionConfig, compress_layer, layer_context
 from .errors import CerwuError, InputError, ShapeError
-from .linalg import accumulate_hessian
+from .linalg import LayerContext, accumulate_hessian
 from .modelio import (
     CompressedModel,
     QuantizedRecord,
@@ -147,7 +147,16 @@ class LayerStats:
 
 @dataclass
 class CompressionReport:
+    """A compressed model, its per-layer statistics and its reconstruction.
+
+    ``reconstruction`` holds every tensor as :func:`decompress_model` of
+    ``compressed`` returns it, bitwise, without decoding a payload: each
+    quantized layer's dequantized indices as float32 (a 4-D kernel as its
+    2-D matrix) and each raw record's stored float32 array.
+    """
+
     compressed: CompressedModel
+    reconstruction: TensorFile = field(default_factory=TensorFile)
     layers: List[LayerStats] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -160,30 +169,68 @@ class CompressionReport:
         return sum(s.quadratic_loss_delta for s in self.layers)
 
 
+def layer_contexts(
+    model_tf: TensorFile,
+    hessians: Dict[str, np.ndarray],
+    config: CompressionConfig,
+) -> Dict[str, LayerContext]:
+    """Each quantizable layer's :func:`~cerwu.engine.layer_context` at
+    ``config``'s settings, for :func:`compress_model` runs that share them.
+
+    ``rtn`` needs none. A layer without a Hessian, or whose context fails
+    to build, is left out: a compress that reaches it builds its own and
+    raises there.
+    """
+    contexts = {}
+    if config.method != METHOD_CERWU:
+        return contexts
+    for name in quantizable_names(model_tf):
+        if name in hessians:
+            try:
+                contexts[name] = layer_context(
+                    _layer_weight_matrix(model_tf[name]), hessians[name], config
+                )
+            except Exception:  # as a compress would raise it: let the compress report it
+                pass
+    return contexts
+
+
 def compress_model(
     model_tf: TensorFile,
     hessians: Dict[str, np.ndarray],
     config: CompressionConfig,
+    contexts: Optional[Dict[str, LayerContext]] = None,
 ) -> CompressionReport:
-    """Compress every quantizable tensor by ``config.method``; store the rest raw."""
+    """Compress every quantizable tensor by ``config.method``; store the rest raw.
+
+    ``contexts`` maps layer names to contexts that
+    :func:`~cerwu.engine.layer_context` built at ``config``'s ``lam``,
+    ``damping_delta`` and ``gamma_mode`` (see :func:`layer_contexts`); a
+    layer not in it builds its own. The report carries the reconstruction
+    the compressed model decodes to.
+    """
     t0 = time.perf_counter()
     cm = CompressedModel()
+    recon = TensorFile()
     stats: List[LayerStats] = []
     quant_names = set(quantizable_names(model_tf))
+    contexts = contexts or {}
 
     for name, arr in model_tf.entries.items():
         if name.endswith(ACTIVATION_SUFFIX):
             continue
         if name not in quant_names:
-            cm.records.append(
-                RawRecord(name=name, shape=arr.shape, data=arr.astype("<f4").tobytes())
-            )
+            raw = RawRecord(name=name, shape=arr.shape, data=arr.astype("<f4").tobytes())
+            cm.records.append(raw)
+            recon.add(name, raw.array())
             continue
         w = _layer_weight_matrix(arr)
         if config.method == METHOD_CERWU and name not in hessians:
             raise InputError(f"no Hessian available for layer {name!r}")
         try:
-            result, payload, model = compress_layer(w, hessians.get(name), config)
+            result, payload, model = compress_layer(
+                w, hessians.get(name), config, context=contexts.get(name)
+            )
         except CerwuError as exc:
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         grid = result.quantized.grid
@@ -200,6 +247,7 @@ def compress_model(
             payload=payload.data,
         )
         cm.records.append(rec)
+        recon.add(name, result.quantized.dequantize().astype(np.float32))
         stats.append(
             LayerStats(
                 name=name,
@@ -213,7 +261,10 @@ def compress_model(
         )
 
     return CompressionReport(
-        compressed=cm, layers=stats, wall_seconds=time.perf_counter() - t0
+        compressed=cm,
+        reconstruction=recon,
+        layers=stats,
+        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -17,7 +17,10 @@ from .engine import METHOD_CERWU, CompressionConfig, GAMMA_STANDARD
 from .errors import InputError
 from .linalg import DEFAULT_DAMPING
 from .modelio import TensorFile
-from .pipeline import compress_model, decompress_model, evaluate_model
+# ``decompress_model`` stays importable from here: perfbench/tracing.py wraps
+# sweep.decompress_model.
+from .pipeline import compress_model, decompress_model, evaluate_model  # noqa: F401
+from .pipeline import layer_contexts
 
 
 def _finite(cell: str) -> float:
@@ -98,13 +101,16 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     return kept
 
 
-def _run_config(config, model_tf, hessians, calib_tf, test_tf) -> SweepPoint:
+def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts,
+                shared_ms: float) -> SweepPoint:
+    """One row: compress with the job's ``contexts`` and evaluate the
+    report's reconstruction; ``shared_ms`` is the row's share of building
+    them."""
     t0 = time.perf_counter()
     try:
-        report = compress_model(model_tf, hessians, config)
-        recon = decompress_model(report.compressed)
+        report = compress_model(model_tf, hessians, config, contexts=contexts)
         ev = evaluate_model(
-            model_tf, recon, calib_tf, test_tf, compressed=report.compressed
+            model_tf, report.reconstruction, calib_tf, test_tf, compressed=report.compressed
         )
         outcome = dict(
             bits_per_weight=ev.bits_per_weight,
@@ -118,9 +124,21 @@ def _run_config(config, model_tf, hessians, calib_tf, test_tf) -> SweepPoint:
         grid_size=config.grid_size,
         scan_order=config.scan_order,
         model_kind=config.model_kind,
-        wall_ms=1000.0 * (time.perf_counter() - t0),
+        wall_ms=shared_ms + 1000.0 * (time.perf_counter() - t0),
         **outcome,
     )
+
+
+def _run_job(configs, model_tf, hessians, calib_tf, test_tf) -> List[SweepPoint]:
+    """Rows of configurations that share one context per layer
+    (:func:`~cerwu.pipeline.layer_contexts` of the first)."""
+    t0 = time.perf_counter()
+    contexts = layer_contexts(model_tf, hessians, configs[0])
+    shared_ms = 1000.0 * (time.perf_counter() - t0) / len(configs)
+    return [
+        _run_config(c, model_tf, hessians, calib_tf, test_tf, contexts, shared_ms)
+        for c in configs
+    ]
 
 
 # A pool worker's copy of the inputs every configuration shares:
@@ -134,8 +152,53 @@ def _init_worker(*shared) -> None:
     _worker_inputs = shared
 
 
-def _run_in_worker(config: CompressionConfig) -> SweepPoint:
-    return _run_config(config, *_worker_inputs)
+def _run_in_worker(configs: List[CompressionConfig]) -> List[SweepPoint]:
+    return _run_job(configs, *_worker_inputs)
+
+
+def sweep_configs(
+    lambdas: Sequence[float],
+    grid_sizes: Sequence[int],
+    scan_orders: Sequence[str],
+    model_kinds: Sequence[str],
+    method: str = METHOD_CERWU,
+    damping_delta: float = DEFAULT_DAMPING,
+    gamma_mode: str = GAMMA_STANDARD,
+) -> List[CompressionConfig]:
+    """Every configuration of a sweep, in lexicographic parameter order
+    (lambda, grid size, scan order, model kind), duplicates dropped.
+
+    Needs no input file, so a caller can check the settings before loading
+    anything: an empty list or an invalid value raises InputError.
+    """
+    if not (lambdas and grid_sizes and scan_orders and model_kinds):
+        raise InputError("every parameter list must be nonempty")
+    return [
+        CompressionConfig(
+            lam=float(lam),
+            grid_size=int(k),
+            scan_order=scan,
+            model_kind=kind,
+            damping_delta=damping_delta,
+            gamma_mode=gamma_mode,
+            method=method,
+        )
+        for lam in sorted(set(float(v) for v in lambdas))
+        for k in sorted(set(int(v) for v in grid_sizes))
+        for scan in sorted(set(scan_orders))
+        for kind in sorted(set(model_kinds))
+    ]
+
+
+def _jobs(configs: List[CompressionConfig], workers: int) -> List[List[CompressionConfig]]:
+    """One job per lambda of :func:`sweep_configs`'s list, whose
+    configurations share ``damping_delta``, ``gamma_mode`` and ``method``
+    and so, per lambda, every layer's context. With fewer such groups than
+    ``workers``, each group is dealt round-robin into
+    ``ceil(workers / groups)`` jobs so that every worker gets one."""
+    groups = [list(g) for _, g in itertools.groupby(configs, key=lambda c: c.lam)]
+    parts = -(-workers // len(groups))
+    return [g[i::parts] for g in groups for i in range(min(parts, len(g)))]
 
 
 def run_sweep(
@@ -152,48 +215,48 @@ def run_sweep(
     gamma_mode: str = GAMMA_STANDARD,
     threads: int = 1,
 ) -> List[SweepPoint]:
-    """One point per configuration, rows in lexicographic parameter order.
+    """One point per configuration of :func:`sweep_configs`, rows in its
+    lexicographic parameter order.
 
     ``method``, ``damping_delta`` and ``gamma_mode`` go into every
     configuration; an invalid value raises before any configuration runs.
     A failing configuration is recorded in its row (``error`` column) and
     the sweep continues.
 
-    With ``threads > 1`` the configurations run on a process pool of at
-    most ``min(threads, number of configurations)`` workers; with one
-    worker the sweep runs in this process. The inputs every configuration
-    shares (model, Hessians, calibration and test containers) go to each
-    worker once, through the pool's initializer, and each job carries only
-    its :class:`CompressionConfig`. Under the ``fork`` start method the
-    workers inherit them; under ``spawn`` and ``forkserver`` they are
-    pickled once per worker. Rows are the same as a serial run's but for
-    ``wall_ms``.
+    The configurations of one lambda run as one job, which builds each
+    layer's ``C'`` and ``W'`` once (:func:`~cerwu.pipeline.layer_contexts`;
+    they do not depend on grid size, scan order or model kind) and holds
+    them all while its configurations run. Each configuration evaluates
+    the reconstruction its compress returns, which is bitwise what
+    decoding its payload gives, without decoding it. A row's ``wall_ms``
+    is its own time plus an equal share of its job's context time.
+
+    With ``threads > 1`` the jobs run on a process pool of at most
+    ``min(threads, number of configurations)`` workers; with one worker
+    the sweep runs in this process. When there are fewer lambdas than
+    workers, each lambda's configurations are dealt round-robin into
+    ``ceil(workers / lambdas)`` jobs, each building its own contexts. The
+    inputs every configuration shares (model, Hessians, calibration and
+    test containers) go to each worker once, through the pool's
+    initializer, and each job carries only its configurations. Under the
+    ``fork`` start method the workers inherit them; under ``spawn`` and
+    ``forkserver`` they are pickled once per worker. Rows are the same as
+    a serial run's but for ``wall_ms``.
     """
-    if not (lambdas and grid_sizes and scan_orders and model_kinds):
-        raise InputError("every parameter list must be nonempty")
-    configs = [
-        CompressionConfig(
-            lam=float(lam),
-            grid_size=int(k),
-            scan_order=scan,
-            model_kind=kind,
-            damping_delta=damping_delta,
-            gamma_mode=gamma_mode,
-            method=method,
-        )
-        for lam in sorted(set(float(v) for v in lambdas))
-        for k in sorted(set(int(v) for v in grid_sizes))
-        for scan in sorted(set(scan_orders))
-        for kind in sorted(set(model_kinds))
-    ]
+    configs = sweep_configs(lambdas, grid_sizes, scan_orders, model_kinds,
+                            method, damping_delta, gamma_mode)
     shared = (model_tf, hessians, calib_tf, test_tf)
     workers = min(threads, len(configs))
+    jobs = _jobs(configs, workers)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool:
-            return list(pool.map(_run_in_worker, configs))
-    return [_run_config(c, *shared) for c in configs]
+            rows = list(pool.map(_run_in_worker, jobs))
+    else:
+        rows = [_run_job(job, *shared) for job in jobs]
+    points = {c: p for job, job_rows in zip(jobs, rows) for c, p in zip(job, job_rows)}
+    return [points[c] for c in configs]
 
 
 def _fmt(v) -> str:

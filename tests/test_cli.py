@@ -316,6 +316,8 @@ class TestErrors:
         ("compress", ["--lambda", "-1"]), ("compress", ["--delta", "nan"]),
         ("compress", ["--delta", "inf"]), ("compress", ["--delta", "-1"]),
         ("sweep", ["--lambdas", "nan", "0.01"]), ("sweep", ["--delta", "inf"]),
+        ("sweep", ["--lambdas", "-1", "0.01"]), ("sweep", ["--delta", "nan"]),
+        ("sweep", ["--lambdas", "inf"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-") + "=" + v[1])
     def test_bad_lambda_or_delta_is_input_error(self, tmp_path, capsys, command, flags):
         model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(8))
@@ -328,8 +330,8 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "finite and nonnegative" in errors[0]
         assert "Traceback" not in err and not out.exists()
-        if command == "compress":  # rejected before any Hessian work
-            assert not (tmp_path / "calib.tns.hcache.npz").exists()
+        # rejected before any Hessian work
+        assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
 
 class TestSweepPareto:
@@ -463,7 +465,7 @@ class TestOracleCommand:
                    "--lambda", "0.01", "--seed", "1", "--model-kind", kind])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "brute force" in out and "engine" in out
+        assert "brute force" in out and "cerwu:" in out
         bf = float(out.splitlines()[0].split("total ")[1].split()[0])
         eng = float(out.splitlines()[1].split("total ")[1].split()[0])
         assert eng >= bf - 1e-9
@@ -476,7 +478,8 @@ class TestOracleCommand:
     def test_engine_line_follows_flags(self, capsys, flags, settings):
         assert main(["oracle", "--rows", "1", "--cols", "3", "--grid-size", "3",
                      "--lambda", "0.5", "--seed", "1", *flags]) == 0
-        engine_line = capsys.readouterr().out.splitlines()[1]
+        lines = capsys.readouterr().out.splitlines()
+        engine_line = lines[1]
         # the command's instance, run through compress_layer with the same settings
         rng = np.random.default_rng(1)
         w = rng.normal(size=(1, 3))
@@ -484,4 +487,9 @@ class TestOracleCommand:
         cfg = CompressionConfig(lam=0.5, grid_size=3, **settings)
         result, _, model = compress_layer(w, accumulate_hessian([x]), cfg)
         expected = evaluate_objective(w, x, result.quantized, 0.5, model.fresh)
-        assert engine_line.startswith(f"engine:      total {expected.total:.6f} ")
+        # labelled by the method that ran; rtn's line is the nearest levels, printed once
+        label = f"{cfg.method}:".ljust(13)
+        assert engine_line.startswith(f"{label}total {expected.total:.6f} ")
+        assert [line.split(":")[0] for line in lines] == (
+            ["brute force", "rtn"] if cfg.method == "rtn"
+            else ["brute force", "cerwu", "nearest"])

@@ -12,6 +12,7 @@ from cerwu.engine import (
     GAMMA_ZERO,
     SUB_BLOCK,
     compress_layer,
+    layer_context,
     model_spec_for,
     quantize_layer,
 )
@@ -482,6 +483,36 @@ class TestCompressLayer:
         settings[field] = value
         with pytest.raises(ShapeError, match=field):
             CompressionConfig(**settings)
+
+    @pytest.mark.parametrize("gamma_mode", [GAMMA_STANDARD, GAMMA_ZERO])
+    @pytest.mark.parametrize("lam", [0.0, 0.03])
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
+    def test_shared_context_gives_the_same_layer(self, kind, lam, gamma_mode):
+        # what a sweep job passes down is what compress_layer builds itself
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=(6, 19))
+        h = accumulate_hessian([rng.normal(size=(19, 40))])
+        cfg = CompressionConfig(lam=lam, grid_size=9, model_kind=kind, gamma_mode=gamma_mode)
+        own, own_payload, _ = compress_layer(w, h, cfg)
+        shared, shared_payload, _ = compress_layer(w, h, cfg, context=layer_context(w, h, cfg))
+        assert shared_payload == own_payload
+        assert np.array_equal(shared.quantized.indices, own.quantized.indices)
+        assert shared.predicted_rate_bits == own.predicted_rate_bits
+        assert shared.quadratic_loss_delta == own.quadratic_loss_delta
+
+    @pytest.mark.parametrize("other", [
+        dict(lam=0.01), dict(damping_delta=0.1), dict(gamma_mode=GAMMA_ZERO),
+    ], ids=["lam", "delta", "gamma-mode"])
+    def test_context_of_other_settings_rejected(self, other):
+        rng = np.random.default_rng(22)
+        w = rng.normal(size=(6, 19))
+        h = accumulate_hessian([rng.normal(size=(19, 40))])
+        cfg = CompressionConfig(lam=0.03, grid_size=9)
+        ctx = layer_context(w, h, CompressionConfig(**{"lam": 0.03, "grid_size": 9, **other}))
+        with pytest.raises(ShapeError, match="context built for"):
+            compress_layer(w, h, cfg, context=ctx)
+        with pytest.raises(ShapeError, match="context built for"):  # another layer's shape
+            compress_layer(w[:, :10], h[:10, :10], cfg, context=layer_context(w, h, cfg))
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(15)

@@ -22,7 +22,7 @@ from cerwu.pipeline import (
     quantizable_names,
 )
 from cerwu import sweep
-from cerwu.sweep import run_sweep
+from cerwu.sweep import SweepPoint, run_sweep, sweep_configs
 
 
 def tiny_model(rng):
@@ -173,6 +173,43 @@ class TestCompressDecompress:
             assert np.array_equal(recon[name], expect)
 
 
+def assert_same_tensors(got: TensorFile, expected: TensorFile):
+    """Same names in the same order, each array bitwise equal in shape and dtype."""
+    assert list(got.entries) == list(expected.entries)
+    for name, a in expected.entries.items():
+        b = got[name]
+        assert (b.shape, b.dtype) == (a.shape, a.dtype), name
+        assert b.tobytes() == a.tobytes(), name
+
+
+class TestReconstruction:
+    """The reconstruction a compress reports is what decoding its payloads gives."""
+
+    @pytest.mark.parametrize("method", ["cerwu", "rtn"])
+    @pytest.mark.parametrize("scan_order", ["row-major", "column-major"])
+    @pytest.mark.parametrize("kind", ["static", "adaptive", "context"])
+    def test_fixture_reconstruction_is_the_decoders(self, mlp_fixture, kind, scan_order,
+                                                    method):
+        cfg = CompressionConfig(lam=0.03, grid_size=9, scan_order=scan_order,
+                                model_kind=kind, method=method)
+        report = compress_model(mlp_fixture["model"], mlp_fixture["hessians"], cfg)
+        assert_same_tensors(report.reconstruction, decompress_model(report.compressed))
+
+    @pytest.mark.parametrize("method", ["cerwu", "rtn"])
+    def test_4d_kernel_reconstruction_is_the_decoders(self, method):
+        # both paths return the kernel as its (out, in*kh*kw) matrix
+        rng = np.random.default_rng(30)
+        model = TensorFile()
+        model.add("conv.weight", rng.normal(size=(4, 2, 3, 3)))
+        model.add("conv.bias", rng.normal(size=4))
+        calib = TensorFile()
+        calib.add("conv.weight.activations", rng.normal(size=(18, 40)))
+        cfg = CompressionConfig(lam=0.03, grid_size=9, method=method)
+        report = compress_model(model, collect_hessians(model, calib), cfg)
+        assert report.reconstruction["conv.weight"].shape == (4, 18)
+        assert_same_tensors(report.reconstruction, decompress_model(report.compressed))
+
+
 class TestForwardAccuracy:
     def test_forward_matches_manual(self):
         rng = np.random.default_rng(7)
@@ -232,6 +269,53 @@ class TestEvaluate:
             assert abs(ev.layer_losses[name] - direct) <= 1e-10 * max(1.0, direct)
 
 
+def reference_point(config, model, calib, hessians, test=None) -> SweepPoint:
+    """A sweep row computed one configuration at a time, decoding the
+    payload: compress, decompress, evaluate (``wall_ms`` left out)."""
+    try:
+        report = compress_model(model, hessians, config)
+        ev = evaluate_model(model, decompress_model(report.compressed), calib, test,
+                            compressed=report.compressed)
+        outcome = dict(bits_per_weight=ev.bits_per_weight, layer_loss=ev.total_loss,
+                       accuracy=ev.accuracy)
+    except Exception as exc:
+        outcome = dict(error=f"{type(exc).__name__}: {exc}")
+    return SweepPoint(lam=config.lam, grid_size=config.grid_size,
+                      scan_order=config.scan_order, model_kind=config.model_kind, **outcome)
+
+
+def without_wall(points):
+    return [dataclasses.replace(p, wall_ms=None) for p in points]
+
+
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: runs the jobs here, the way a
+    worker would, without a process. Records each pool's size and jobs."""
+
+    started = []  # (max_workers, jobs) per pool, reset by ``install``
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.jobs = []
+        self.started.append((max_workers, self.jobs))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        sweep._init_worker()
+
+    def map(self, fn, jobs):
+        self.jobs.extend(jobs)
+        return map(fn, self.jobs)
+
+    @classmethod
+    def install(cls, monkeypatch):
+        cls.started = []
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", cls)
+        return cls.started
+
+
 class TestRunSweep:
     def test_rows_in_lexicographic_order(self):
         rng = np.random.default_rng(11)
@@ -285,10 +369,13 @@ class TestRunSweep:
         seq = run_sweep(model, calib, hes, **kwargs)
         par = run_sweep(model, calib, hes, threads=2, **kwargs)
         # identical rows in identical order regardless of worker scheduling
-        assert [dataclasses.replace(p, wall_ms=None) for p in par] == [
-            dataclasses.replace(p, wall_ms=None) for p in seq
-        ]
+        assert without_wall(par) == without_wall(seq)
         assert all(p.wall_ms is not None for p in par)
+        # and the rows of a decode-and-evaluate run of each configuration alone
+        configs = sweep_configs(kwargs["lambdas"], kwargs["grid_sizes"],
+                                kwargs["scan_orders"], kwargs["model_kinds"])
+        assert without_wall(seq) == [reference_point(c, model, calib, hes, test)
+                                     for c in configs]
         assert all(p.accuracy is not None for p in seq if not p.error)
         failed = [p for p in seq if p.error]
         assert [p.grid_size for p in failed] == [40000] * 6
@@ -309,30 +396,66 @@ class TestRunSweep:
     def test_pool_capped_at_configuration_count(self, monkeypatch, threads, configs,
                                                  workers):
         """No more workers than configurations, and none at all for one."""
-        started = []
-
-        class InProcessPool:
-            # runs the jobs here, the way a worker would, without a process
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                sweep._init_worker()
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+        started = InProcessPool.install(monkeypatch)
         rng = np.random.default_rng(18)
         model, calib = tiny_model(rng)
         hes = collect_hessians(model, calib)
         lambdas = [10.0 ** -e for e in range(1, configs + 1)]
         pts = run_sweep(model, calib, hes, lambdas, [3], ["row-major"], ["adaptive"],
                         threads=threads)
-        assert started == ([] if workers is None else [workers])
+        assert [size for size, _ in started] == ([] if workers is None else [workers])
         assert [p.lam for p in pts] == sorted(lambdas)
         assert all(not p.error for p in pts)
+
+    def test_one_lambda_is_split_across_the_workers(self, monkeypatch):
+        # three kinds share one lambda: one group, dealt into one job per worker
+        rng = np.random.default_rng(19)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        args = (model, calib, hes, [0.01], [5], ["row-major"], ["static", "adaptive", "context"])
+        serial = run_sweep(*args)
+        started = InProcessPool.install(monkeypatch)
+        pooled = run_sweep(*args, threads=3)
+        assert [(size, [[c.model_kind for c in job] for job in jobs])
+                for size, jobs in started] == [(3, [["adaptive"], ["context"], ["static"]])]
+        assert without_wall(pooled) == without_wall(serial)
+        assert all(not p.error for p in serial)
+
+    def test_lambda_groups_are_jobs(self, monkeypatch):
+        # as many lambdas as workers: each lambda's configurations are one job
+        rng = np.random.default_rng(20)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        started = InProcessPool.install(monkeypatch)
+        run_sweep(model, calib, hes, [1e-3, 1e-2], [3, 5], ["row-major"], ["adaptive"],
+                  threads=2)
+        assert [(size, [[(c.lam, c.grid_size) for c in job] for job in jobs])
+                for size, jobs in started] == [
+            (2, [[(1e-3, 3), (1e-3, 5)], [(1e-2, 3), (1e-2, 5)]])]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_group_without_hessians_fails_every_row(self, monkeypatch, threads):
+        InProcessPool.install(monkeypatch)
+        rng = np.random.default_rng(21)
+        model, calib = tiny_model(rng)
+        pts = run_sweep(model, calib, {}, [0.01], [3, 5], ["row-major"],
+                        ["static", "adaptive", "context"], threads=threads)
+        assert [p.error for p in pts] == [
+            "InputError: no Hessian available for layer 'l1.weight'"] * 6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_group_with_singular_hessian_fails_every_row(self, monkeypatch, threads):
+        # at lam = 0 and delta = 0 a zero Hessian is singular: l2's context is
+        # left out of the job's, and each row fails where its compress builds it
+        InProcessPool.install(monkeypatch)
+        rng = np.random.default_rng(22)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        hes["l2.weight"] = np.zeros_like(hes["l2.weight"])
+        pts = run_sweep(model, calib, hes, [0.0], [3, 5], ["row-major"],
+                        ["static", "adaptive", "context"], damping_delta=0.0, threads=threads)
+        expected = ("FactorizationError: layer 'l2.weight': regularized Hessian is "
+                    "numerically singular; raise damping_delta and retry")
+        assert [p.error for p in pts] == [expected] * 6
+        config = CompressionConfig(lam=0.0, grid_size=3, damping_delta=0.0)
+        assert reference_point(config, model, calib, hes).error == expected
