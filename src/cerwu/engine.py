@@ -94,7 +94,7 @@ import numpy as np
 
 from . import entropy
 from .entropy import EntropyModel, make_model
-from .errors import ShapeError
+from .errors import FactorizationError, ShapeError
 from .grids import (
     ROW_MAJOR,
     SCAN_ORDERS,
@@ -119,10 +119,6 @@ GAMMA_ZERO = "zero"
 METHOD_CERWU = "cerwu"
 METHOD_RTN = "rtn"
 METHODS = (METHOD_CERWU, METHOD_RTN)
-
-# Cholesky diagonals at or below this are treated as degenerate
-# (distortion-insensitive direction).
-CDIAG_FLOOR = 1e-12
 
 # Width of the column blocks of the row update: inside a block each chosen
 # entry updates the rest of the block at once, and every later column
@@ -259,9 +255,17 @@ def quantize_layer(
 
     wp = context.w_prime.copy()
     chol = context.chol_upper
-    cdiag = np.maximum(np.diag(chol), CDIAG_FLOOR)
-    half_inv_c2 = 0.5 / (cdiag * cdiag)
-    inv_c = 1.0 / cdiag
+    # build_context leaves C' a positive, finite diagonal, which scales as
+    # 1 / |X|: it is used as it is, at any scale of the activations.
+    cdiag = np.diag(chol)
+    with np.errstate(divide="ignore", over="ignore"):
+        half_inv_c2 = 0.5 / (cdiag * cdiag)
+        inv_c = 1.0 / cdiag
+    if not (np.all(np.isfinite(half_inv_c2)) and np.all(np.isfinite(inv_c))):
+        raise FactorizationError(
+            "a diagonal entry of C' is so small that its inverse square overflows: "
+            "the regularized Hessian is too large; scale the activations down"
+        )
 
     levels = grid.levels
     lam = config.lam

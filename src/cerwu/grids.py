@@ -13,8 +13,8 @@ ROW_MAJOR = "row-major"
 COLUMN_MAJOR = "column-major"
 SCAN_ORDERS = (ROW_MAJOR, COLUMN_MAJOR)
 
-# Step used when the source matrix is all zeros (or the 16-bit rounding
-# of the step underflows to zero).
+# Step used when the source matrix is all zeros, and for a stored step
+# that reads as zero.
 DEGENERATE_STEP = 1e-12
 
 # Largest finite value representable in binary16.
@@ -91,9 +91,11 @@ def build_grid(weights, size: int) -> Grid:
     below max|W|. An all-zero matrix falls back to the degenerate step.
 
     Raises:
-        ShapeError: the step exceeds :data:`FLOAT16_MAX`. The step is
-            stored as binary16, and clamping it would clip every weight
-            beyond the outermost clamped level.
+        ShapeError: the step exceeds :data:`FLOAT16_MAX`, or a nonzero
+            matrix's step rounds to zero in binary16. The step is stored
+            as binary16: clamping it would clip every weight beyond the
+            outermost clamped level, and the degenerate step in place of
+            zero would shrink every weight to about 1e-12.
     """
     if size < 2:
         raise ShapeError(f"grid size must be >= 2, got {size}")
@@ -107,6 +109,12 @@ def build_grid(weights, size: int) -> Grid:
         raise ShapeError(
             f"weights up to {max_abs:.6g} need a grid step of {raw:.6g} at grid size "
             f"{size}, above the largest storable step {FLOAT16_MAX:g}"
+        )
+    if max_abs > 0 and float(np.float16(raw)) == 0.0:
+        raise ShapeError(
+            f"weights up to {max_abs:.6g} need a grid step of {raw:.6g} at grid size "
+            f"{size}, which rounds to zero in binary16 (smallest storable step "
+            f"{float(np.finfo(np.float16).smallest_subnormal):.6g})"
         )
     return grid_from_scale(size, round_scale16(raw))
 

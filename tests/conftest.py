@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from cerwu.engine import BLOCK_SIZE, CDIAG_FLOOR, model_spec_for
+from cerwu.engine import BLOCK_SIZE, model_spec_for
 from cerwu.entropy import LOG2
+from cerwu.errors import FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
 from cerwu.grids import ROW_MAJOR
+from cerwu.linalg import LayerContext, as_matrix, compute_gamma
 from cerwu.pipeline import accuracy, collect_hessians
 
 
@@ -30,6 +32,54 @@ def chol_upper_of(hp):
     return np.linalg.cholesky((hinv + hinv.T) / 2).T
 
 
+def reference_accumulate_hessian(activation_batches):
+    """Reference ``H = 2 * sum_b X_b X_b^T``: every batch scanned for
+    non-finite entries, summed into zeros and symmetrized at the end."""
+    batches = [as_matrix(b, f"activation batch {i}") for i, b in enumerate(activation_batches)]
+    if not batches:
+        raise ShapeError("accumulate_hessian: need at least one batch")
+    m = batches[0].shape[0]
+    h = np.zeros((m, m), dtype=np.float64)
+    for i, x in enumerate(batches):
+        if x.shape[0] != m:
+            raise ShapeError(f"accumulate_hessian: batch {i} has {x.shape[0]} rows, expected {m}")
+        h += 2.0 * (x @ x.T)
+    return (h + h.T) / 2.0
+
+
+def reference_build_context(weights, hessian, lam, damping_delta, gamma=None):
+    """Reference ``C'`` and ``W'`` from full reversed copies of ``H'`` and
+    of its inverse factor, with the same LAPACK calls as
+    :func:`cerwu.linalg.build_context`."""
+    import scipy.linalg
+
+    w = as_matrix(weights, "weights")
+    h = as_matrix(hessian, "hessian")
+    if gamma is None:
+        gamma = compute_gamma(w)
+    m = h.shape[0]
+    h_rev = np.array(h[::-1, ::-1], order="F")
+    diag = np.diag_indices(m)
+    if damping_delta > 0:
+        h_rev[diag] += damping_delta * float(np.mean(np.diag(h)))
+    ridge = lam * gamma
+    if ridge > 0:
+        h_rev[diag] += ridge
+    try:
+        low = scipy.linalg.cholesky(h_rev, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError("regularized Hessian is numerically singular") from exc
+    low_inv, info = scipy.linalg.lapack.dtrtri(low, lower=1, overwrite_c=1)
+    if info != 0 or not np.all(np.isfinite(low_inv)):
+        raise FactorizationError("inverse of the regularized Hessian's factor overflowed")
+    chol_upper = np.ascontiguousarray(low_inv[::-1, ::-1])
+    if ridge == 0:
+        w_prime = w.copy()
+    else:
+        w_prime = w - ridge * ((w @ chol_upper.T) @ chol_upper)
+    return LayerContext(w_prime, chol_upper, float(gamma), float(lam), float(damping_delta))
+
+
 def entropy_bits(probabilities) -> float:
     """Shannon entropy in bits of a probability vector."""
     p = np.asarray(probabilities, dtype=np.float64)
@@ -44,8 +94,7 @@ def obs_row_update(row_state, j, quantized_value, chol_upper) -> float:
     entry j still unquantized). A one-entry reference for the engine's
     update, checked against the exact constrained minimizer.
     """
-    c_jj = max(float(chol_upper[j, j]), CDIAG_FLOOR)
-    err = (float(row_state[j]) - quantized_value) / c_jj
+    err = (float(row_state[j]) - quantized_value) / float(chol_upper[j, j])
     if j + 1 < row_state.size:
         row_state[j + 1 :] -= err * chol_upper[j, j + 1 :]
     row_state[j] = quantized_value
@@ -67,7 +116,7 @@ def reference_walk(weights, grid, config, context):
     wp = context.w_prime.copy()
     n, m = wp.shape
     chol = context.chol_upper
-    cdiag = np.maximum(np.diag(chol), CDIAG_FLOOR)
+    cdiag = np.diag(chol)
     half_inv_c2 = 0.5 / (cdiag * cdiag)
     inv_c = 1.0 / cdiag
     levels = grid.levels

@@ -310,6 +310,29 @@ class TestErrors:
             assert err.startswith("error:") and "'big.weight'" in err and "65504" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["cerwu", "rtn"])
+    @pytest.mark.parametrize("peak, rc", [(3e-7, 0), (1e-7, 1)])
+    def test_grid_step_below_binary16_names_layer(self, tmp_path, capsys, method, peak, rc):
+        # at k=9 a step of max|W| / 4 below 2^-25 rounds to zero in
+        # binary16; the degenerate step in its place would zero the layer
+        rng = np.random.default_rng(10)
+        w = rng.normal(size=(4, 6))
+        w *= peak / np.max(np.abs(w))
+        model, calib = TensorFile(), TensorFile()
+        model.add("tiny.weight", w)
+        calib.add("tiny.weight.activations", rng.normal(size=(6, 12)))
+        mp, cp = tmp_path / "m.tns", tmp_path / "c.tns"
+        write_tensor_file(model, mp)
+        write_tensor_file(calib, cp)
+        capsys.readouterr()
+        assert main(["compress", "--model", str(mp), "--calib", str(cp), "--grid-size", "9",
+                     "--method", method, "--out", str(tmp_path / "o.cwm")]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error:") and "'tiny.weight'" in err and "binary16" in err
+            assert "Traceback" not in err
+        else:
+            assert (tmp_path / "o.cwm").exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("compress", ["--lambda", "nan"]), ("compress", ["--lambda", "inf"]),

@@ -23,7 +23,7 @@ from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
     round_to_nearest,
 )
-from cerwu.errors import ShapeError
+from cerwu.errors import FactorizationError, ShapeError
 from cerwu.linalg import LayerContext, accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
@@ -392,6 +392,34 @@ class TestQuantizeLayer:
         cfg = CompressionConfig(lam=0.5, grid_size=5, gamma_mode=GAMMA_ZERO)
         res = quantize_layer(w, h, grid, cfg)  # must not raise
         assert res.quantized.indices.shape == (3, 4)
+
+
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE])
+    def test_activation_scale_leaves_indices(self, kind):
+        # C''s diagonal scales as 1 / |X|; scaling X only rescales the
+        # objective and the updates at lam = 0, so no absolute floor on it
+        # may switch the updates off
+        rng = np.random.default_rng(16)
+        w = rng.normal(size=(16, 64)) / 8.0
+        x = rng.normal(size=(64, 256))
+        grid = build_grid(w, 9)
+        cfg = CompressionConfig(lam=0.0, grid_size=9, model_kind=kind)
+        base = quantize_layer(w, accumulate_hessian([x]), grid, cfg).quantized.indices
+        for e in range(-12, 13):
+            try:
+                res = quantize_layer(w, accumulate_hessian([x * 10.0**e]), grid, cfg)
+            except FactorizationError:
+                continue
+            assert np.array_equal(res.quantized.indices, base), e
+
+    def test_tiny_factor_diagonal_raises(self):
+        # 0.5 / c^2 overflows for c = 1e-160: a clean error, not a clamp
+        w = np.array([[0.5, -0.25]])
+        ctx = LayerContext(w_prime=w.copy(), chol_upper=np.diag([1.0, 1e-160]),
+                           gamma=0.0, lam=0.0, damping_delta=0.0)
+        cfg = CompressionConfig(lam=0.0, grid_size=5, damping_delta=0.0)
+        with pytest.raises(FactorizationError, match="inverse square overflows"):
+            quantize_layer(w, None, build_grid(w, 5), cfg, context=ctx)
 
 
 class TestCompressLayer:

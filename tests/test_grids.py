@@ -36,6 +36,18 @@ class TestBuildGrid:
         g = build_grid(np.zeros((2, 2)), 5)
         assert g.step == DEGENERATE_STEP
 
+    @pytest.mark.parametrize("peak", [1e-7, 1e-30, 5e-324])
+    def test_nonzero_step_underflowing_binary16_raises(self, peak):
+        # at k=9 the step is max|W| / 4; below 2^-25 binary16 rounds it to 0
+        w = np.array([[peak, -peak / 2], [0.0, peak / 3]])
+        with pytest.raises(ShapeError, match="rounds to zero in binary16"):
+            build_grid(w, 9)
+
+    def test_subnormal_step_kept(self):
+        # 3e-7 / 4 rounds to the smallest binary16 subnormal, 2^-24
+        g = build_grid(np.array([[3e-7, -1e-7]]), 9)
+        assert g.step == 2.0**-24
+
     def test_zero_always_on_grid(self):
         rng = np.random.default_rng(0)
         for k in (2, 3, 4, 5, 8, 17, 33, 256):

@@ -14,7 +14,13 @@ from cerwu.linalg import (
     compute_gamma,
 )
 
-from conftest import chol_upper_of, random_spd, regularized_hessian
+from conftest import (
+    chol_upper_of,
+    random_spd,
+    reference_accumulate_hessian,
+    reference_build_context,
+    regularized_hessian,
+)
 
 LN2 = np.log(2.0)
 
@@ -40,6 +46,35 @@ class TestAccumulateHessian:
         rng = np.random.default_rng(1)
         h = accumulate_hessian([rng.normal(size=(8, 31))])
         assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "float32", "batches"])
+    @pytest.mark.parametrize("m, p", [(1, 5), (2, 1), (17, 40), (65, 33), (130, 300)])
+    def test_bitwise_reference(self, layout, m, p):
+        rng = np.random.default_rng(m * p)
+        x = rng.normal(size=(m, 2 * p))
+        batches = {
+            "C": [x],
+            "F": [np.asfortranarray(x)],
+            "strided": [x[:, ::2]],
+            "float32": [x.astype(np.float32)],
+            "batches": [x[:, :p], rng.normal(size=(m, 3)).astype(np.float32), x[:, p:]],
+        }[layout]
+        h = accumulate_hessian(batches)
+        ref = reference_accumulate_hessian(batches)
+        assert h.dtype == ref.dtype and h.tobytes() == ref.tobytes()
+        assert np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    @pytest.mark.parametrize("row", [0, 3, 5])
+    def test_non_finite_or_overflowing_row_names_batch(self, value, batch, row):
+        # a NaN or infinity anywhere in row r, or a finite entry whose
+        # square overflows, leaves H[r, r] non-finite
+        rng = np.random.default_rng(row)
+        batches = [rng.normal(size=(6, 4)) for _ in range(3)]
+        batches[batch][row, 2] = value
+        with pytest.raises(ShapeError, match=f"activation batch {batch}: contains non-finite"):
+            accumulate_hessian(batches)
 
     def test_rejects_mismatched_batches(self):
         with pytest.raises(ShapeError):
@@ -145,6 +180,19 @@ class TestBuildContext:
         ref_w = w @ h @ np.linalg.inv(hp)
         assert np.linalg.norm(c - ref_c) <= 1e-8 * np.linalg.norm(ref_c)
         assert np.linalg.norm(ctx.w_prime - ref_w) <= 1e-8 * np.linalg.norm(ref_w)
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 64, 65, 300])
+    @pytest.mark.parametrize("lam", [0.0, 0.03])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_bitwise_reference(self, m, lam, delta):
+        rng = np.random.default_rng(m)
+        w = rng.normal(size=(5, m))
+        h = accumulate_hessian([rng.normal(size=(m, 2 * m + 1))])
+        ctx = build_context(w, h, lam=lam, damping_delta=delta)
+        ref = reference_build_context(w, h, lam, delta)
+        assert ctx.chol_upper.flags.c_contiguous
+        for got, want in ((ctx.chol_upper, ref.chol_upper), (ctx.w_prime, ref.w_prime)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_damping_rescues_singular_hessian(self):
         rng = np.random.default_rng(7)
