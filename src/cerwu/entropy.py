@@ -23,7 +23,12 @@ model is built:
 the one way to copy a model, so quantize, encode and decode replay the
 same model. A model is read through :meth:`EntropyModel.cum` and
 :meth:`EntropyModel.rate_vector`, and per symbol through one transition
-from :meth:`EntropyModel.stepper`, ``cum = step(s)``.
+from :meth:`EntropyModel.stepper`, ``cum = step(s)``. Three per-symbol
+loops step the adaptive kinds: the engine's walk, :func:`replay_intervals`
+and the range decoder. A static model never changes and is never stepped:
+the engine prices whole columns from one :meth:`EntropyModel.rate_vector`,
+:func:`replay_intervals` indexes its table with numpy, and the decoder
+reads symbols from a lookup table built once from it.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
@@ -147,22 +152,16 @@ class EntropyModel:
         self._tabs = (first, list(range(k + 1)) if kind == CONTEXT else first)
         self._tab = first
 
-    @property
-    def current_context(self) -> int:
-        """Index of the active table; always 0 when both slots share one."""
-        return 0 if self._tab is self._tabs[0] else 1
-
-    @current_context.setter
-    def current_context(self, context: int) -> None:
-        self._tab = self._tabs[context]
-
     def cum(self) -> list:
         """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
         return self._tab
 
     def stepper(self):
         """``(cum, step)``, the active table and the transition: each of the
-        four per-symbol loops reads ``cum``, then sets ``cum = step(symbol)``."""
+        three per-symbol loops (the engine's walk, :func:`replay_intervals`
+        and the range decoder's adaptive loop) reads ``cum``, then sets
+        ``cum = step(symbol)``. A static model is never stepped: its one
+        table is read once through :meth:`cum`."""
         return self._tab, self.update
 
     def rate_vector(self) -> np.ndarray:
@@ -236,12 +235,3 @@ def interval_bits(lo, hi, total) -> np.ndarray:
     """
     return _LOG2[total] - _LOG2[np.subtract(hi, lo)]
 
-
-def sequence_rate_bits(symbols, model: EntropyModel) -> float:
-    """Total predicted bits for a symbol sequence; mutates the model.
-
-    Sums the costs of :func:`replay_intervals` left to right, in sequence
-    order, so totals match the other replay paths exactly.
-    """
-    bits = interval_bits(*replay_intervals(symbols, model))
-    return float(np.cumsum(bits)[-1]) if bits.size else 0.0

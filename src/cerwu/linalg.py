@@ -178,8 +178,10 @@ def build_context(
 
     Raises:
         FactorizationError: ``H'`` is numerically singular, or so badly
-            conditioned that ``C'`` overflows; raise ``damping_delta`` and
-            retry.
+            conditioned that ``C'`` overflows (raise ``damping_delta`` and
+            retry); or its damping term or ridge is not finite, as when the
+            diagonal of a Hessian of huge activations sums past the float64
+            range.
     """
     w = as_matrix(weights, "weights")
     h = as_matrix(hessian, "hessian")
@@ -194,6 +196,16 @@ def build_context(
     if gamma is None:
         gamma = compute_gamma(w)
     m = h.shape[0]
+    # Finite terms can sum or multiply past the float64 range: that is
+    # reported below, not warned about.
+    with np.errstate(over="ignore"):
+        damping = damping_delta * float(np.mean(np.diag(h))) if damping_delta > 0 else 0.0
+        ridge = lam * gamma
+    if not (math.isfinite(damping) and math.isfinite(ridge)):
+        raise FactorizationError(
+            f"the regularized Hessian's damping term ({damping!r}) or ridge "
+            f"({ridge!r}) is not finite; scale the activations down"
+        )
 
     # Imported at its one use: it is most of the time importing cerwu takes.
     import scipy.linalg
@@ -205,8 +217,7 @@ def build_context(
     h_rev = h.ravel()[::-1].copy().reshape((m, m), order="F")
     diag = np.diag_indices(m)
     if damping_delta > 0:
-        h_rev[diag] += damping_delta * float(np.mean(np.diag(h)))
-    ridge = lam * gamma
+        h_rev[diag] += damping
     if ridge > 0:
         h_rev[diag] += ridge
     try:

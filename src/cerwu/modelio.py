@@ -152,14 +152,21 @@ class _Reader:
         self.what = what
 
     def take(self, size: int) -> bytes:
+        return self.data[self._advance(size) : self.pos]
+
+    def view(self, size: int) -> memoryview:
+        """Like :meth:`take`, but a view of the buffer: no copy."""
+        return memoryview(self.data)[self._advance(size) : self.pos]
+
+    def _advance(self, size: int) -> int:
+        """Move past ``size`` bytes; returns where they start."""
         if self.pos + size > len(self.data):
             raise ParseError(
                 f"{self.what}: truncated at byte offset {self.pos} "
                 f"(needed {size} more bytes)"
             )
-        b = self.data[self.pos : self.pos + size]
         self.pos += size
-        return b
+        return self.pos - size
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -204,7 +211,7 @@ def _open_container(path, magic: bytes, version: int, what: str) -> Tuple[_Reade
     return r, count
 
 
-def _float32_view(raw: bytes, shape: Tuple[int, ...], what: str) -> np.ndarray:
+def _float32_view(raw, shape: Tuple[int, ...], what: str) -> np.ndarray:
     """``raw`` as a little-endian float32 array of ``shape``, without a copy.
 
     Raises ParseError, prefixed by ``what``, when the bytes do not fill
@@ -225,7 +232,7 @@ def load_tensor_file(path) -> TensorFile:
         shape = r.shape()
         at = r.pos
         what = f"{path}: tensor {name!r} at byte offset {at}"
-        a = _float32_view(r.take(4 * math.prod(shape)), shape, what)
+        a = _float32_view(r.view(4 * math.prod(shape)), shape, what)
         if not np.isfinite(a).all():
             raise ParseError(f"{what} has non-finite entries")
         tf.entries[name] = a.copy()

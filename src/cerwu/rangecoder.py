@@ -9,8 +9,9 @@ guarantees a carry never ripples past the front byte.
 Each symbol is coded from the model's cumulative counts
 ``[0, c0, c0+c1, ..., T]`` with ``T <= 2**16``: interval boundaries are
 ``(range * cum) // T``, so the coder spends within a fraction of a bit of
-the model's information content. Every model kind takes this one path; a
-static table's ``T = 2**15`` makes the division an exact shift. Since the
+the model's information content. Every model kind is encoded by this one
+path; a static table's ``T = 2**15`` makes each division by ``T`` an
+exact shift, which the static decoder loop computes as one. Since the
 range stays at or above 2**24 and ``T <= 2**16``, every symbol keeps an
 interval of at least 256 units.
 
@@ -25,10 +26,18 @@ The encoder codes recorded intervals ``(cum[s], cum[s+1], T)``, one per
 symbol: :func:`encode` takes them from a replay of a fresh model
 (:func:`~cerwu.entropy.replay_intervals`), and a compress takes the ones
 the engine's walk recorded, so both go through the one coding loop,
-:func:`encode_intervals`. Both loops run on Python ints; the decoder reads
-the model's cumulative-count lists and makes one call into the model per
-symbol, ``cum = step(s)``, with ``step`` taken once from
-:meth:`~cerwu.entropy.EntropyModel.stepper`.
+:func:`encode_intervals`. Both loops run on Python ints.
+
+The decoder has two loops, chosen by ``model.kind``. A static model never
+changes, so it reads the model once: :func:`_symbol_table` maps each
+scaled offset ``0 <= thr < T`` to its symbol and interval (the
+``cum2sym`` table of static rANS decoders), and each symbol then costs
+one list index and the interval arithmetic, with no search and no call
+into the model. The adaptive kinds search the active cumulative-count
+list for each symbol (``bisect_right``) and make one call into the model
+per symbol, ``cum = step(s)``, with ``step`` taken once from
+:meth:`~cerwu.entropy.EntropyModel.stepper`. Both loops give the same
+symbols and raise the same errors.
 """
 
 from __future__ import annotations
@@ -39,11 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyModel, replay_intervals
+from .entropy import STATIC, TOTAL, EntropyModel, replay_intervals
 from .errors import DecodeError, ShapeError
 
 _MASK32 = 0xFFFFFFFF
 _TOP = 1 << 24
+_SHIFT = TOTAL.bit_length() - 1  # a static table's T = 2**_SHIFT
 FLUSH_BYTES = 8
 
 
@@ -109,6 +119,12 @@ def encode_intervals(lo, hi, total) -> Payload:
 def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
     """Decode a payload produced by :func:`encode` with an identical model.
 
+    A static model never changes: its symbols are read from the lookup
+    table :func:`_symbol_table` builds once, with no call into the model
+    and no search. The adaptive kinds search the active cumulative counts
+    for each symbol and make one model call per symbol, ``cum = step(s)``.
+    Both give the same symbols and the same errors.
+
     Raises:
         DecodeError: truncated or corrupt payload.
     """
@@ -127,12 +143,31 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
     pos = 4
     rng = _MASK32
     size = len(data)
-    cum, step = model.stepper()
     # Grown as symbols are decoded, not sized from the header's count: a
     # hostile count then costs memory only as fast as the payload yields
     # symbols.
     out = array("i")
     append = out.append
+    if model.kind == STATIC:
+        table = _symbol_table(model.cum(), k)
+        for t in range(n):
+            # The adaptive loop's threshold with total = 2**15, as a shift.
+            s, c_lo, c_hi = table[(((d + 1) << _SHIFT) - 1) // rng]
+            if s == k:
+                raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
+            lo_inc = rng * c_lo >> _SHIFT
+            d -= lo_inc
+            rng = (rng * c_hi >> _SHIFT) - lo_inc
+            while rng < _TOP:
+                if pos >= size:
+                    raise DecodeError(f"payload truncated at symbol {t}")
+                d = (d << 8) | data[pos]
+                pos += 1
+                rng <<= 8
+            append(s)
+        return np.array(out, dtype=np.int32)
+
+    cum, step = model.stepper()
     for t in range(n):
         total = cum[-1]
         # s is the largest symbol whose lower boundary is <= d:
@@ -156,3 +191,21 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
         append(s)
         cum = step(s)
     return np.array(out, dtype=np.int32)
+
+
+def _symbol_table(cum, k: int) -> list:
+    """The static decoder's lookup table over a static model's ``cum``.
+
+    Entry ``thr`` for ``0 <= thr < T = 2**15`` is ``(s, cum[s], cum[s+1])``
+    for the symbol whose interval ``[cum[s], cum[s+1])`` holds ``thr``,
+    the one ``bisect_right(cum, thr) - 1`` finds. Entry ``T`` is the
+    sentinel ``(k, T, T)``. The threshold is ``T`` only while the offset
+    equals the range, which happens only at symbol 0 when the payload
+    starts with ``ff ff ff ff``; decoding then fails there.
+    """
+    table = []
+    for s in range(k):
+        c_lo, c_hi = cum[s], cum[s + 1]
+        table += [(s, c_lo, c_hi)] * (c_hi - c_lo)
+    table.append((k, cum[k], cum[k]))
+    return table

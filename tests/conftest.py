@@ -1,16 +1,19 @@
 import errno
 import math
+from array import array
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from cerwu.engine import BLOCK_SIZE, model_spec_for
-from cerwu.entropy import LOG2
-from cerwu.errors import FactorizationError, ShapeError
+from cerwu.entropy import LOG2, EntropyModel, interval_bits, replay_intervals
+from cerwu.errors import DecodeError, FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
 from cerwu.grids import ROW_MAJOR
 from cerwu.linalg import LayerContext, as_matrix, compute_gamma
 from cerwu.pipeline import accuracy, collect_hessians
+from cerwu.rangecoder import _MASK32, _TOP, FLUSH_BYTES, Payload
 
 
 def random_spd(rng, m, scale=1.0):
@@ -78,6 +81,76 @@ def reference_build_context(weights, hessian, lam, damping_delta, gamma=None):
     else:
         w_prime = w - ridge * ((w @ chol_upper.T) @ chol_upper)
     return LayerContext(w_prime, chol_upper, float(gamma), float(lam), float(damping_delta))
+
+
+def sequence_rate_bits(symbols, model: EntropyModel) -> float:
+    """Total predicted bits for a symbol sequence; mutates the model.
+
+    Sums the costs of :func:`cerwu.entropy.replay_intervals` left to right,
+    in sequence order, so totals match the other replay paths exactly.
+    """
+    bits = interval_bits(*replay_intervals(symbols, model))
+    return float(np.cumsum(bits)[-1]) if bits.size else 0.0
+
+
+def current_context(model: EntropyModel) -> int:
+    """Index of the model's active table; always 0 when both slots share one."""
+    return 0 if model.cum() is model._tabs[0] else 1
+
+
+def set_context(model: EntropyModel, context: int) -> None:
+    """Make table ``context`` the model's active one."""
+    model._tab = model._tabs[context]
+
+
+def reference_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
+    """Reference decoder, the range decoder's one loop for every model kind:
+    each symbol is found by ``bisect_right`` over the active cumulative
+    counts, and the model steps once per symbol, static included."""
+    if model.k != k:
+        raise ShapeError(f"model k={model.k} does not match k={k}")
+    n = payload.symbol_count
+    data = payload.data
+    if n == 0:
+        if len(data) < FLUSH_BYTES:
+            raise DecodeError("payload truncated: missing flush bytes")
+        return np.zeros(0, dtype=np.int32)
+    if len(data) < 4:
+        raise DecodeError("payload truncated at symbol 0: shorter than the priming window")
+
+    d = int.from_bytes(data[:4], "big")
+    pos = 4
+    rng = _MASK32
+    size = len(data)
+    cum, step = model.stepper()
+    # Grown as symbols are decoded, not sized from the header's count: a
+    # hostile count then costs memory only as fast as the payload yields
+    # symbols.
+    out = array("i")
+    append = out.append
+    for t in range(n):
+        total = cum[-1]
+        # s is the largest symbol whose lower boundary is <= d:
+        # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
+        thr = ((d + 1) * total - 1) // rng
+        s = bisect_right(cum, thr) - 1
+        if s >= k:
+            raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
+        lo_inc = rng * cum[s] // total
+        hi_inc = rng * cum[s + 1] // total
+        # Interval search guarantees lo_inc <= d < hi_inc, so the offset
+        # stays inside the (renormalized) range without further checks.
+        d -= lo_inc
+        rng = hi_inc - lo_inc
+        while rng < _TOP:
+            if pos >= size:
+                raise DecodeError(f"payload truncated at symbol {t}")
+            d = (d << 8) | data[pos]
+            pos += 1
+            rng <<= 8
+        append(s)
+        cum = step(s)
+    return np.array(out, dtype=np.int32)
 
 
 def entropy_bits(probabilities) -> float:

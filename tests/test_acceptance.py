@@ -21,7 +21,7 @@ from cerwu.engine import (
     compress_layer,
     quantize_layer,
 )
-from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model, sequence_rate_bits
+from cerwu.entropy import ADAPTIVE, CONTEXT, STATIC, make_model
 from cerwu.grids import ROW_MAJOR, build_grid
 from cerwu.linalg import accumulate_hessian
 from cerwu.modelio import TensorFile
@@ -34,7 +34,7 @@ from cerwu.pipeline import compress_model, decompress_model, evaluate_model
 from cerwu.rangecoder import decode, encode
 from cerwu.sweep import DEFAULT_LAMBDAS, SweepPoint, pareto_front
 
-from conftest import chol_upper_of, obs_row_update, random_spd
+from conftest import chol_upper_of, obs_row_update, random_spd, sequence_rate_bits
 from test_engine import optq_reference
 from test_linalg import completing_square_spread
 

@@ -17,7 +17,7 @@ from cerwu.engine import (
     quantize_layer,
 )
 from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, LOG2, STATIC, make_model, sequence_rate_bits,
+    ADAPTIVE, CONTEXT, LOG2, STATIC, make_model,
 )
 from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
@@ -28,7 +28,9 @@ from cerwu.linalg import LayerContext, accumulate_hessian, build_context
 from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
 
-from conftest import obs_row_update, random_spd, reference_walk, regularized_hessian
+from conftest import (
+    obs_row_update, random_spd, reference_walk, regularized_hessian, sequence_rate_bits,
+)
 
 
 def nearest_with_ties(value, levels):

@@ -10,11 +10,10 @@ from cerwu.entropy import (
     TOTAL,
     make_model,
     quantize_counts,
-    sequence_rate_bits,
 )
 from cerwu.errors import ShapeError
 
-from conftest import entropy_bits
+from conftest import current_context, entropy_bits, sequence_rate_bits, set_context
 
 
 class TestQuantizeCounts:
@@ -73,7 +72,7 @@ class TestInitModel:
     def test_context_both_uniform(self):
         m = make_model(CONTEXT, 5)
         first = np.diff(m.cum())
-        m.current_context = 1
+        set_context(m, 1)
         assert np.array_equal(np.diff(m.cum()), first)
 
     def test_static_requires_counts(self):
@@ -150,16 +149,16 @@ class TestUpdate:
         m = make_model(CONTEXT, 3)  # zero level index 1
         assert m.zero_index == 1
         m.update(1)
-        assert m.current_context == 0
+        assert current_context(m) == 0
         m.update(2)
-        assert m.current_context == 1
+        assert current_context(m) == 1
 
     def test_context_tables_independent(self):
         m = make_model(CONTEXT, 3)
         m.update(2)  # counted in context 0, switches to context 1
         m.update(2)  # counted in context 1
         assert m.cum() == [0, 1, 2, 4]
-        m.current_context = 0
+        set_context(m, 0)
         assert m.cum() == [0, 1, 2, 4]
 
     def test_halving_cap(self):
@@ -202,9 +201,9 @@ class TestReplayDeterminism:
             m.update(s)
         f = m.fresh()
         assert (f.kind, f.k) == (kind, 4)
-        assert f.current_context == 0
+        assert current_context(f) == 0
         assert f.cum() == initial
-        f.current_context = 1
+        set_context(f, 1)
         assert f.cum() == initial
         # the copy shares no table with the model it came from
         before = list(m.cum())
@@ -242,7 +241,7 @@ def test_distribution_total_exact_across_reachable_states(kind):
     cum, step = m.stepper()
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
-            assert m.current_context == ctx
+            assert current_context(m) == ctx
             assert cum == [0] + np.cumsum(ref[ctx]).tolist()
             assert cum[-1] <= COUNT_CAP
             rates = m.rate_vector()

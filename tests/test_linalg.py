@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ class TestBuildContext:
         h = (low @ low.T)[::-1, ::-1]
         with pytest.raises(FactorizationError):
             build_context(np.ones((1, m)), h, lam=0.0, damping_delta=0.0)
+
+    @pytest.mark.parametrize("scale, lam", [(1e152, 0.0), (1.0, 1e307)])
+    def test_non_finite_diagonal_terms_raise(self, scale, lam):
+        # at 1e152 each diagonal entry of H is finite (about 5e306) but
+        # their sum, and so the damping term, is not; at lam = 1e307 the
+        # ridge lam * gamma overflows. Neither may reach the factorization.
+        rng = np.random.default_rng(16)
+        w = rng.normal(size=(16, 64)) / 8.0
+        h = accumulate_hessian([rng.normal(size=(64, 256)) * scale])
+        assert np.all(np.isfinite(h.diagonal()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError, match="not finite"):
+                build_context(w, h, lam=lam)
 
     @pytest.mark.parametrize("m", [1, 2, 17, 120, 300])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])

@@ -63,7 +63,10 @@ class TestTensorFile:
             p1 = tmp_path / f"f{trial}a.tns"
             p2 = tmp_path / f"f{trial}b.tns"
             write_tensor_file(tf, p1)
-            write_tensor_file(load_tensor_file(p1), p2)
+            back = load_tensor_file(p1)
+            # each array owns its data: none holds on to the file's buffer
+            assert all(a.flags.owndata and a.flags.writeable for a in back.entries.values())
+            write_tensor_file(back, p2)
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_offset_zero(self, tmp_path):

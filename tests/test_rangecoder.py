@@ -2,14 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, make_model, sequence_rate_bits,
-)
+from cerwu.entropy import ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, TOTAL, make_model
 from cerwu.errors import DecodeError, ShapeError
 from cerwu.rangecoder import FLUSH_BYTES, Payload, decode, encode
+
+from conftest import reference_decode, sequence_rate_bits
 
 
 def _spec(kind, k, rng=None):
@@ -146,6 +146,61 @@ class TestRoundTripProperties:
         payload = encode(syms, make_model(kind, k))
         back = decode(payload, make_model(kind, k), k)
         assert back.dtype == np.int32 and np.array_equal(back, syms)
+
+
+def assert_decodes_like_reference(payload, factory, k):
+    """``decode`` returns the reference loop's symbols or raises its error."""
+    try:
+        want = reference_decode(payload, factory(), k)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as got:
+            decode(payload, factory(), k)
+        assert str(got.value) == str(exc)
+    else:
+        got = decode(payload, factory(), k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestStaticLookupDecode:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        # small counts fit to frequency 1 next to large ones
+        counts=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 2**16 - 1)), min_size=2, max_size=40
+        ).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 24),
+        skewed=st.booleans(),
+    )
+    @example(counts=[1, 0], seed=0, n=24, skewed=False)
+    @example(counts=[1] * TOTAL, seed=1, n=24, skewed=False)
+    def test_matches_reference(self, counts, seed, n, skewed):
+        # every truncation and a one-byte XOR at every offset of a small
+        # payload decode to the reference's symbols or its exact error
+        k = len(counts)
+        factory = lambda: make_model(STATIC, k, static_counts=counts)
+        rng = np.random.default_rng(seed)
+        if skewed:
+            syms = rng.choice(k, size=n, p=factory().counts / TOTAL)
+        else:
+            syms = rng.integers(0, k, size=n)
+        data = encode(syms, factory()).data
+        assert np.array_equal(decode(Payload(data, n), factory(), k), syms)
+        for cut in range(len(data)):
+            assert_decodes_like_reference(Payload(data[:cut], n), factory, k)
+        for pos, mask in enumerate(rng.integers(1, 256, size=len(data)).tolist()):
+            mutant = bytearray(data)
+            mutant[pos] ^= mask
+            assert_decodes_like_reference(Payload(bytes(mutant), n), factory, k)
+
+    @pytest.mark.parametrize("counts", [[1, 1], [5, 0, 3], [1] * TOTAL])
+    def test_all_ones_priming_word(self, counts):
+        # the one offset whose threshold is T, the table's sentinel entry
+        factory = lambda: make_model(STATIC, len(counts), static_counts=counts)
+        payload = Payload(bytes.fromhex("ffffffff") + bytes(8), 3)
+        assert_decodes_like_reference(payload, factory, len(counts))
+        with pytest.raises(DecodeError, match="corrupt payload at symbol 0"):
+            decode(payload, factory(), len(counts))
 
 
 class TestDecodeErrors:
