@@ -61,13 +61,14 @@ handful of levels each numpy call costs more than its arithmetic, and
 each entry makes one call into the model, the transition from
 :meth:`~EntropyModel.stepper`. The search is bounded and exact: it
 starts at the levels on either side of the working value and walks
-outward, reads a level's rate ``log2(T) - log2(c)`` from the model's
-cumulative counts only when it reaches that level, and stops on a side
-once the distortion alone, less the largest Gaussian term, exceeds the
-best objective so far, because the rate is never negative. On a 256x32
-layer at ``lam = 0.03`` it evaluates under two levels per entry for k
-from 5 to 33; the window widens as ``lam`` grows (6 of 9 levels at
-``lam = 30``).
+outward, reads a level's rate ``log2(T) - log2(c)`` from the active
+count table's total and count only when it reaches that level, and stops
+on a side once the distortion alone, less the largest Gaussian term,
+exceeds the best objective so far, because the rate is never negative. On
+a 256x32 layer at ``lam = 0.03`` it evaluates under two levels per entry
+for k from 5 to 33; the window widens as ``lam`` grows (6 of 9 levels at
+``lam = 30``). The chosen level's interval starts at ``cum[idx]``, summed
+outward from the table's ``cum[k // 2]`` over the counts in between.
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -292,9 +293,10 @@ def quantize_layer(
     else:
         # The rates change after every symbol: visit the entries one by
         # one in scan order, on Python scalars, reading a level's rate from
-        # the model's cumulative counts only when the search reaches it.
+        # the model's counts only when the search reaches it.
         L = entropy.LOG2
-        cum, step = model.stepper()
+        tab, step = model.stepper()
+        z = grid.zero_index
         rank = np.argsort(pref)  # tie-break rank by index
         gt = gamma_term_pref[rank].tolist()  # gamma term by index
         gt_max = max(gt)
@@ -308,7 +310,7 @@ def quantize_layer(
         lo_append, hi_append, total_append = lo_seq.append, hi_seq.append, total_seq.append
         walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
         for j, wij in walk(wp, err_seq, inv_c, chol):
-            total = cum[-1]
+            total = tab[k]
             log_total = L[total]
             hj = h[j]
             # Exact bounded search, equal to scanning all k levels in
@@ -334,17 +336,23 @@ def quantize_layer(
                     q = d * d * hj
                     if q - gt_max > best:
                         break
-                    obj = q + ((log_total - L[cum[p + 1] - cum[p]]) * lam - gt[p])
+                    obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
                     if obj < best or (obj == best and rank[p] < best_rank):
                         best = obj
                         idx = p
                         best_rank = rank[p]
             idx_append(idx)
             err_append(wij - level_list[idx])
-            lo_append(cum[idx])
-            hi_append(cum[idx + 1])
+            # cum[idx], summed outward from the zero level's cum[z]
+            c_lo = tab[k + 1]
+            if idx > z:
+                c_lo += sum(tab[z:idx])
+            elif idx < z:
+                c_lo -= sum(tab[idx:z])
+            lo_append(c_lo)
+            hi_append(c_lo + tab[idx])
             total_append(total)
-            cum = step(idx)
+            tab = step(idx)
         symbols = np.frombuffer(idx_seq, dtype=np.intc)
         indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
         err = from_scan_order(np.array(err_seq), n, m, order)

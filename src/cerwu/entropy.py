@@ -23,19 +23,25 @@ model is built:
 the one way to copy a model, so quantize, encode and decode replay the
 same model. A model is read through :meth:`EntropyModel.cum` and
 :meth:`EntropyModel.rate_vector`, and per symbol through one transition
-from :meth:`EntropyModel.stepper`, ``cum = step(s)``. Three per-symbol
+from :meth:`EntropyModel.stepper`, ``tab = step(s)``. Three per-symbol
 loops step the adaptive kinds: the engine's walk, :func:`replay_intervals`
-and the range decoder. A static model never changes and is never stepped:
-the engine prices whole columns from one :meth:`EntropyModel.rate_vector`,
-:func:`replay_intervals` indexes its table with numpy, and the decoder
-reads symbols from a lookup table built once from it.
+and the range decoder, which makes the same step inline. A static model
+never changes and is never stepped: the engine prices whole columns from
+one :meth:`EntropyModel.rate_vector`, :func:`replay_intervals` indexes its
+table with numpy, and the decoder reads symbols from a lookup table built
+once from it.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
-A model keeps only the cumulative counts, as a list of Python ints that
-an update changes in place, so the per-symbol paths (the engine's walk,
-the range coder) never touch numpy. The range coder codes straight from
-the cumulative counts, and a symbol with count ``c`` costs
+A model keeps each table as one list of Python ints that an update
+changes in place: the k counts, then ``T``, then ``cum[k // 2]``, the
+count mass below the zero level. The per-symbol paths (the engine's walk,
+the range coder) therefore never touch numpy, and an observation costs
+O(1) whatever k is. The zero level is the most probable symbol, so a
+symbol's cumulative count ``cum[s]`` is summed outward from ``cum[k // 2]``
+over the few counts between them, and the decoder searches outward from
+it the same way (Witten, Neal & Cleary, CACM 1987, keep frequent symbols
+first for the same reason). A symbol with count ``c`` costs
 ``log2(T) - log2(c)`` bits, read from one table of base-2 logarithms (as
 a numpy array for :meth:`EntropyModel.rate_vector`, as a list of the same
 floats, :data:`LOG2`, for per-symbol reads) so every rate path agrees
@@ -45,6 +51,7 @@ bitwise. The worst-case symbol cost is 16 bits (15 for static).
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,25 +110,27 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
 class EntropyModel:
     """One count-table model for every kind; build it with :func:`make_model`.
 
-    Holds a pair of cumulative count tables ``[0, c0, c0+c1, ..., T]``
-    (lists of ints), one per context, and the active one, which
-    :meth:`cum` returns. Context 0 is active after the zero level
-    ``zero_index = k // 2`` (``Grid.zero_index`` of every grid), context 1
-    after any other symbol; a model starts in context 0. Static and
-    adaptive models put one table in both slots. ``counts`` is the static
-    kind's fitted table, the one a layer header stores, and ``None`` for
-    the adaptive kinds.
+    Holds a pair of count tables, one per context, and the active one,
+    which :meth:`stepper` hands out. A table is one list of ``k + 2`` ints:
+    the per-symbol counts ``c_0 .. c_{k-1}``, their total ``T`` at index
+    ``k``, and at index ``k + 1`` the count mass below the zero level,
+    ``cum[z] = c_0 + ... + c_{z-1}``. Context 0 is active after the zero
+    level ``z = zero_index = k // 2`` (``Grid.zero_index`` of every grid),
+    context 1 after any other symbol; a model starts in context 0. Static
+    and adaptive models put one table in both slots. ``counts`` is the
+    static kind's fitted table, the one a layer header stores, and
+    ``None`` for the adaptive kinds.
 
     ``update(symbol)`` is the kind's transition, bound once here; it
     returns the table then active. Static holds; the adaptive kinds observe
     the symbol, then switch to its context's table (one table for both
-    contexts of adaptive). An observation adds one to the cumulative
-    entries above the symbol (O(k), after Moffat's linear-time adaptive
-    coder); when the total would exceed ``COUNT_CAP`` every count, the
-    observed one included, is halved, rounding up. Tables change in place.
+    contexts of adaptive). An observation is O(1): ``c_s += 1``,
+    ``T += 1``, and ``cum[z] += 1`` when ``s < z``. When the total would
+    exceed ``COUNT_CAP``, :func:`halve` halves every count, the observed one
+    included, rounding up. Tables change in place.
     """
 
-    __slots__ = ("kind", "k", "zero_index", "counts", "update", "_tabs", "_tab")
+    __slots__ = ("kind", "k", "zero_index", "counts", "update", "tables", "_tab")
 
     def __init__(self, kind: str, k: int, static_counts: Optional[Sequence[int]] = None):
         if kind not in MODEL_KINDS:
@@ -144,30 +153,35 @@ class EntropyModel:
             # so every frequency is >= 1 and the total is exactly 2**15;
             # fitting a fitted table again leaves it unchanged.
             self.counts = quantize_counts(c)
-            first = [0] + np.cumsum(self.counts).tolist()
+            first = _table(self.counts.tolist())
             self.update = self._hold
         else:
-            first = list(range(k + 1))
+            first = _table([1] * k)
             self.update = self._observe
-        self._tabs = (first, list(range(k + 1)) if kind == CONTEXT else first)
+        # (context 0's table, context 1's table), one list twice unless the
+        # kind is context; the range decoder steps them itself.
+        self.tables = (first, _table([1] * k) if kind == CONTEXT else first)
         self._tab = first
 
     def cum(self) -> list:
-        """Cumulative counts [0, c0, c0+c1, ..., T] as ints (read-only)."""
-        return self._tab
+        """Cumulative counts [0, c0, c0+c1, ..., T] of the active table, as
+        a new list of ints."""
+        return [0, *accumulate(self._tab[: self.k])]
 
     def stepper(self):
-        """``(cum, step)``, the active table and the transition: each of the
+        """``(tab, step)``, the active table and the transition: each of the
         three per-symbol loops (the engine's walk, :func:`replay_intervals`
-        and the range decoder's adaptive loop) reads ``cum``, then sets
-        ``cum = step(symbol)``. A static model is never stepped: its one
-        table is read once through :meth:`cum`."""
+        and the range decoder's adaptive loop) reads ``tab``, then sets
+        ``tab = step(symbol)`` (the decoder makes the same step inline). A
+        static model is never stepped: its one table is read once through
+        :meth:`cum` or :meth:`rate_vector`."""
         return self._tab, self.update
 
     def rate_vector(self) -> np.ndarray:
         """Per-symbol cost in bits: -log2(count / T)."""
-        cum = self._tab
-        return _LOG2[cum[-1]] - _LOG2[np.diff(cum)]
+        tab = self._tab
+        k = self.k
+        return _LOG2[tab[k]] - _LOG2[tab[:k]]
 
     def fresh(self) -> "EntropyModel":
         """New instance of the same kind and parameters, initial state."""
@@ -178,16 +192,32 @@ class EntropyModel:
         return self._tab
 
     def _observe(self, symbol: int) -> list:
-        cum = self._tab
-        if cum[-1] < COUNT_CAP:
-            for i in range(symbol + 1, len(cum)):
-                cum[i] += 1
-        else:
-            counts = np.diff(cum)
-            counts[symbol] += 1
-            cum[1:] = np.cumsum((counts + 1) >> 1).tolist()
-        self._tab = cum = self._tabs[symbol != self.zero_index]
-        return cum
+        tab = self._tab
+        k = self.k
+        z = self.zero_index
+        tab[symbol] += 1
+        tab[k] += 1
+        if symbol < z:
+            tab[k + 1] += 1
+        if tab[k] > COUNT_CAP:
+            halve(tab)
+        self._tab = tab = self.tables[symbol != z]
+        return tab
+
+
+def _table(counts: list) -> list:
+    """A count table: ``counts``, then their total and ``cum[k // 2]``."""
+    return counts + [sum(counts), sum(counts[: len(counts) // 2])]
+
+
+def halve(tab: list) -> None:
+    """Halve a table's counts in place, rounding up, and recompute its
+    total and ``cum[k // 2]``: the step taken once the total would exceed
+    ``COUNT_CAP``."""
+    k = len(tab) - 2
+    tab[:k] = [(c + 1) >> 1 for c in tab[:k]]
+    tab[k] = sum(tab[:k])
+    tab[k + 1] = sum(tab[: k // 2])
 
 
 def make_model(
@@ -208,8 +238,10 @@ def replay_intervals(symbols, model: EntropyModel):
     Returns ``(lo, hi, total)``, three int32 arrays in sequence order: the
     symbol ``s`` seen with cumulative counts ``cum`` gets
     ``(cum[s], cum[s + 1], cum[-1])``. The range coder codes these, and
-    :func:`interval_bits` prices them. A static model never changes, so
-    its intervals are looked up in its one table at once.
+    :func:`interval_bits` prices them. An adaptive table finds ``cum[s]``
+    by summing counts outward from the zero level's ``cum[k // 2]``. A
+    static model never changes, so its intervals are looked up in its one
+    table at once.
     """
     syms = np.asarray(symbols, dtype=np.int64).ravel()
     if model.kind == STATIC:
@@ -217,12 +249,19 @@ def replay_intervals(symbols, model: EntropyModel):
         return cum[:-1][syms], cum[1:][syms], np.full(syms.size, cum[-1], np.intc)
     lo, hi, total = array("i"), array("i"), array("i")
     lo_append, hi_append, total_append = lo.append, hi.append, total.append
-    cum, step = model.stepper()
+    k = model.k
+    z = model.zero_index
+    tab, step = model.stepper()
     for s in syms.tolist():
-        lo_append(cum[s])
-        hi_append(cum[s + 1])
-        total_append(cum[-1])
-        cum = step(s)
+        c_lo = tab[k + 1]
+        if s > z:
+            c_lo += sum(tab[z:s])
+        elif s < z:
+            c_lo -= sum(tab[s:z])
+        lo_append(c_lo)
+        hi_append(c_lo + tab[s])
+        total_append(tab[k])
+        tab = step(s)
     return tuple(np.frombuffer(a, dtype=np.intc) for a in (lo, hi, total))
 
 

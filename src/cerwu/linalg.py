@@ -53,6 +53,10 @@ VAR_FLOOR = 1e-30
 # Relative ridge added to the Hessian diagonal before regularization.
 DEFAULT_DAMPING = 1e-2
 
+# Smallest normal float64: a Hessian whose largest entry lies below it is
+# subnormal throughout.
+_TINY = float(np.finfo(np.float64).tiny)
+
 # Rows per band when build_context copies the upper triangle of C' out of
 # the Fortran-ordered inverse factor. At m=1536 (one thread) bands of 16 to
 # 128 rows took 14-15 ms, against 26 ms for transposing the whole matrix.
@@ -114,6 +118,12 @@ def accumulate_hessian(activation_batches: Sequence[np.ndarray]) -> np.ndarray:
         ShapeError: a batch is not a nonempty 2-D array of m rows, or it
             holds a NaN or an infinity, or finite entries whose squares
             overflow: then ``H``'s diagonal is not finite after that batch.
+            Or, with every batch summed, ``H``'s largest diagonal entry is
+            zero or subnormal (below ``np.finfo(np.float64).tiny``): every
+            entry of ``H`` has then lost its precision, or there is none, and
+            the layer would be quantized from a distorted Hessian or could
+            not be factorized. The message names the last batch. Some tiny
+            features next to normal ones are fine.
     """
     h = None
     for i, batch in enumerate(activation_batches):
@@ -130,29 +140,48 @@ def accumulate_hessian(activation_batches: Sequence[np.ndarray]) -> np.ndarray:
                 h = xxt
             else:
                 h += xxt
-        if not np.all(np.isfinite(h.diagonal())):
+        # Diagonal entries are sums of squares: their largest is NaN or
+        # infinite exactly when one of them is.
+        peak = float(h.diagonal().max())
+        if not peak < math.inf:
             raise ShapeError(
                 f"activation batch {i}: contains non-finite entries, "
                 "or entries whose squares overflow"
             )
     if h is None:
         raise ShapeError("accumulate_hessian: need at least one batch")
+    if peak < _TINY:
+        raise ShapeError(
+            f"activation batch {i}: with every batch summed, the Hessian's largest "
+            f"diagonal entry is {peak!r}, zero or subnormal: the activations are too "
+            "small to weigh the weights; scale them up"
+        )
     return h
 
 
 def compute_gamma(weights) -> float:
-    """Rate-proxy scale ``1 / (ln 2 * Var(W))`` from a Gaussian fit.
+    """Rate-proxy scale ``1 / (ln 2 * s)`` from a Gaussian fit.
 
-    Uses the population variance of all entries. Below ``VAR_FLOOR`` the
-    fit is degenerate and the result is ``0.0``: a (near-)constant matrix
-    gets no Gaussian regularization. (A clamped variance would give gamma
-    near 1e30, whose ridge and Gaussian term do not cancel in float64.)
+    ``s`` is the population variance of all entries, or half their second
+    moment ``E[W^2]`` where that is larger, that is where the mean
+    outweighs the spread (``mean^2 > Var``). The proxy term
+    ``-0.5 * lam * gamma * g^2`` is centred at zero, so such an offset
+    layer is fitted about zero: on ``0.5 +- eps`` the variance alone gives
+    a gamma whose ridge ``lam * gamma`` dwarfs the Hessian and collapses
+    ``W'`` toward zero (errors of 0.25 to 1 at lam = 0.03, k = 9). A
+    centred layer keeps its variance, bitwise.
+
+    Below ``VAR_FLOOR`` the fit is degenerate and the result is ``0.0``: a
+    (near-)constant matrix gets no Gaussian regularization. (A clamped
+    variance would give gamma near 1e30, whose ridge and Gaussian term do
+    not cancel in float64.)
     """
     w = as_matrix(weights, "weights")
     var = float(np.var(w))
     if var < VAR_FLOOR:
         return 0.0
-    return 1.0 / (np.log(2.0) * var)
+    spread = max(var, 0.5 * float(np.mean(w * w)))
+    return 1.0 / (np.log(2.0) * spread)
 
 
 def build_context(

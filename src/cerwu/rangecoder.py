@@ -33,22 +33,22 @@ changes, so it reads the model once: :func:`_symbol_table` maps each
 scaled offset ``0 <= thr < T`` to its symbol and interval (the
 ``cum2sym`` table of static rANS decoders), and each symbol then costs
 one list index and the interval arithmetic, with no search and no call
-into the model. The adaptive kinds search the active cumulative-count
-list for each symbol (``bisect_right``) and make one call into the model
-per symbol, ``cum = step(s)``, with ``step`` taken once from
-:meth:`~cerwu.entropy.EntropyModel.stepper`. Both loops give the same
-symbols and raise the same errors.
+into the model. The adaptive kinds step the model's count tables
+(``EntropyModel.tables``) themselves: each symbol is found by walking the
+active table's counts outward from the zero level's ``cum[k // 2]``, down
+or up, until the interval holds the scaled offset, and the table then
+takes the model's O(1) observation inline, with no call into the model.
+Both loops give the same symbols and raise the same errors.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import STATIC, TOTAL, EntropyModel, replay_intervals
+from .entropy import COUNT_CAP, STATIC, TOTAL, EntropyModel, halve, replay_intervals
 from .errors import DecodeError, ShapeError
 
 _MASK32 = 0xFFFFFFFF
@@ -121,9 +121,10 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
 
     A static model never changes: its symbols are read from the lookup
     table :func:`_symbol_table` builds once, with no call into the model
-    and no search. The adaptive kinds search the active cumulative counts
-    for each symbol and make one model call per symbol, ``cum = step(s)``.
-    Both give the same symbols and the same errors.
+    and no search. The adaptive kinds find each symbol by walking the
+    active count table outward from the zero level and make the model's
+    transition inline, on its tables: pass a fresh model, which the decode
+    uses up. Both give the same symbols and the same errors.
 
     Raises:
         DecodeError: truncated or corrupt payload.
@@ -167,17 +168,41 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
             append(s)
         return np.array(out, dtype=np.int32)
 
-    cum, step = model.stepper()
+    # The adaptive transition, EntropyModel.update, made inline: the walk
+    # below leaves the interval [lo, hi) = [cum[s], cum[s + 1]) of symbol s
+    # in table ``tab`` (counts, then T at index k and cum[z] at k + 1).
+    tables = model.tables
+    z = model.zero_index
+    tab = model.stepper()[0]
     for t in range(n):
-        total = cum[-1]
+        total = tab[k]
+        below = tab[k + 1]
         # s is the largest symbol whose lower boundary is <= d:
         # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
         thr = ((d + 1) * total - 1) // rng
-        s = bisect_right(cum, thr) - 1
-        if s >= k:
-            raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
-        lo_inc = rng * cum[s] // total
-        hi_inc = rng * cum[s + 1] // total
+        # Walk outward from the zero level, the most probable symbol. Going
+        # down, cum[0] = 0 <= thr ends the walk; going up, only thr = T can
+        # pass the last symbol.
+        s = z
+        if thr < below:
+            hi = below
+            s -= 1
+            lo = hi - tab[s]
+            while thr < lo:
+                hi = lo
+                s -= 1
+                lo -= tab[s]
+        else:
+            lo = below
+            hi = lo + tab[s]
+            while thr >= hi:
+                s += 1
+                if s == k:
+                    raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
+                lo = hi
+                hi += tab[s]
+        lo_inc = rng * lo // total
+        hi_inc = rng * hi // total
         # Interval search guarantees lo_inc <= d < hi_inc, so the offset
         # stays inside the (renormalized) range without further checks.
         d -= lo_inc
@@ -189,7 +214,13 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
             pos += 1
             rng <<= 8
         append(s)
-        cum = step(s)
+        tab[s] += 1
+        tab[k] = total + 1
+        if s < z:
+            tab[k + 1] = below + 1
+        if total >= COUNT_CAP:
+            halve(tab)
+        tab = tables[s != z]
     return np.array(out, dtype=np.int32)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cerwu.engine import BLOCK_SIZE, model_spec_for
-from cerwu.entropy import LOG2, EntropyModel, interval_bits, replay_intervals
+from cerwu.entropy import (CONTEXT, COUNT_CAP, LOG2, STATIC, EntropyModel, interval_bits,
+                           quantize_counts, replay_intervals)
 from cerwu.errors import DecodeError, FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
 from cerwu.grids import ROW_MAJOR
@@ -95,18 +96,99 @@ def sequence_rate_bits(symbols, model: EntropyModel) -> float:
 
 def current_context(model: EntropyModel) -> int:
     """Index of the model's active table; always 0 when both slots share one."""
-    return 0 if model.cum() is model._tabs[0] else 1
+    return 0 if model.stepper()[0] is model.tables[0] else 1
 
 
 def set_context(model: EntropyModel, context: int) -> None:
     """Make table ``context`` the model's active one."""
-    model._tab = model._tabs[context]
+    model._tab = model.tables[context]
+
+
+class ReferenceModel:
+    """The cumulative-list model the count tables replaced, as an oracle.
+
+    Same kinds, contexts and halving rule as :class:`EntropyModel`, kept
+    the old way: each context's table is the cumulative list
+    ``[0, c0, c0+c1, ..., T]``, and an observation adds one to every entry
+    above the symbol; when the total would exceed ``COUNT_CAP`` every
+    count is halved, rounding up. ``cum`` is the active table.
+    """
+
+    def __init__(self, model: EntropyModel):
+        """A fresh reference model of ``model``'s kind and parameters."""
+        self.kind, self.k, self.zero_index = model.kind, model.k, model.zero_index
+        if model.kind == STATIC:
+            first = [0] + np.cumsum(quantize_counts(model.counts)).tolist()
+        else:
+            first = list(range(model.k + 1))
+        self.tabs = (first, list(range(model.k + 1)) if model.kind == CONTEXT else first)
+        self.cum = first
+
+    def step(self, symbol: int) -> list:
+        """Observe ``symbol`` (static holds); returns the active table."""
+        if self.kind == STATIC:
+            return self.cum
+        cum = self.cum
+        if cum[-1] < COUNT_CAP:
+            for i in range(symbol + 1, len(cum)):
+                cum[i] += 1
+        else:
+            counts = np.diff(cum)
+            counts[symbol] += 1
+            cum[1:] = np.cumsum((counts + 1) >> 1).tolist()
+        self.cum = self.tabs[symbol != self.zero_index]
+        return self.cum
+
+
+def reference_intervals(symbols, model: EntropyModel):
+    """Each symbol's ``(lo, hi, total)`` under a :class:`ReferenceModel` of
+    ``model``'s kind and parameters, as three int32 arrays."""
+    ref = ReferenceModel(model)
+    cum = ref.cum
+    lo, hi, total = [], [], []
+    for s in np.asarray(symbols).ravel().tolist():
+        lo.append(cum[s])
+        hi.append(cum[s + 1])
+        total.append(cum[-1])
+        cum = ref.step(s)
+    return tuple(np.array(a, dtype=np.intc) for a in (lo, hi, total))
+
+
+def oracle_stream(rng, k, n, p_zero):
+    """``n`` symbols for a k-level grid: the zero level with probability
+    ``p_zero``, else another level within two of it, an end level or any
+    level, so that the decoder's walk runs both ways from the zero level."""
+    z = k // 2
+    near = np.clip(z + rng.choice([-2, -1, 1, 2], size=n), 0, k - 1)
+    ends = np.where(rng.random(n) < 0.5, 0, k - 1)
+    other = np.choose(rng.integers(0, 3, size=n), [near, ends, rng.integers(0, k, size=n)])
+    other[other == z] = z - 1
+    return np.where(rng.random(n) < p_zero, z, other)
+
+
+def halvings_per_table(symbols, totals, kind, k):
+    """How often each table the symbols visit was halved, from the totals
+    a replay saw: a table's total falls only when it is halved."""
+    z = k // 2
+    syms = np.asarray(symbols)
+    ctx = np.zeros(syms.size, dtype=np.int64)
+    if kind == CONTEXT:
+        ctx[1:] = syms[:-1] != z
+    return [int(np.sum(np.diff(totals[ctx == c]) < 0)) for c in np.unique(ctx)]
+
+
+# Long enough for each of a context model's two tables to halve twice
+# when half of the symbols are the zero level: a table's first halving
+# comes after about COUNT_CAP observations, each later one after about
+# COUNT_CAP / 2.
+HALVING_STREAM = 3 * COUNT_CAP + 8_000
 
 
 def reference_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
-    """Reference decoder, the range decoder's one loop for every model kind:
-    each symbol is found by ``bisect_right`` over the active cumulative
-    counts, and the model steps once per symbol, static included."""
+    """Reference decoder, one loop for every model kind: each symbol is
+    found by ``bisect_right`` over the active cumulative counts of a
+    :class:`ReferenceModel` of ``model``'s kind and parameters, which steps
+    once per symbol, static included."""
     if model.k != k:
         raise ShapeError(f"model k={model.k} does not match k={k}")
     n = payload.symbol_count
@@ -122,7 +204,8 @@ def reference_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarra
     pos = 4
     rng = _MASK32
     size = len(data)
-    cum, step = model.stepper()
+    ref = ReferenceModel(model)
+    cum = ref.cum
     # Grown as symbols are decoded, not sized from the header's count: a
     # hostile count then costs memory only as fast as the payload yields
     # symbols.
@@ -149,7 +232,7 @@ def reference_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarra
             pos += 1
             rng <<= 8
         append(s)
-        cum = step(s)
+        cum = ref.step(s)
     return np.array(out, dtype=np.int32)
 
 
@@ -198,7 +281,8 @@ def reference_walk(weights, grid, config, context):
     levels_pref = levels[pref]
     gamma_term = (0.5 * lam * context.gamma) * (levels_pref * levels_pref)
     search = list(zip(pref.tolist(), levels_pref.tolist(), gamma_term.tolist()))
-    cum, step = model_spec_for(weights, grid, config).stepper()
+    ref = ReferenceModel(model_spec_for(weights, grid, config))
+    cum = ref.cum
     if config.scan_order == ROW_MAJOR:
         positions = [(i, j) for i in range(n) for j in range(m)]
     else:
@@ -224,7 +308,7 @@ def reference_walk(weights, grid, config, context):
         indices[i, j] = choice
         err[i, j] = e
         bits.append(rates[choice])
-        cum = step(choice)
+        cum = ref.step(choice)
         if j + 1 == b1 < m:
             wp[i, b1:] -= (err[i, b0:b1] * inv_c[b0:b1]) @ chol[b0:b1, b1:]
     loss = err * err * half_inv_c2

@@ -334,6 +334,23 @@ class TestErrors:
         else:
             assert (tmp_path / "o.cwm").exists()
 
+    def test_vanishing_activations_are_input_error(self, tmp_path, capsys):
+        # activations of 1e-160 are stored as float32 zeros, so the Hessian
+        # is zero: exit 1 with an error line, not an internal error
+        rng = np.random.default_rng(11)
+        model, calib = TensorFile(), TensorFile()
+        model.add("fc.weight", rng.normal(size=(4, 6)))
+        calib.add("fc.weight.activations", rng.normal(size=(6, 12)) * 1e-160)
+        mp, cp = tmp_path / "m.tns", tmp_path / "c.tns"
+        write_tensor_file(model, mp)
+        write_tensor_file(calib, cp)
+        capsys.readouterr()
+        assert main(["compress", "--model", str(mp), "--calib", str(cp),
+                     "--out", str(tmp_path / "o.cwm")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "zero or subnormal" in err
+        assert "Traceback" not in err and not (tmp_path / "o.cwm").exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("compress", ["--lambda", "nan"]), ("compress", ["--lambda", "inf"]),
         ("compress", ["--lambda", "-1"]), ("compress", ["--delta", "nan"]),

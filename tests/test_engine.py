@@ -17,7 +17,7 @@ from cerwu.engine import (
     quantize_layer,
 )
 from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, LOG2, STATIC, make_model,
+    ADAPTIVE, CONTEXT, LOG2, STATIC, interval_bits, make_model,
 )
 from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
@@ -29,7 +29,8 @@ from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
 
 from conftest import (
-    obs_row_update, random_spd, reference_walk, regularized_hessian, sequence_rate_bits,
+    HALVING_STREAM, halvings_per_table, obs_row_update, oracle_stream, random_spd,
+    reference_intervals, reference_walk, regularized_hessian, sequence_rate_bits,
 )
 
 
@@ -400,19 +401,55 @@ class TestQuantizeLayer:
     def test_activation_scale_leaves_indices(self, kind):
         # C''s diagonal scales as 1 / |X|; scaling X only rescales the
         # objective and the updates at lam = 0, so no absolute floor on it
-        # may switch the updates off
+        # may switch the updates off. Down to 1e-160 every scale gives the
+        # unscaled indices or a clean error: from 1e-156 down, H is
+        # subnormal and its accumulation refuses it
         rng = np.random.default_rng(16)
         w = rng.normal(size=(16, 64)) / 8.0
         x = rng.normal(size=(64, 256))
         grid = build_grid(w, 9)
         cfg = CompressionConfig(lam=0.0, grid_size=9, model_kind=kind)
         base = quantize_layer(w, accumulate_hessian([x]), grid, cfg).quantized.indices
-        for e in range(-12, 13):
+        subnormal = []
+        for e in range(-160, 13):
             try:
                 res = quantize_layer(w, accumulate_hessian([x * 10.0**e]), grid, cfg)
             except FactorizationError:
                 continue
+            except ShapeError as exc:
+                assert "activation batch 0" in str(exc) and "zero or subnormal" in str(exc)
+                subnormal.append(e)
+                continue
             assert np.array_equal(res.quantized.indices, base), e
+        assert -156 in subnormal and -160 in subnormal
+
+    def test_some_tiny_features_still_compress(self):
+        # only the largest diagonal entry must be normal: a layer whose
+        # features are partly subnormal in H compresses
+        rng = np.random.default_rng(17)
+        w = rng.normal(size=(8, 16)) / 4.0
+        x = rng.normal(size=(16, 64))
+        x[::2] *= 1e-160
+        cfg = CompressionConfig(lam=0.03, grid_size=9)
+        result, payload, model = compress_layer(w, accumulate_hessian([x]), cfg)
+        back = decode(payload, model.fresh(), 9)
+        assert np.array_equal(back, result.quantized.symbols_in_scan_order())
+
+    @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_offset_layer_within_one_step(self, kind, eps):
+        # 0.5 +- eps: gamma = 1 / (ln2 Var(W)) would be huge, and its ridge
+        # lam * gamma would shrink W' toward zero (errors of 0.25 to 1);
+        # fitted about zero, every weight stays within a grid step
+        rng = np.random.default_rng(0)
+        w = 0.5 + eps * rng.uniform(-1.0, 1.0, size=(4, 16))
+        h = accumulate_hessian([rng.normal(size=(16, 64))])
+        cfg = CompressionConfig(lam=0.03, grid_size=9, model_kind=kind)
+        ctx = layer_context(w, h, cfg)
+        assert ctx.lam * ctx.gamma < 0.01 * np.mean(np.diag(h))
+        res, _, _ = compress_layer(w, h, cfg, context=ctx)
+        levels = res.quantized.grid.levels
+        assert np.max(np.abs(levels[res.quantized.indices] - w)) <= levels[1] - levels[0]
 
     def test_tiny_factor_diagonal_raises(self):
         # 0.5 / c^2 overflows for c = 1e-160: a clean error, not a clamp
@@ -710,6 +747,30 @@ class TestBoundedSearch:
         ctx = build_context(w, h, lam, cfg.damping_delta, gamma=0.0)
         assert np.array_equal(ctx.w_prime, w)
         assert_matches_reference(w, grid, cfg, ctx)
+
+
+class TestWalkIntervals:
+    @pytest.mark.parametrize("kind, k", [(ADAPTIVE, 3), (CONTEXT, 9), (CONTEXT, 33)])
+    def test_recorded_intervals_across_halvings(self, kind, k):
+        # a column of entries near grid levels, half of them near zero, with
+        # C' = 1 and a rate term too small to move a choice: the walk's
+        # recorded intervals and predicted bits are the reference model's
+        # replay of its symbols while every table halves at least twice
+        grid = grid_from_scale(k, 0.25)
+        rng = np.random.default_rng(k)
+        syms = oracle_stream(rng, k, HALVING_STREAM, 0.5)
+        w = (grid.levels[syms] + rng.uniform(-0.05, 0.05, size=syms.size))[:, None]
+        ctx = LayerContext(w_prime=w, chol_upper=np.ones((1, 1)), gamma=0.0, lam=1e-3,
+                           damping_delta=0.0)
+        cfg = CompressionConfig(lam=1e-3, grid_size=k, model_kind=kind)
+        res = quantize_layer(w, None, grid, cfg, context=ctx)
+        symbols = res.quantized.symbols_in_scan_order()
+        assert np.array_equal(symbols, syms)
+        want = reference_intervals(symbols, make_model(kind, k))
+        for a, b in zip(res.intervals, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert min(halvings_per_table(symbols, want[2], kind, k)) >= 2
+        assert res.predicted_rate_bits == float(np.cumsum(interval_bits(*want))[-1])
 
 
 class EntryByEntry:

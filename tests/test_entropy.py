@@ -226,11 +226,11 @@ def test_adaptive_approaches_source_entropy():
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_distribution_total_exact_across_reachable_states(kind):
-    # driven through stepper(): each step returns the active table, and it
-    # equals a from-scratch count of the symbols seen per context, through
-    # several halvings; the adaptive kind keeps one table whatever the
-    # previous symbol was, and the static kind's step returns its one table
-    # unchanged every time
+    # driven through stepper(): each step returns the active table, whose
+    # counts, total and mass below the zero level equal a from-scratch count
+    # of the symbols seen per context, through several halvings; the
+    # adaptive kind keeps one table whatever the previous symbol was, and
+    # the static kind's step returns its one table unchanged every time
     rng = np.random.default_rng(4)
     k = 6
     m = make_model(kind, k, static_counts=[3, 1, 4, 1, 5, 9] if kind == STATIC else None)
@@ -238,19 +238,20 @@ def test_distribution_total_exact_across_reachable_states(kind):
     ctx = 0
     halvings = 0
     seq = np.where(rng.random(150_000) < 0.9, 0, rng.integers(0, k, size=150_000))
-    cum, step = m.stepper()
+    tab, step = m.stepper()
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
             assert current_context(m) == ctx
-            assert cum == [0] + np.cumsum(ref[ctx]).tolist()
-            assert cum[-1] <= COUNT_CAP
+            assert tab == ref[ctx] + [sum(ref[ctx]), sum(ref[ctx][: k // 2])]
+            assert m.cum() == [0] + np.cumsum(ref[ctx]).tolist()
+            assert tab[k] <= COUNT_CAP
             rates = m.rate_vector()
-            assert rates[s] == pytest.approx(np.log2(cum[-1]) - np.log2(ref[ctx][s]))
-        before = cum
-        cum = step(s)
-        assert cum is m.cum()
+            assert rates[s] == pytest.approx(np.log2(tab[k]) - np.log2(ref[ctx][s]))
+        before = tab
+        tab = step(s)
+        assert tab is m.stepper()[0]
         if kind == STATIC:
-            assert cum is before
+            assert tab is before
             continue
         ref[ctx][s] += 1
         if sum(ref[ctx]) > COUNT_CAP:
@@ -258,5 +259,5 @@ def test_distribution_total_exact_across_reachable_states(kind):
             halvings += 1
         if kind == CONTEXT:
             ctx = 0 if s == m.zero_index else 1
-    assert cum == [0] + np.cumsum(ref[ctx]).tolist()
+    assert tab == ref[ctx] + [sum(ref[ctx]), sum(ref[ctx][: k // 2])]
     assert halvings >= 3 or kind == STATIC

@@ -77,6 +77,22 @@ class TestAccumulateHessian:
         with pytest.raises(ShapeError, match=f"activation batch {batch}: contains non-finite"):
             accumulate_hessian(batches)
 
+    @pytest.mark.parametrize("scales, batch", [
+        ((1e-160,), 0), ((1e-156, 1e-158), 1), ((0.0,), 0), ((0.0, 0.0, 1e-170), 2),
+        ((1.0, 1e-160), None), ((1e-160, 1.0), None), ((0.0, 1e-150), None),
+    ])
+    def test_subnormal_or_zero_hessian_names_batch(self, scales, batch):
+        # H's largest diagonal entry, once every batch is summed, below the
+        # smallest normal float64 is refused, naming the last batch; one
+        # normal batch is enough
+        rng = np.random.default_rng(5)
+        batches = [rng.normal(size=(6, 16)) * s for s in scales]
+        if batch is None:
+            assert np.all(np.isfinite(accumulate_hessian(batches)))
+            return
+        with pytest.raises(ShapeError, match=f"activation batch {batch}: .* zero or subnormal"):
+            accumulate_hessian(batches)
+
     def test_rejects_mismatched_batches(self):
         with pytest.raises(ShapeError):
             accumulate_hessian([np.eye(3), np.eye(4)])
@@ -102,6 +118,16 @@ class TestComputeGamma:
         w = rng.normal(size=(5, 7))
         var = np.mean((w - w.mean()) ** 2)
         assert abs(compute_gamma(w) - 1.0 / (LN2 * var)) <= 1e-12 * compute_gamma(w)
+
+
+    def test_offset_layer_fitted_about_zero(self):
+        # where mean^2 > Var the spread is half the second moment; a
+        # centred layer keeps its variance, bitwise
+        rng = np.random.default_rng(10)
+        w = 0.5 + 1e-6 * rng.uniform(-1.0, 1.0, size=(4, 16))
+        assert compute_gamma(w) == 1.0 / (np.log(2.0) * (0.5 * float(np.mean(w * w))))
+        v = rng.normal(size=(5, 7))
+        assert compute_gamma(v) == 1.0 / (np.log(2.0) * float(np.var(v)))
 
 
 class TestBuildContext:

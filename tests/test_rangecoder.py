@@ -5,11 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cerwu.entropy import ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, TOTAL, make_model
+from cerwu.entropy import (
+    ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, TOTAL, make_model, replay_intervals,
+)
 from cerwu.errors import DecodeError, ShapeError
-from cerwu.rangecoder import FLUSH_BYTES, Payload, decode, encode
+from cerwu.rangecoder import FLUSH_BYTES, Payload, decode, encode, encode_intervals
 
-from conftest import reference_decode, sequence_rate_bits
+from conftest import (
+    HALVING_STREAM, halvings_per_table, oracle_stream, reference_decode, reference_intervals,
+    sequence_rate_bits,
+)
 
 
 def _spec(kind, k, rng=None):
@@ -252,3 +257,68 @@ class TestRateAchievability:
             payload = encode(syms, factory())
             gap = 8 * len(payload.data) - predicted
             assert 0 <= gap <= 64 + 0.001 * predicted
+
+
+class TestAdaptiveDecodeOracle:
+    """The adaptive decoder and :func:`replay_intervals` against the
+    cumulative-list reference model of ``conftest``, which shares no code
+    with the count tables under test."""
+
+    @settings(max_examples=2, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([ADAPTIVE, CONTEXT]),
+        k=st.sampled_from([2, 3, 9, 33, 257]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind=CONTEXT, k=2, seed=0)
+    @example(kind=ADAPTIVE, k=3, seed=1)
+    @example(kind=CONTEXT, k=9, seed=2)
+    @example(kind=ADAPTIVE, k=33, seed=3)
+    @example(kind=CONTEXT, k=257, seed=4)
+    def test_long_streams_across_halvings(self, kind, k, seed):
+        # encode codes the replay's intervals; once they are the reference's,
+        # its payload is the reference coder's bytes, which the reference
+        # decoder maps back to the symbols: decoding them is decoding like
+        # the reference.
+        syms = oracle_stream(np.random.default_rng(seed), k, HALVING_STREAM, 0.5)
+        want = reference_intervals(syms, make_model(kind, k))
+        got = replay_intervals(syms, make_model(kind, k))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert min(halvings_per_table(syms, want[2], kind, k)) >= 2
+        back = decode(encode_intervals(*got), make_model(kind, k), k)
+        assert back.dtype == np.int32 and np.array_equal(back, syms)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([ADAPTIVE, CONTEXT]),
+        k=st.sampled_from([2, 3, 9, 33, 257]),
+        p_zero=st.sampled_from([0.0, 0.5, 0.9]),
+        n=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind=CONTEXT, k=257, p_zero=0.0, n=24, seed=0)
+    @example(kind=ADAPTIVE, k=2, p_zero=0.5, n=24, seed=1)
+    def test_short_payloads_truncated_or_flipped(self, kind, k, p_zero, n, seed):
+        # every truncation and a one-byte XOR at every offset of a small
+        # payload decode to the reference's symbols or its exact error
+        factory = lambda: make_model(kind, k)
+        rng = np.random.default_rng(seed)
+        syms = oracle_stream(rng, k, n, p_zero)
+        data = encode(syms, factory()).data
+        assert np.array_equal(decode(Payload(data, n), factory(), k), syms)
+        for cut in range(len(data)):
+            assert_decodes_like_reference(Payload(data[:cut], n), factory, k)
+        for pos, mask in enumerate(rng.integers(1, 256, size=len(data)).tolist()):
+            mutant = bytearray(data)
+            mutant[pos] ^= mask
+            assert_decodes_like_reference(Payload(bytes(mutant), n), factory, k)
+
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_all_ones_priming_word(self, kind, k):
+        # the threshold is T: the upward walk passes the last symbol
+        payload = Payload(bytes.fromhex("ffffffff") + bytes(8), 3)
+        assert_decodes_like_reference(payload, lambda: make_model(kind, k), k)
+        with pytest.raises(DecodeError, match="corrupt payload at symbol 0"):
+            decode(payload, make_model(kind, k), k)
