@@ -2,7 +2,7 @@
 
 Subcommands: compress, decompress, eval, sweep, pareto (and a hidden
 oracle command for debugging tiny instances). Exit status: 0 on success,
-1 on input errors, 2 on internal errors.
+1 on input errors (usage errors among them), 2 on internal errors.
 """
 
 from __future__ import annotations
@@ -229,8 +229,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: the usage, one ``error:`` line,
+    exit status 1. Subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cerwu",
         description="Rate-distortion optimized weight compression",
     )
@@ -302,10 +311,7 @@ def main(argv=None) -> int:
         parser.error("--threads must be >= 1")
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a missing, unreadable or unwritable path, or a directory
+    except (InputError, OSError) as exc:  # OSError: a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CerwuError as exc:

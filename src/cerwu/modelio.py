@@ -40,7 +40,9 @@ records' bytes (headers plus payloads) by the number of quantized
 parameters; raw records and the file preamble are excluded.
 
 Readers check every length and count against the bytes actually present
-(a grid size must lie in ``[2, 2**15]``) and raise ParseError with the
+(a grid size must lie in ``[2, 2**15]``; a grid step must be finite with
+its sign bit clear, so ``-0.0`` is rejected and ``+0``, which all-zero
+layers store, reads as the degenerate step) and raise ParseError with the
 byte offset. Writers go through :func:`atomic_output`, so a failed write
 never leaves a partial file in place of an existing one.
 """
@@ -380,9 +382,12 @@ def read_compressed(path) -> CompressedModel:
             if mkind not in _MODEL_NAMES:
                 raise ParseError(f"{path}: unknown model code {mkind} before offset {r.pos}")
             model_kind = _MODEL_NAMES[mkind]
-            if not math.isfinite(step):  # no writer stores one; a NaN would not re-write exactly
+            # No writer stores one: a NaN would not re-write exactly, and a
+            # negative step (-0.0 too) would read as the degenerate step.
+            if not math.isfinite(step) or math.copysign(1.0, step) < 0:
                 raise ParseError(
-                    f"{path}: record {name!r} has a non-finite grid step before offset {r.pos}"
+                    f"{path}: record {name!r} has a non-finite or negative grid step "
+                    f"{step!r} before offset {r.pos}"
                 )
             (has_static,) = r.unpack("<B")
             if has_static != (model_kind == entropy.STATIC):

@@ -169,32 +169,6 @@ class CompressionReport:
         return sum(s.quadratic_loss_delta for s in self.layers)
 
 
-def layer_contexts(
-    model_tf: TensorFile,
-    hessians: Dict[str, np.ndarray],
-    config: CompressionConfig,
-) -> Dict[str, LayerContext]:
-    """Each quantizable layer's :func:`~cerwu.engine.layer_context` at
-    ``config``'s settings, for :func:`compress_model` runs that share them.
-
-    ``rtn`` needs none. A layer without a Hessian, or whose context fails
-    to build, is left out: a compress that reaches it builds its own and
-    raises there.
-    """
-    contexts = {}
-    if config.method != METHOD_CERWU:
-        return contexts
-    for name in quantizable_names(model_tf):
-        if name in hessians:
-            try:
-                contexts[name] = layer_context(
-                    _layer_weight_matrix(model_tf[name]), hessians[name], config
-                )
-            except Exception:  # as a compress would raise it: let the compress report it
-                pass
-    return contexts
-
-
 def compress_model(
     model_tf: TensorFile,
     hessians: Dict[str, np.ndarray],
@@ -203,18 +177,22 @@ def compress_model(
 ) -> CompressionReport:
     """Compress every quantizable tensor by ``config.method``; store the rest raw.
 
-    ``contexts`` maps layer names to contexts that
-    :func:`~cerwu.engine.layer_context` built at ``config``'s ``lam``,
-    ``damping_delta`` and ``gamma_mode`` (see :func:`layer_contexts`); a
-    layer not in it builds its own. The report carries the reconstruction
-    the compressed model decodes to.
+    ``contexts`` maps layer names to their :func:`~cerwu.engine.layer_context`
+    at ``config``'s ``lam``, ``damping_delta`` and ``gamma_mode``; the call
+    reads it and fills it. A ``cerwu`` layer in it is quantized with that
+    context, and one missing builds its own and stores it there; ``rtn``
+    stores nothing. Calls that differ only in grid size, scan order or
+    model kind can share one map, as a sweep job's configurations do;
+    ``None`` means a map of this call's own. The report carries the
+    reconstruction the compressed model decodes to.
     """
     t0 = time.perf_counter()
     cm = CompressedModel()
     recon = TensorFile()
     stats: List[LayerStats] = []
     quant_names = set(quantizable_names(model_tf))
-    contexts = contexts or {}
+    if contexts is None:
+        contexts = {}
 
     for name, arr in model_tf.entries.items():
         if name.endswith(ACTIVATION_SUFFIX):
@@ -228,6 +206,8 @@ def compress_model(
         if config.method == METHOD_CERWU and name not in hessians:
             raise InputError(f"no Hessian available for layer {name!r}")
         try:
+            if config.method == METHOD_CERWU and name not in contexts:
+                contexts[name] = layer_context(w, hessians[name], config)
             result, payload, model = compress_layer(
                 w, hessians.get(name), config, context=contexts.get(name)
             )

@@ -20,7 +20,6 @@ from .modelio import TensorFile
 # ``decompress_model`` stays importable from here: perfbench/tracing.py wraps
 # sweep.decompress_model.
 from .pipeline import compress_model, decompress_model, evaluate_model  # noqa: F401
-from .pipeline import layer_contexts
 
 
 def _finite(cell: str) -> float:
@@ -101,11 +100,9 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     return kept
 
 
-def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts,
-                shared_ms: float) -> SweepPoint:
-    """One row: compress with the job's ``contexts`` and evaluate the
-    report's reconstruction; ``shared_ms`` is the row's share of building
-    them."""
+def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts) -> SweepPoint:
+    """One row: compress with the job's context map and evaluate the
+    report's reconstruction, timed together as ``wall_ms``."""
     t0 = time.perf_counter()
     try:
         report = compress_model(model_tf, hessians, config, contexts=contexts)
@@ -124,21 +121,17 @@ def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts,
         grid_size=config.grid_size,
         scan_order=config.scan_order,
         model_kind=config.model_kind,
-        wall_ms=shared_ms + 1000.0 * (time.perf_counter() - t0),
+        wall_ms=1000.0 * (time.perf_counter() - t0),
         **outcome,
     )
 
 
 def _run_job(configs, model_tf, hessians, calib_tf, test_tf) -> List[SweepPoint]:
-    """Rows of configurations that share one context per layer
-    (:func:`~cerwu.pipeline.layer_contexts` of the first)."""
-    t0 = time.perf_counter()
-    contexts = layer_contexts(model_tf, hessians, configs[0])
-    shared_ms = 1000.0 * (time.perf_counter() - t0) / len(configs)
-    return [
-        _run_config(c, model_tf, hessians, calib_tf, test_tf, contexts, shared_ms)
-        for c in configs
-    ]
+    """Rows of configurations that run in turn on one context map
+    (:func:`~cerwu.pipeline.compress_model`'s ``contexts``), so each
+    layer's context is built once, by the first row that reaches it."""
+    contexts = {}
+    return [_run_config(c, model_tf, hessians, calib_tf, test_tf, contexts) for c in configs]
 
 
 # A pool worker's copy of the inputs every configuration shares:
@@ -223,13 +216,15 @@ def run_sweep(
     A failing configuration is recorded in its row (``error`` column) and
     the sweep continues.
 
-    The configurations of one lambda run as one job, which builds each
-    layer's ``C'`` and ``W'`` once (:func:`~cerwu.pipeline.layer_contexts`;
-    they do not depend on grid size, scan order or model kind) and holds
-    them all while its configurations run. Each configuration evaluates
-    the reconstruction its compress returns, which is bitwise what
-    decoding its payload gives, without decoding it. A row's ``wall_ms``
-    is its own time plus an equal share of its job's context time.
+    The configurations of one lambda run as one job and share one context
+    map (:func:`~cerwu.pipeline.compress_model`'s ``contexts``): each
+    layer's ``C'`` and ``W'``, which do not depend on grid size, scan
+    order or model kind, are built once, by the first configuration that
+    reaches the layer, and held until the job ends.
+    Each configuration evaluates the reconstruction its compress returns,
+    which is bitwise what decoding its payload gives, without decoding it.
+    A row's ``wall_ms`` is its own compress and evaluate time, so the row
+    that builds a layer's context carries that build.
 
     With ``threads > 1`` the jobs run on a process pool of at most
     ``min(threads, number of configurations)`` workers; with one worker

@@ -221,6 +221,39 @@ class TestErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert "huge.weight" in err and str(2**40) in err
 
+    def test_negative_grid_step_is_input_error(self, tmp_path, capsys):
+        out = self._compressed(tmp_path)
+        data = bytearray(out.read_bytes())
+        # the binary16 step's high byte follows the name, the kind byte,
+        # rows, cols and grid size (u32 each) and the scan and model codes
+        at = data.index(b"fc0.weight\x00") + len("fc0.weight") + 1 + 12 + 2 + 1
+        data[at] ^= 0x80
+        out.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(["decompress", "--input", str(out), "--out", str(tmp_path / "o.tns")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "record 'fc0.weight' has a non-finite or negative grid step -" in err
+        assert not (tmp_path / "o.tns").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--model", "m.tns", "--out", "o.cwm"],
+        ["compress", "--model", "m.tns", "--calib", "c.tns", "--out", "o.cwm",
+         "--lambda", "abc"],
+        ["--threads", "0", "sweep", "--model", "m.tns", "--calib", "c.tns",
+         "--csv-out", "o.csv"],
+        ["frobnicate"],
+    ], ids=["missing-calib", "lambda-abc", "threads-0", "unknown-command"])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cerwu") and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors == err.splitlines()[-1:]
+
     @pytest.mark.parametrize("grid_size", [1, 2**15 + 1])
     def test_grid_size_out_of_range_is_input_error(self, tmp_path, capsys, grid_size):
         rec = QuantizedRecord(

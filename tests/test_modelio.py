@@ -240,7 +240,8 @@ class TestCompressedModel:
             with pytest.raises(ParseError, match="grid size .* at byte offset 22"):
                 read_compressed(path)
 
-    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    # -0.1 and -0.0 are a written step with its binary16 sign bit flipped
+    @pytest.mark.parametrize("step", [np.inf, np.nan, -0.1, -0.0])
     def test_non_finite_step_rejected(self, tmp_path, step):
         rec = QuantizedRecord(
             name="q", rows=1, cols=2, grid_size=5, scan_order=ROW_MAJOR,
@@ -249,7 +250,7 @@ class TestCompressedModel:
         )
         path = tmp_path / "s.cwm"
         write_compressed(CompressedModel(records=[rec]), path)
-        with pytest.raises(ParseError, match="'q' has a non-finite grid step"):
+        with pytest.raises(ParseError, match="'q' has a non-finite or negative grid step"):
             read_compressed(path)
 
     def test_bad_magic(self, tmp_path):

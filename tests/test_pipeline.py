@@ -21,7 +21,7 @@ from cerwu.pipeline import (
     forward,
     quantizable_names,
 )
-from cerwu import sweep
+from cerwu import pipeline, sweep
 from cerwu.sweep import SweepPoint, run_sweep, sweep_configs
 
 
@@ -128,6 +128,26 @@ class TestCompressDecompress:
         for s in report.layers:
             gap = s.actual_bits - s.predicted_rate_bits
             assert 0 <= gap <= 64 + 0.001 * s.predicted_rate_bits
+
+    def test_context_map_holds_each_cerwu_layer(self):
+        rng = np.random.default_rng(7)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        cfg = CompressionConfig(lam=0.01, grid_size=5)
+        contexts = {}
+        shared = compress_model(model, hes, cfg, contexts=contexts)
+        assert sorted(contexts) == ["l1.weight", "l2.weight"]
+        built = dict(contexts)
+        # a call that finds every context in the map reuses them unchanged
+        again = compress_model(model, hes, cfg, contexts=contexts)
+        assert all(contexts[name] is built[name] for name in built) and len(contexts) == 2
+        alone = compress_model(model, hes, cfg)
+        payloads = [[r.payload for r in report.compressed.quantized()]
+                    for report in (shared, again, alone)]
+        assert payloads[0] == payloads[1] == payloads[2]
+        rtn_contexts = {}
+        compress_model(model, {}, dataclasses.replace(cfg, method="rtn"), contexts=rtn_contexts)
+        assert rtn_contexts == {}
 
     def test_rtn_needs_no_hessian(self):
         rng = np.random.default_rng(6)
@@ -433,6 +453,23 @@ class TestRunSweep:
                 for size, jobs in started] == [
             (2, [[(1e-3, 3), (1e-3, 5)], [(1e-2, 3), (1e-2, 5)]])]
 
+    def test_job_builds_each_layer_context_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        model, calib = tiny_model(rng)
+        hes = collect_hessians(model, calib)
+        built = []
+        layer_context = pipeline.layer_context
+
+        def counted(w, hessian, config):
+            built.append(w.shape)
+            return layer_context(w, hessian, config)
+
+        monkeypatch.setattr(pipeline, "layer_context", counted)
+        pts = run_sweep(model, calib, hes, [0.01], [5], ["row-major"],
+                        ["static", "adaptive", "context"])
+        assert len(pts) == 3 and all(not p.error for p in pts)
+        assert built == [(6, 8), (3, 6)]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_group_without_hessians_fails_every_row(self, monkeypatch, threads):
         InProcessPool.install(monkeypatch)
@@ -445,8 +482,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_group_with_singular_hessian_fails_every_row(self, monkeypatch, threads):
-        # at lam = 0 and delta = 0 a zero Hessian is singular: l2's context is
-        # left out of the job's, and each row fails where its compress builds it
+        # at lam = 0 and delta = 0 a zero Hessian is singular: l2's context
+        # never enters the job's map, so each row fails where it builds it
         InProcessPool.install(monkeypatch)
         rng = np.random.default_rng(22)
         model, calib = tiny_model(rng)
