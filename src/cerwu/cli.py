@@ -30,6 +30,7 @@ from .modelio import (
     write_tensor_file,
 )
 from .pipeline import (
+    accuracy,
     collect_hessians,
     compress_model,
     decompress_model,
@@ -167,6 +168,8 @@ def cmd_sweep(args) -> int:
     sweep_configs(**settings)  # a bad flag is reported before any Hessian work
     model_tf, calib_tf, hessians = _load_model_and_calibration(args)
     test_tf = load_tensor_file(args.test) if args.test else None
+    if test_tf is not None:
+        accuracy(model_tf, test_tf)  # a bad test set is reported once, not in every row
     points = run_sweep(
         model_tf, calib_tf, hessians, test_tf=test_tf, threads=args.threads, **settings
     )

@@ -59,16 +59,22 @@ predicted bits are bitwise those of visiting the entries one by one.
 Adaptive and context entries are chosen on Python floats, since for a
 handful of levels each numpy call costs more than its arithmetic, and
 each entry makes one call into the model, the transition from
-:meth:`~EntropyModel.stepper`. The search is bounded and exact: it
-starts at the levels on either side of the working value and walks
-outward, reads a level's rate ``log2(T) - log2(c)`` from the active
-count table's total and count only when it reaches that level, and stops
-on a side once the distortion alone, less the largest Gaussian term,
-exceeds the best objective so far, because the rate is never negative. On
-a 256x32 layer at ``lam = 0.03`` it evaluates under two levels per entry
-for k from 5 to 33; the window widens as ``lam`` grows (6 of 9 levels at
-``lam = 30``). The chosen level's interval starts at ``cum[idx]``, summed
-outward from the table's ``cum[k // 2]`` over the counts in between.
+:meth:`~EntropyModel.stepper`. The search is bounded and exact: it scores
+the first level at or above the working value, walks down from its lower
+neighbour and then up from its upper one, reads a level's rate
+``log2(T) - log2(c)`` from the active count table's total and count only
+when it reaches that level, and stops on a side once the distortion
+alone, less the largest Gaussian term, exceeds the best objective so far,
+because the rate is never negative. On a 256x32 layer at ``lam = 0.03``
+it scores 1.5 to 1.75 levels per entry for k from 5 to 17 and 3.0 at
+k=33, so it is straight-line code around two ``while`` loops: against a
+search that walked one side fully before the other, quantizing that
+layer went from 5.40 to 4.44 us per weight row-major and from 3.69 to
+2.82 column-major (context, k=9; best of 60, interleaved, one thread of
+a 2-vCPU Xeon host). The window widens as ``lam`` grows (7.1 of 9 levels
+at ``lam = 30``). The chosen level's interval starts at ``cum[idx]``,
+summed outward from the table's ``cum[k // 2]`` over the counts in
+between.
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -85,7 +91,6 @@ can build once and share.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -301,7 +306,6 @@ def quantize_layer(
         gt = gamma_term_pref[rank].tolist()  # gamma term by index
         gt_max = max(gt)
         rank = rank.tolist()
-        first = int(pref[0])
         h = half_inv_c2.tolist()
         level_list = levels.tolist()  # ascending, so position == index
         err_seq = []
@@ -318,29 +322,44 @@ def quantize_layer(
             # objective is q + (r*lam - gt[p]) with q = (g - w)^2 * hj.
             # Rounding is monotone, r >= 0 (a count never exceeds the total
             # T and the LOG2 table never decreases), lam >= 0 and
-            # gt[p] <= gt_max, so the objective is
-            # at least fl(q - gt_max). Moving away from w on either side
-            # q never decreases, so once fl(q - gt_max) > best every level
-            # further out on that side has an objective above best, and
-            # best only falls from there. The levels skipped can neither
+            # gt[p] <= gt_max, so the objective is at least fl(q - gt_max).
+            # The search scores the first level at or above w (the top one
+            # if none is), then walks down from its lower neighbour and up
+            # from its upper one. Moving away from w q never decreases, so
+            # once fl(q - gt_max) > best every level further out on that
+            # side has an objective above best, and best only falls,
+            # whatever the order of visits. The levels skipped can neither
             # win nor tie; among the levels scanned, keeping the lower
             # tie-break rank on equal objectives picks what the full scan's
             # strict ``<`` picks.
-            best = math.inf
-            idx = first
-            best_rank = 0
             pos = bisect_left(level_list, wij)
-            for side in (range(pos, k), range(pos - 1, -1, -1)):
-                for p in side:
-                    d = level_list[p] - wij
-                    q = d * d * hj
-                    if q - gt_max > best:
-                        break
-                    obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
-                    if obj < best or (obj == best and rank[p] < best_rank):
-                        best = obj
-                        idx = p
-                        best_rank = rank[p]
+            if pos == k:
+                pos -= 1
+            idx = pos
+            d = level_list[pos] - wij
+            best = d * d * hj + ((log_total - L[tab[pos]]) * lam - gt[pos])
+            p = pos - 1
+            while p >= 0:
+                d = level_list[p] - wij
+                q = d * d * hj
+                if q - gt_max > best:
+                    break
+                obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+                if obj < best or (obj == best and rank[p] < rank[idx]):
+                    best = obj
+                    idx = p
+                p -= 1
+            p = pos + 1
+            while p < k:
+                d = level_list[p] - wij
+                q = d * d * hj
+                if q - gt_max > best:
+                    break
+                obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+                if obj < best or (obj == best and rank[p] < rank[idx]):
+                    best = obj
+                    idx = p
+                p += 1
             idx_append(idx)
             err_append(wij - level_list[idx])
             # cum[idx], summed outward from the zero level's cum[z]

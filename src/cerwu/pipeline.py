@@ -297,14 +297,18 @@ def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model_tf: TensorFile, test_tf: TensorFile) -> float:
-    """Top-1 accuracy on ``test.features`` / ``test.labels``."""
+    """Top-1 accuracy on ``test.features`` / ``test.labels``, whose labels
+    must be class indices, integers in ``[0, outputs)``: others raise InputError."""
     for entry in ("test.features", "test.labels"):
         if entry not in test_tf:
             raise InputError(f"test data missing entry {entry!r}")
     logits = forward(model_tf, test_tf["test.features"])
-    labels = test_tf["test.labels"].astype(np.int64).ravel()
+    labels = test_tf["test.labels"].ravel()
     if logits.shape[0] != labels.size:
         raise ShapeError("test features and labels disagree on sample count")
+    outputs = logits.shape[1]
+    if not np.all((labels >= 0) & (labels < outputs) & (np.floor(labels) == labels)):
+        raise InputError(f"test.labels: every label must be an integer in [0, {outputs})")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

@@ -406,6 +406,35 @@ class TestErrors:
         # rejected before any Hessian work
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
+    @pytest.mark.parametrize("shift", ["fraction", "negative", "huge"])
+    def test_labels_must_be_class_indices(self, tmp_path, capsys, shift):
+        # labels that casting to integers would truncate or that name no
+        # output are refused by eval and by sweep before any row runs
+        rng = np.random.default_rng(9)
+        model_path, calib_path = write_diag_model(tmp_path, rng)  # 4 outputs
+        y = rng.integers(0, 4, size=5).astype(np.float64)
+        labels = {"fraction": y + 0.5, "negative": -y - 1, "huge": y + 1e30}[shift]
+        test = TensorFile()
+        test.add("test.features", rng.normal(size=(5, 6)))
+        test.add("test.labels", labels)
+        test_path = tmp_path / "test.tns"
+        write_tensor_file(test, test_path)
+        csv_path = tmp_path / "sweep.csv"
+        for argv in (
+            ["eval", "--model", str(model_path), "--compressed", str(model_path),
+             "--calib", str(calib_path), "--test", str(test_path)],
+            ["sweep", "--model", str(model_path), "--calib", str(calib_path),
+             "--test", str(test_path), "--lambdas", "0.01", "--grid-sizes", "3",
+             "--csv-out", str(csv_path)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                "error: test.labels: every label must be an integer in [0, 4)"]
+            assert "Traceback" not in err
+        assert not csv_path.exists()
+
 
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):

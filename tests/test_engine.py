@@ -728,13 +728,14 @@ class TestBoundedSearch:
         # the search's bound needs log2(T) - log2(c) >= 0 for every c <= T
         assert all(a <= b for a, b in zip(LOG2[1:], LOG2[2:]))
 
-    @pytest.mark.parametrize("k", [2, 3, 8, 9, 33, 64])
-    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05, 1.0, 30.0])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 33, 64])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.05, 1.0, 30.0, 1e3])
     @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
     def test_column_of_edge_values(self, k, lam, kind):
         # an n x 1 layer with no ridge quantizes W itself (W' == W): entries
         # below the lowest level, above the highest, on every level and at
-        # every midpoint between neighbours, then the same again
+        # every midpoint between neighbours, then the same again; at
+        # lam = 1e3 the search reaches both ends of the grid
         grid = grid_from_scale(k, 0.25)
         lv = grid.levels
         values = np.concatenate([
