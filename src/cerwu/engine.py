@@ -205,17 +205,14 @@ def _search_order(levels: np.ndarray, lam: float, gamma: float):
 def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
     """Objective of every level in tie-break order for an ``(n, 1)`` column.
 
-    ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term`` (``None`` when
-    ``lam == 0``), as an ``n x k`` table. The operations are those of the
-    per-entry walk's search, one element at a time, so the column path and
-    the walk choose bitwise alike.
+    ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term``, as an ``n x k`` table.
+    The operations are those of the per-entry walk's search, one element at
+    a time, so the column path and the walk choose bitwise alike.
     """
     out = np.subtract(levels_pref, w, out=out)
     np.multiply(out, out, out=out)
     np.multiply(out, half_inv_c2, out=out)
-    if rate_term is not None:
-        np.add(out, rate_term, out=out)
-    return out
+    return np.add(out, rate_term, out=out)
 
 
 def layer_context(weights, hessian, config: CompressionConfig) -> LayerContext:
@@ -286,7 +283,7 @@ def quantize_layer(
         indices = np.empty((n, m), dtype=np.int32)
         err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
         # lam * ratebits(g) - 0.5*lam*gamma*g^2 over levels in tie-break order
-        rate_term = model.rate_vector()[pref] * lam - gamma_term_pref if lam else None
+        rate_term = model.rate_vector()[pref] * lam - gamma_term_pref
         obj_buf = np.empty((n, k), dtype=np.float64)
         for j in _column_steps(wp, err, inv_c, chol):
             col = wp[:, j]

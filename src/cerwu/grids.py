@@ -44,10 +44,9 @@ def round_scale16(step: float) -> float:
 class Grid:
     """Uniform reconstruction grid containing zero.
 
-    Odd ``size`` k: levels ``i * step`` for i in [-(k-1)/2, (k-1)/2],
-    symmetric about zero. Even k: levels for i in [-k/2, k/2 - 1]
-    (one extra negative level). ``step`` is always the 16-bit rounded
-    scale.
+    Level ``i`` of ``size`` k is ``(i - k // 2) * step``: zero sits at index
+    ``k // 2``, with one more negative level than positive ones for an even
+    k. ``step`` is always the 16-bit rounded scale.
     """
 
     size: int
@@ -64,31 +63,23 @@ class Grid:
 
     @property
     def zero_index(self) -> int:
-        """Index of the zero level (same expression for both parities)."""
+        """Index of the zero level."""
         return self.size // 2
-
-    @property
-    def min_index(self) -> int:
-        return -(self.size - 1) // 2 if self.size % 2 else -(self.size // 2)
 
 
 def grid_from_scale(size: int, step: float) -> Grid:
-    """Rebuild a grid from its size and (16-bit rounded) step."""
+    """The grid of ``size`` levels whose step is ``step`` rounded to binary16."""
     step = round_scale16(step)
-    if size % 2:
-        half = (size - 1) // 2
-        idx = np.arange(-half, half + 1, dtype=np.float64)
-    else:
-        idx = np.arange(-(size // 2), size // 2, dtype=np.float64)
+    idx = np.arange(size, dtype=np.float64) - size // 2
     return Grid(size=size, step=step, levels=idx * step)
 
 
 def build_grid(weights, size: int) -> Grid:
     """Build the uniform grid spanning the weight range.
 
-    Odd sizes place the extreme levels at +/- max|W|; even sizes use
-    step = max|W| / (size/2), so the largest positive level sits one step
-    below max|W|. An all-zero matrix falls back to the degenerate step.
+    The step is ``max|W| / (size // 2)`` before binary16 rounding: the lowest
+    level sits at -max|W|, the highest at +max|W| (odd size) or one step
+    below (even). An all-zero matrix falls back to the degenerate step.
 
     Raises:
         ShapeError: the step exceeds :data:`FLOAT16_MAX`, or a nonzero
@@ -101,10 +92,7 @@ def build_grid(weights, size: int) -> Grid:
         raise ShapeError(f"grid size must be >= 2, got {size}")
     w = as_matrix(weights, "weights")
     max_abs = float(np.max(np.abs(w)))
-    if size % 2:
-        raw = max_abs / ((size - 1) / 2)
-    else:
-        raw = max_abs / (size / 2)
+    raw = max_abs / (size // 2)
     if raw > FLOAT16_MAX:
         raise ShapeError(
             f"weights up to {max_abs:.6g} need a grid step of {raw:.6g} at grid size "
@@ -116,7 +104,7 @@ def build_grid(weights, size: int) -> Grid:
             f"{size}, which rounds to zero in binary16 (smallest storable step "
             f"{float(np.finfo(np.float16).smallest_subnormal):.6g})"
         )
-    return grid_from_scale(size, round_scale16(raw))
+    return grid_from_scale(size, raw)
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,7 @@ def nearest_indices(values: np.ndarray, grid: Grid) -> np.ndarray:
     negative one. Works on arrays of any shape.
     """
     v = np.asarray(values, dtype=np.float64)
-    imin = grid.min_index
+    imin = -grid.zero_index
     imax = imin + grid.size - 1
     t = np.floor(v / grid.step).astype(np.int64)
     lo = np.clip(t, imin, imax)

@@ -294,9 +294,7 @@ class QuantizedRecord:
         """Decode the payload; a corrupt or truncated one is a ParseError
         naming the record, its symbol count and the failing symbol."""
         try:
-            symbols = decode(
-                Payload(self.payload, self.symbol_count), self.model(), self.grid_size
-            )
+            symbols = decode(Payload(self.payload, self.symbol_count), self.model())
         except DecodeError as exc:
             raise ParseError(
                 f"record {self.name!r} (symbol_count {self.symbol_count}): {exc}"

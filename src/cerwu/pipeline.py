@@ -14,9 +14,9 @@ Conventions for the tensor containers:
   and decompresses to that 2-D shape;
 * 1-D and scalar entries (biases etc.) are stored raw and excluded from
   the bits-per-weight accounting;
-* the minimal inference path chains the 2-D entries in lexicographic name
-  order as dense layers with ReLU between all but the last, adding
-  ``"<name minus .weight>.bias"`` when present;
+* the minimal inference path chains the quantized entries, 4-D kernels
+  flattened, in lexicographic name order as dense layers with ReLU between
+  all but the last, adding ``"<name minus .weight>.bias"`` when present;
 * test data lives in its own container as ``test.features`` (samples x
   input dim) and ``test.labels``.
 """
@@ -297,8 +297,8 @@ def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model_tf: TensorFile, test_tf: TensorFile) -> float:
-    """Top-1 accuracy on ``test.features`` / ``test.labels``, whose labels
-    must be class indices, integers in ``[0, outputs)``: others raise InputError."""
+    """Top-1 accuracy on ``test.features`` / ``test.labels``. An empty test
+    set, or labels that are not integers in ``[0, outputs)``, raise InputError."""
     for entry in ("test.features", "test.labels"):
         if entry not in test_tf:
             raise InputError(f"test data missing entry {entry!r}")
@@ -306,6 +306,8 @@ def accuracy(model_tf: TensorFile, test_tf: TensorFile) -> float:
     labels = test_tf["test.labels"].ravel()
     if logits.shape[0] != labels.size:
         raise ShapeError("test features and labels disagree on sample count")
+    if not labels.size:
+        raise InputError("test.labels: the test set has no samples")
     outputs = logits.shape[1]
     if not np.all((labels >= 0) & (labels < outputs) & (np.floor(labels) == labels)):
         raise InputError(f"test.labels: every label must be an integer in [0, {outputs})")

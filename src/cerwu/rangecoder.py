@@ -28,17 +28,18 @@ symbol: :func:`encode` takes them from a replay of a fresh model
 the engine's walk recorded, so both go through the one coding loop,
 :func:`encode_intervals`. Both loops run on Python ints.
 
-The decoder has two loops, chosen by ``model.kind``. A static model never
-changes, so it reads the model once: :func:`_symbol_table` maps each
-scaled offset ``0 <= thr < T`` to its symbol and interval (the
-``cum2sym`` table of static rANS decoders), and each symbol then costs
-one list index and the interval arithmetic, with no search and no call
-into the model. The adaptive kinds step the model's count tables
-(``EntropyModel.tables``) themselves: each symbol is found by walking the
-active table's counts outward from the zero level's ``cum[k // 2]``, down
-or up, until the interval holds the scaled offset, and the table then
-takes the model's O(1) observation inline, with no call into the model.
-Both loops give the same symbols and raise the same errors.
+``decode(payload, model)`` takes k from the model, as :func:`encode` does,
+and has two loops, chosen by ``model.kind``. A static model never changes,
+so it reads the model once: :func:`_symbol_table` maps each scaled offset
+``0 <= thr < T`` to its symbol and interval (the ``cum2sym`` table of
+static rANS decoders), and each symbol then costs one list index and the
+interval arithmetic, with no search and no call into the model. The
+adaptive kinds step the model's count tables (``EntropyModel.tables``)
+themselves: each symbol is found by walking the active table's counts
+outward from the zero level's ``cum[k // 2]``, down or up, until the
+interval holds the scaled offset, and the table then takes the model's
+O(1) observation inline. Both loops give the same symbols and raise the
+same errors.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def encode_intervals(lo, hi, total) -> Payload:
     return Payload(bytes(out), len(lo))
 
 
-def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
+def decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     """Decode a payload produced by :func:`encode` with an identical model.
 
     A static model never changes: its symbols are read from the lookup
@@ -129,8 +130,7 @@ def decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
     Raises:
         DecodeError: truncated or corrupt payload.
     """
-    if model.k != k:
-        raise ShapeError(f"model k={model.k} does not match k={k}")
+    k = model.k
     n = payload.symbol_count
     data = payload.data
     if n == 0:

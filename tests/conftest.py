@@ -11,7 +11,7 @@ from cerwu.entropy import (CONTEXT, COUNT_CAP, LOG2, STATIC, EntropyModel, inter
                            quantize_counts, replay_intervals)
 from cerwu.errors import DecodeError, FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
-from cerwu.grids import ROW_MAJOR
+from cerwu.grids import FLOAT16_MAX, ROW_MAJOR, round_scale16
 from cerwu.linalg import LayerContext, as_matrix, compute_gamma
 from cerwu.pipeline import accuracy, collect_hessians
 from cerwu.rangecoder import _MASK32, _TOP, FLUSH_BYTES, Payload
@@ -82,6 +82,51 @@ def reference_build_context(weights, hessian, lam, damping_delta, gamma=None):
     else:
         w_prime = w - ridge * ((w @ chol_upper.T) @ chol_upper)
     return LayerContext(w_prime, chol_upper, float(gamma), float(lam), float(damping_delta))
+
+
+def reference_grid(weights, size: int):
+    """``(step, levels, zero_index)`` by the parity-split grid formulas the
+    one-rule :func:`cerwu.grids.build_grid` replaced; raises ShapeError
+    where it does.
+
+    An odd size k takes step ``max|W| / ((k - 1) / 2)`` and levels
+    ``i * step`` for i in [-(k-1)/2, (k-1)/2]; an even k takes
+    ``max|W| / (k / 2)`` and i in [-k/2, k/2 - 1]. The raw step is rounded
+    to binary16 twice, as the old path did.
+    """
+    if size < 2:
+        raise ShapeError(f"grid size must be >= 2, got {size}")
+    max_abs = float(np.max(np.abs(as_matrix(weights, "weights"))))
+    if size % 2:
+        raw = max_abs / ((size - 1) / 2)
+    else:
+        raw = max_abs / (size / 2)
+    if raw > FLOAT16_MAX or (max_abs > 0 and float(np.float16(raw)) == 0.0):
+        raise ShapeError(f"grid step {raw:.6g} is not storable in binary16")
+    step = round_scale16(round_scale16(raw))
+    if size % 2:
+        half = (size - 1) // 2
+        idx = np.arange(-half, half + 1, dtype=np.float64)
+    else:
+        idx = np.arange(-(size // 2), size // 2, dtype=np.float64)
+    return step, idx * step, size // 2
+
+
+def reference_nearest_indices(values, step: float, size: int) -> np.ndarray:
+    """Nearest-level indices on the parity-split grid of ``size`` levels:
+    ties go to the smaller |level|, then to the negative one."""
+    v = np.asarray(values, dtype=np.float64)
+    imin = -(size - 1) // 2 if size % 2 else -(size // 2)
+    imax = imin + size - 1
+    t = np.floor(v / step).astype(np.int64)
+    lo = np.clip(t, imin, imax)
+    hi = np.clip(t + 1, imin, imax)
+    lo_lvl = lo * step
+    hi_lvl = hi * step
+    d_lo = np.abs(v - lo_lvl)
+    d_hi = np.abs(v - hi_lvl)
+    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (np.abs(hi_lvl) < np.abs(lo_lvl)))
+    return (np.where(pick_hi, hi, lo) - imin).astype(np.int32)
 
 
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:

@@ -184,7 +184,7 @@ def test_criterion_5_coder_achievability():
             factory = lambda: make_model(kind, k)
         p_zero = float(rng.uniform(0.2, 0.98))
         syms = np.where(rng.random(n) < p_zero, k // 2, rng.integers(0, k, size=n))
-        back = decode(encode(syms, factory()), factory(), k)
+        back = decode(encode(syms, factory()), factory())
         assert np.array_equal(back, syms)
         total += n
 
@@ -428,7 +428,7 @@ def test_criterion_11_adaptive_decode_speed(kind):
     syms = np.where(rng.random(n) < 0.8, k // 2, rng.integers(0, k, size=n))
     payload = encode(syms, make_model(kind, k))
     t0 = time.perf_counter()
-    back = decode(payload, make_model(kind, k), k)
+    back = decode(payload, make_model(kind, k))
     elapsed = time.perf_counter() - t0
     assert np.array_equal(back, syms)
     assert elapsed < 3.0

@@ -435,6 +435,32 @@ class TestErrors:
             assert "Traceback" not in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_empty_test_set_is_input_error(self, tmp_path, capsys, command):
+        # no samples has no accuracy: eval, and sweep before any row runs,
+        # refuse it rather than report NaN
+        rng = np.random.default_rng(10)
+        model_path, calib_path = write_diag_model(tmp_path, rng)
+        test = TensorFile()
+        test.add("test.features", np.zeros((0, 6)))
+        test.add("test.labels", np.zeros(0))
+        test_path = tmp_path / "test.tns"
+        write_tensor_file(test, test_path)
+        csv_path = tmp_path / "sweep.csv"
+        argv = {
+            "eval": ["eval", "--model", str(model_path), "--compressed", str(model_path),
+                     "--calib", str(calib_path), "--test", str(test_path)],
+            "sweep": ["sweep", "--model", str(model_path), "--calib", str(calib_path),
+                      "--test", str(test_path), "--lambdas", "0.01", "--grid-sizes", "3",
+                      "--csv-out", str(csv_path)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: test.labels: the test set has no samples"]
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not csv_path.exists()
+
 
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):

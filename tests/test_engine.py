@@ -257,7 +257,7 @@ class TestQuantizeLayer:
         grid = build_grid(w, 5)
         cfg = CompressionConfig(lam=0.0, grid_size=5, scan_order=COLUMN_MAJOR)
         res, payload, model = compress_layer(w, h, cfg)
-        back = decode(payload, model.fresh(), 5)
+        back = decode(payload, model.fresh())
         assert np.array_equal(back.reshape(4, 3).T, res.quantized.indices)
 
     def test_scan_orders_same_update_math(self):
@@ -432,7 +432,7 @@ class TestQuantizeLayer:
         x[::2] *= 1e-160
         cfg = CompressionConfig(lam=0.03, grid_size=9)
         result, payload, model = compress_layer(w, accumulate_hessian([x]), cfg)
-        back = decode(payload, model.fresh(), 9)
+        back = decode(payload, model.fresh())
         assert np.array_equal(back, result.quantized.symbols_in_scan_order())
 
     @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
@@ -469,7 +469,7 @@ class TestCompressLayer:
         for kind in (STATIC, ADAPTIVE, CONTEXT):
             cfg = CompressionConfig(lam=0.01, grid_size=5, model_kind=kind)
             res, payload, model = compress_layer(w, h, cfg)
-            back = decode(payload, model.fresh(), 5)
+            back = decode(payload, model.fresh())
             assert np.array_equal(back, res.quantized.symbols_in_scan_order())
 
     def test_predicted_vs_actual_bits(self):
@@ -520,7 +520,7 @@ class TestCompressLayer:
         h = accumulate_hessian([rng.normal(size=(16, 64))])
         cfg = CompressionConfig(lam=lam, grid_size=9, scan_order=scan_order, model_kind=kind)
         res, payload, model = compress_layer(w, h, cfg)
-        back = layer_from_symbols(decode(payload, model.fresh(), 9), 4, 16, res.quantized.grid,
+        back = layer_from_symbols(decode(payload, model.fresh()), 4, 16, res.quantized.grid,
                                   scan_order)
         assert np.array_equal(res.quantized.dequantize(), w)
         assert np.array_equal(back.dequantize(), w)

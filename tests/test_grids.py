@@ -14,6 +14,8 @@ from cerwu.grids import (
     round_scale16,
 )
 
+from conftest import reference_grid, reference_nearest_indices
+
 
 class TestBuildGrid:
     def test_odd_size_five(self):
@@ -71,6 +73,30 @@ class TestBuildGrid:
     def test_rejects_size_below_two(self):
         with pytest.raises(ShapeError):
             build_grid(np.ones((1, 1)), 1)
+
+    @pytest.mark.parametrize("k", [*range(2, 66), 255, 256, 257, 4096, 32767, 32768])
+    def test_one_rule_matches_parity_formulas(self, k):
+        # level i = (i - k//2) * step with step = max|W| / (k//2) gives the
+        # odd/even formulas' step, levels, zero index and nearest indices
+        # bitwise; where the step is not storable both sides refuse
+        rng = np.random.default_rng(k)
+        for peak in [0.0, *np.geomspace(1e-6, 1e4, 21)]:
+            w = rng.uniform(-1.0, 1.0, size=(3, 4))
+            w *= peak / np.max(np.abs(w))
+            try:
+                want = reference_grid(w, k)
+            except ShapeError:
+                with pytest.raises(ShapeError):
+                    build_grid(w, k)
+                continue
+            g = build_grid(w, k)
+            assert (g.step, g.levels.tobytes(), g.zero_index) == (
+                want[0], want[1].tobytes(), want[2])
+            lv = g.levels
+            values = np.concatenate([
+                w.ravel(), lv, (lv[:-1] + lv[1:]) / 2, [lv[0] - g.step, lv[-1] + g.step]])
+            assert np.array_equal(nearest_indices(values, g),
+                                  reference_nearest_indices(values, want[0], k))
 
 
 class TestScale16:

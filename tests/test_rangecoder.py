@@ -80,11 +80,11 @@ class TestRoundTrip:
     def test_single_symbol(self):
         for s in range(4):
             p = encode([s], make_model(ADAPTIVE, 4))
-            assert decode(p, make_model(ADAPTIVE, 4), 4).tolist() == [s]
+            assert decode(p, make_model(ADAPTIVE, 4)).tolist() == [s]
 
     def test_empty_round_trip(self):
         p = encode([], make_model(ADAPTIVE, 3))
-        assert decode(p, make_model(ADAPTIVE, 3), 3).size == 0
+        assert decode(p, make_model(ADAPTIVE, 3)).size == 0
 
     @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])
     def test_fuzz(self, kind):
@@ -102,7 +102,7 @@ class TestRoundTrip:
             else:
                 syms = rng.integers(0, k, size=n)
             payload = encode(syms, factory())
-            back = decode(payload, factory(), k)
+            back = decode(payload, factory())
             assert np.array_equal(back, syms)
 
     def test_alternating_rare_common_context(self):
@@ -110,14 +110,14 @@ class TestRoundTrip:
         k = 7
         syms = np.array([k // 2, 0] * 3000)
         payload = encode(syms, make_model(CONTEXT, k))
-        assert np.array_equal(decode(payload, make_model(CONTEXT, k), k), syms)
+        assert np.array_equal(decode(payload, make_model(CONTEXT, k)), syms)
 
     def test_all_same_symbol_long(self):
         syms = np.full(50_000, 2, dtype=np.int64)
         payload = encode(syms, make_model(ADAPTIVE, 5))
         # a near-deterministic stream compresses to almost nothing
         assert len(payload.data) < 1200
-        assert np.array_equal(decode(payload, make_model(ADAPTIVE, 5), 5), syms)
+        assert np.array_equal(decode(payload, make_model(ADAPTIVE, 5)), syms)
 
 
 class TestRoundTripProperties:
@@ -132,7 +132,7 @@ class TestRoundTripProperties:
         syms = np.random.default_rng(seed).integers(0, len(counts), size=n)
         factory = lambda: make_model(STATIC, len(counts), static_counts=counts)
         payload = encode(syms, factory())
-        assert np.array_equal(decode(payload, factory(), len(counts)), syms)
+        assert np.array_equal(decode(payload, factory()), syms)
         assert 8 * len(payload.data) - sequence_rate_bits(syms, factory()) >= 0
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -149,7 +149,7 @@ class TestRoundTripProperties:
         n = 2 * COUNT_CAP + extra
         syms = np.where(rng.random(n) < p_zero, k // 2, rng.integers(0, k, size=n))
         payload = encode(syms, make_model(kind, k))
-        back = decode(payload, make_model(kind, k), k)
+        back = decode(payload, make_model(kind, k))
         assert back.dtype == np.int32 and np.array_equal(back, syms)
 
 
@@ -159,10 +159,10 @@ def assert_decodes_like_reference(payload, factory, k):
         want = reference_decode(payload, factory(), k)
     except DecodeError as exc:
         with pytest.raises(DecodeError) as got:
-            decode(payload, factory(), k)
+            decode(payload, factory())
         assert str(got.value) == str(exc)
     else:
-        got = decode(payload, factory(), k)
+        got = decode(payload, factory())
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -190,7 +190,7 @@ class TestStaticLookupDecode:
         else:
             syms = rng.integers(0, k, size=n)
         data = encode(syms, factory()).data
-        assert np.array_equal(decode(Payload(data, n), factory(), k), syms)
+        assert np.array_equal(decode(Payload(data, n), factory()), syms)
         for cut in range(len(data)):
             assert_decodes_like_reference(Payload(data[:cut], n), factory, k)
         for pos, mask in enumerate(rng.integers(1, 256, size=len(data)).tolist()):
@@ -205,7 +205,7 @@ class TestStaticLookupDecode:
         payload = Payload(bytes.fromhex("ffffffff") + bytes(8), 3)
         assert_decodes_like_reference(payload, factory, len(counts))
         with pytest.raises(DecodeError, match="corrupt payload at symbol 0"):
-            decode(payload, factory(), len(counts))
+            decode(payload, factory())
 
 
 class TestDecodeErrors:
@@ -215,16 +215,11 @@ class TestDecodeErrors:
         payload = encode(syms, make_model(ADAPTIVE, 4))
         cut = Payload(payload.data[: len(payload.data) // 2], payload.symbol_count)
         with pytest.raises(DecodeError):
-            decode(cut, make_model(ADAPTIVE, 4), 4)
+            decode(cut, make_model(ADAPTIVE, 4))
 
     def test_empty_data(self):
         with pytest.raises(DecodeError):
-            decode(Payload(b"", 5), make_model(ADAPTIVE, 4), 4)
-
-    def test_model_mismatch_k(self):
-        p = encode([0, 1], make_model(ADAPTIVE, 3))
-        with pytest.raises(ShapeError):
-            decode(p, make_model(ADAPTIVE, 4), 3)
+            decode(Payload(b"", 5), make_model(ADAPTIVE, 4))
 
     def test_corrupt_bytes_detected_or_mismatch(self):
         # flipping payload bytes must never crash: either a DecodeError or
@@ -237,7 +232,7 @@ class TestDecodeErrors:
             data[pos] ^= 0xA5
             try:
                 back = decode(Payload(bytes(data), payload.symbol_count),
-                              make_model(ADAPTIVE, 3), 3)
+                              make_model(ADAPTIVE, 3))
             except DecodeError:
                 continue
             assert not np.array_equal(back, syms) or pos >= len(payload.data) - 4
@@ -286,7 +281,7 @@ class TestAdaptiveDecodeOracle:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert min(halvings_per_table(syms, want[2], kind, k)) >= 2
-        back = decode(encode_intervals(*got), make_model(kind, k), k)
+        back = decode(encode_intervals(*got), make_model(kind, k))
         assert back.dtype == np.int32 and np.array_equal(back, syms)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -306,7 +301,7 @@ class TestAdaptiveDecodeOracle:
         rng = np.random.default_rng(seed)
         syms = oracle_stream(rng, k, n, p_zero)
         data = encode(syms, factory()).data
-        assert np.array_equal(decode(Payload(data, n), factory(), k), syms)
+        assert np.array_equal(decode(Payload(data, n), factory()), syms)
         for cut in range(len(data)):
             assert_decodes_like_reference(Payload(data[:cut], n), factory, k)
         for pos, mask in enumerate(rng.integers(1, 256, size=len(data)).tolist()):
@@ -321,4 +316,4 @@ class TestAdaptiveDecodeOracle:
         payload = Payload(bytes.fromhex("ffffffff") + bytes(8), 3)
         assert_decodes_like_reference(payload, lambda: make_model(kind, k), k)
         with pytest.raises(DecodeError, match="corrupt payload at symbol 0"):
-            decode(payload, make_model(kind, k), k)
+            decode(payload, make_model(kind, k))
