@@ -71,10 +71,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="'rtn' is the nearest-level + entropy coding baseline")
 
 
-def _load_model_and_calibration(args):
-    """Model and calibration containers, and the Hessians the method needs
-    (none for rtn), cached next to the calibration file."""
-    model_tf = load_tensor_file(args.model)
+def _load_calibration(args, model_tf):
+    """The calibration container and the Hessians the method needs (none
+    for rtn), cached next to the calibration file."""
     calib_tf = load_tensor_file(args.calib)
     hessians = {}
     if args.method == METHOD_CERWU:
@@ -82,7 +81,7 @@ def _load_model_and_calibration(args):
             model_tf, calib_tf, calib_path=args.calib,
             cache_path=args.calib + ".hcache.npz",
         )
-    return model_tf, calib_tf, hessians
+    return calib_tf, hessians
 
 
 def _config(args) -> CompressionConfig:
@@ -100,7 +99,8 @@ def _config(args) -> CompressionConfig:
 
 def cmd_compress(args) -> int:
     config = _config(args)  # a bad flag is reported before any Hessian work
-    model_tf, _, hessians = _load_model_and_calibration(args)
+    model_tf = load_tensor_file(args.model)
+    _, hessians = _load_calibration(args, model_tf)
     report = compress_model(model_tf, hessians, config)
     write_compressed(report.compressed, args.out)
     for st in report.layers:
@@ -143,12 +143,12 @@ def cmd_eval(args) -> int:
     recon_tf, cm = _load_model_or_reconstruction(args.compressed)
     calib_tf = load_tensor_file(args.calib)
     test_tf = load_tensor_file(args.test) if args.test else None
-    report = evaluate_model(model_tf, recon_tf, calib_tf, test_tf, compressed=cm)
+    report = evaluate_model(model_tf, recon_tf, calib_tf, test_tf)
     for name, loss in report.layer_losses.items():
         print(f"layer {name}: loss {loss:.6g}")
     line = f"total loss {report.total_loss:.6g}"
-    if report.bits_per_weight is not None:
-        line += f", {report.bits_per_weight:.4f} bpw"
+    if cm is not None:
+        line += f", {cm.bits_per_weight():.4f} bpw"
     if report.accuracy is not None:
         line += f", accuracy {report.accuracy:.4f}"
     print(line)
@@ -166,10 +166,11 @@ def cmd_sweep(args) -> int:
         gamma_mode=args.gamma_mode,
     )
     sweep_configs(**settings)  # a bad flag is reported before any Hessian work
-    model_tf, calib_tf, hessians = _load_model_and_calibration(args)
+    model_tf = load_tensor_file(args.model)
     test_tf = load_tensor_file(args.test) if args.test else None
     if test_tf is not None:
-        accuracy(model_tf, test_tf)  # a bad test set is reported once, not in every row
+        accuracy(model_tf, test_tf)  # so is a bad test set, once, not in every row
+    calib_tf, hessians = _load_calibration(args, model_tf)
     points = run_sweep(
         model_tf, calib_tf, hessians, test_tf=test_tf, threads=args.threads, **settings
     )

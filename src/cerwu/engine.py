@@ -147,7 +147,8 @@ class CompressionConfig:
     ``lam=0`` reproduces the rate-oblivious ablation; ``gamma_mode="zero"``
     reproduces the unregularized-update ablation; ``method="rtn"`` is the
     nearest-level baseline, which ignores ``lam``, ``damping_delta`` and
-    ``gamma_mode`` but not their checks.
+    ``gamma_mode`` but not their checks. Every field is checked on creation:
+    ``grid_size`` must lie in ``[2, 2**15]``, the largest k a model codes.
     """
 
     lam: float
@@ -161,8 +162,8 @@ class CompressionConfig:
     def __post_init__(self):
         check_finite_nonnegative(self.lam, "lam")
         check_finite_nonnegative(self.damping_delta, "damping_delta")
-        if self.grid_size < 2:
-            raise ShapeError("grid_size must be >= 2")
+        if not 2 <= self.grid_size <= entropy.TOTAL:
+            raise ShapeError(f"grid_size must lie in [2, {entropy.TOTAL}], got {self.grid_size}")
         if self.scan_order not in SCAN_ORDERS:
             raise ShapeError(f"unknown scan order {self.scan_order!r}")
         if self.model_kind not in entropy.MODEL_KINDS:

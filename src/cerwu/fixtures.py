@@ -7,7 +7,8 @@ Used by the test suite and handy for trying the CLI without real data:
 writes ``model.tns``, ``calib.tns`` and ``test.tns`` for a 784-32-10
 dense ReLU network trained on a 10-class Gaussian mixture whose inputs
 have a correlated, spectrum-decaying covariance (latent factors carry the
-class signal, like feature activations of a real network).
+class signal, like feature activations of a real network). Only the seed
+varies; sizes and training settings are the module constants below.
 """
 
 from __future__ import annotations
@@ -35,19 +36,22 @@ MEAN_SCALE = 0.8
 FACTOR_RANK = 48
 FACTOR_SCALE = 1.0
 
+# The MLP's SGD with momentum, and the train, calibration and test set sizes.
+EPOCHS = 30
+BATCH = 128
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
+TRAIN_SAMPLES = 3000
+CALIB_SAMPLES = 1024
+TEST_SAMPLES = 10000
+
 # Per-dimension scale decays like natural signals; the residual noise and
 # the factor loadings share this envelope.
 def _noise_envelope(dim: int) -> np.ndarray:
     return (1.0 + np.arange(dim) / 8.0) ** -0.5
 
 
-def make_dataset(
-    samples: int,
-    seed: int,
-    dim: int = INPUT_DIM,
-    classes: int = CLASSES,
-    mean_scale: float = MEAN_SCALE,
-) -> Tuple[np.ndarray, np.ndarray]:
+def make_dataset(samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gaussian mixture with correlated, spectrum-decaying inputs.
 
     Class means lie inside the factor span, so the discriminative signal
@@ -55,16 +59,16 @@ def make_dataset(
     with decaying per-dimension residual noise on top.
     """
     rng = np.random.default_rng(seed)
-    env = _noise_envelope(dim)
+    env = _noise_envelope(INPUT_DIM)
     fixed = np.random.default_rng(1234)
     loadings = FACTOR_SCALE * env * fixed.normal(
-        size=(FACTOR_RANK, dim)
+        size=(FACTOR_RANK, INPUT_DIM)
     ) / np.sqrt(FACTOR_RANK)
-    means = mean_scale * fixed.normal(size=(classes, FACTOR_RANK)) @ loadings
-    labels = rng.integers(0, classes, size=samples)
+    means = MEAN_SCALE * fixed.normal(size=(CLASSES, FACTOR_RANK)) @ loadings
+    labels = rng.integers(0, CLASSES, size=samples)
     factors = rng.normal(size=(samples, FACTOR_RANK))
     features = (
-        means[labels] + factors @ loadings + 0.5 * env * rng.normal(size=(samples, dim))
+        means[labels] + factors @ loadings + 0.5 * env * rng.normal(size=(samples, INPUT_DIM))
     )
     return features.astype(np.float64), labels.astype(np.int64)
 
@@ -86,15 +90,7 @@ class Mlp:
         return float(np.mean(np.argmax(self.logits(x), axis=1) == y))
 
 
-def train_mlp(
-    x: np.ndarray,
-    y: np.ndarray,
-    seed: int = 7,
-    epochs: int = 30,
-    batch: int = 128,
-    lr: float = 0.05,
-    momentum: float = 0.9,
-) -> Mlp:
+def train_mlp(x: np.ndarray, y: np.ndarray, seed: int) -> Mlp:
     """SGD with momentum on softmax cross-entropy; deterministic."""
     rng = np.random.default_rng(seed)
     n = x.shape[0]
@@ -104,10 +100,10 @@ def train_mlp(
     b2 = np.zeros(CLASSES)
     vel = [np.zeros_like(p) for p in (w1, b1, w2, b2)]
 
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         order = rng.permutation(n)
-        for start in range(0, n, batch):
-            sel = order[start : start + batch]
+        for start in range(0, n, BATCH):
+            sel = order[start : start + BATCH]
             xb, yb = x[sel], y[sel]
             h_pre = xb @ w1.T + b1
             h = np.maximum(h_pre, 0.0)
@@ -125,26 +121,18 @@ def train_mlp(
             for vi, (param, grad) in enumerate(
                 ((w1, g_w1), (b1, g_b1), (w2, g_w2), (b2, g_b2))
             ):
-                vel[vi] = momentum * vel[vi] - lr * grad
+                vel[vi] = MOMENTUM * vel[vi] - LEARNING_RATE * grad
                 param += vel[vi]
 
     return Mlp(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def build_fixture_files(
-    out_dir: str,
-    train_samples: int = 3000,
-    calib_samples: int = 1024,
-    test_samples: int = 10000,
-    seed: int = 0,
-) -> Tuple[str, str, str]:
+def build_fixture_files(out_dir: str, seed: int = 0) -> Tuple[str, str, str]:
     """Train the fixture MLP and write model/calib/test containers.
 
     Returns the three paths (model, calib, test).
     """
-    model_tf, calib_tf, test_tf, _ = build_fixture_tensors(
-        train_samples, calib_samples, test_samples, seed
-    )
+    model_tf, calib_tf, test_tf, _ = build_fixture_tensors(seed)
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, "model.tns")
     calib_path = os.path.join(out_dir, "calib.tns")
@@ -155,19 +143,13 @@ def build_fixture_files(
     return model_path, calib_path, test_path
 
 
-def build_fixture_tensors(
-    train_samples: int = 3000,
-    calib_samples: int = 1024,
-    test_samples: int = 10000,
-    seed: int = 0,
-    mean_scale: float = MEAN_SCALE,
-) -> Tuple[TensorFile, TensorFile, TensorFile, Mlp]:
+def build_fixture_tensors(seed: int = 0) -> Tuple[TensorFile, TensorFile, TensorFile, Mlp]:
     """In-memory variant of :func:`build_fixture_files`."""
-    x_train, y_train = make_dataset(train_samples, seed=seed + 1, mean_scale=mean_scale)
+    x_train, y_train = make_dataset(TRAIN_SAMPLES, seed=seed + 1)
     mlp = train_mlp(x_train, y_train, seed=seed + 2)
 
-    x_calib, _ = make_dataset(calib_samples, seed=seed + 3, mean_scale=mean_scale)
-    x_test, y_test = make_dataset(test_samples, seed=seed + 4, mean_scale=mean_scale)
+    x_calib, _ = make_dataset(CALIB_SAMPLES, seed=seed + 3)
+    x_test, y_test = make_dataset(TEST_SAMPLES, seed=seed + 4)
 
     model_tf = TensorFile()
     model_tf.add("fc1.weight", mlp.w1)

@@ -25,7 +25,7 @@ Compressed model (".cwm"):
             model kind u8 (0 = static, 1 = adaptive, 2 = context)
             scale binary16 (the grid step)
             has static table u8 (1 for the static kind, else 0); if set:
-            grid-size x u16 frequencies (re-fitted to a 2**15 total when read)
+            grid-size x u16 frequencies (fitted: each >= 1, total 2**15)
             symbol count u64 (= rows * cols) | payload length u64 | payload bytes
         raw:
             dtype u8 (0 = float32) | ndim u8 | dims u32 x ndim
@@ -42,7 +42,8 @@ parameters; raw records and the file preamble are excluded.
 Readers check every length and count against the bytes actually present
 (a grid size must lie in ``[2, 2**15]``; a grid step must be finite with
 its sign bit clear, so ``-0.0`` is rejected and ``+0``, which all-zero
-layers store, reads as the degenerate step) and raise ParseError with the
+layers store, reads as the degenerate step; a static table must be fitted,
+every frequency >= 1 and the total 2**15) and raise ParseError with the
 byte offset. Writers go through :func:`atomic_output`, so a failed write
 never leaves a partial file in place of an existing one.
 """
@@ -397,6 +398,11 @@ def read_compressed(path) -> CompressedModel:
             if has_static:
                 raw = r.take(2 * grid_size)
                 static_freqs = np.frombuffer(raw, dtype="<u2").astype(np.int64)
+                if static_freqs.min() < 1 or static_freqs.sum() != entropy.TOTAL:
+                    raise ParseError(
+                        f"{path}: record {name!r} has an unfitted static table at byte offset "
+                        f"{r.pos - len(raw)} (every frequency >= 1, total {entropy.TOTAL})"
+                    )
             symbol_count, payload_len = r.unpack(_QUANT_COUNTS)
             if symbol_count != rows * cols:
                 raise ParseError(

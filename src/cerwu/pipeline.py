@@ -31,9 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-# Method names re-exported: perfbench/harness.py reads pipeline.METHOD_CERWU.
-from .engine import METHOD_CERWU, METHOD_RTN, METHODS  # noqa: F401
-from .engine import CompressionConfig, compress_layer, layer_context
+from .engine import METHOD_CERWU, CompressionConfig, compress_layer, layer_context
 from .errors import CerwuError, InputError, ShapeError
 from .linalg import LayerContext, accumulate_hessian
 from .modelio import (
@@ -42,6 +40,7 @@ from .modelio import (
     RawRecord,
     TensorFile,
     atomic_output,
+    bits_per_weight,
 )
 
 log = logging.getLogger("cerwu")
@@ -135,14 +134,13 @@ class LayerStats:
     name: str
     params: int
     record_bytes: int
-    payload_bytes: int
     quadratic_loss_delta: float
     predicted_rate_bits: float
     actual_bits: int
 
     @property
     def bits_per_weight(self) -> float:
-        return 8.0 * self.record_bytes / self.params
+        return bits_per_weight(self.record_bytes, self.params)
 
 
 @dataclass
@@ -233,7 +231,6 @@ def compress_model(
                 name=name,
                 params=rec.param_count,
                 record_bytes=rec.header_bytes() + len(rec.payload),
-                payload_bytes=len(rec.payload),
                 quadratic_loss_delta=result.quadratic_loss_delta,
                 predicted_rate_bits=result.predicted_rate_bits,
                 actual_bits=8 * len(rec.payload),
@@ -316,9 +313,10 @@ def accuracy(model_tf: TensorFile, test_tf: TensorFile) -> float:
 
 @dataclass
 class EvalReport:
+    """Losses and accuracy of a reconstruction; its rate is the compressed model's."""
+
     layer_losses: Dict[str, float]
     total_loss: float
-    bits_per_weight: Optional[float]
     accuracy: Optional[float]
 
 
@@ -327,9 +325,9 @@ def evaluate_model(
     recon_tf: TensorFile,
     calib_tf: TensorFile,
     test_tf: Optional[TensorFile] = None,
-    compressed: Optional[CompressedModel] = None,
 ) -> EvalReport:
-    """Layer-output losses of a reconstruction against the original model."""
+    """Layer-output losses of a reconstruction against the original model,
+    and its accuracy on ``test_tf`` when given."""
     losses: Dict[str, float] = {}
     for name in quantizable_names(model_tf):
         if name not in recon_tf:
@@ -344,10 +342,4 @@ def evaluate_model(
         err = (w - what) @ x.astype(np.float64)
         losses[name] = float(np.sum(err * err))
     acc = accuracy(recon_tf, test_tf) if test_tf is not None else None
-    bpw = compressed.bits_per_weight() if compressed is not None else None
-    return EvalReport(
-        layer_losses=losses,
-        total_loss=sum(losses.values()),
-        bits_per_weight=bpw,
-        accuracy=acc,
-    )
+    return EvalReport(layer_losses=losses, total_loss=sum(losses.values()), accuracy=acc)

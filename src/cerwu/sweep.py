@@ -106,11 +106,9 @@ def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts) -> Swee
     t0 = time.perf_counter()
     try:
         report = compress_model(model_tf, hessians, config, contexts=contexts)
-        ev = evaluate_model(
-            model_tf, report.reconstruction, calib_tf, test_tf, compressed=report.compressed
-        )
+        ev = evaluate_model(model_tf, report.reconstruction, calib_tf, test_tf)
         outcome = dict(
-            bits_per_weight=ev.bits_per_weight,
+            bits_per_weight=report.bits_per_weight,
             layer_loss=ev.total_loss,
             accuracy=ev.accuracy,
         )

@@ -462,6 +462,37 @@ class TestErrors:
         assert not csv_path.exists()
 
 
+    @pytest.mark.parametrize("command,flags", [
+        ("compress", ["--grid-size", "40000"]), ("sweep", ["--grid-sizes", "9", "40000"]),
+    ], ids=["compress", "sweep"])
+    def test_grid_size_above_model_cap_is_input_error(self, tmp_path, capsys, command, flags):
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(11))
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "compress" else "--csv-out"
+        capsys.readouterr()
+        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
+                     out_flag, str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: grid_size must lie in [2, 32768], got 40000"]
+        assert "Traceback" not in err and not out.exists()
+        # rejected before any Hessian work
+        assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
+    def test_sweep_checks_test_set_before_hessian_work(self, tmp_path, capsys):
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(10))
+        test = TensorFile()
+        test.add("test.features", np.zeros((0, 6)))
+        test.add("test.labels", np.zeros(0))
+        test_path = tmp_path / "test.tns"
+        write_tensor_file(test, test_path)
+        assert main(["sweep", "--model", str(model_path), "--calib", str(calib_path),
+                     "--test", str(test_path), "--lambdas", "0.01", "--grid-sizes", "3",
+                     "--csv-out", str(tmp_path / "sweep.csv")]) == 1
+        assert "the test set has no samples" in capsys.readouterr().err
+        assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
+
 class TestSweepPareto:
     def test_sweep_rows_and_pareto(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

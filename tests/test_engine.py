@@ -551,6 +551,13 @@ class TestCompressLayer:
         with pytest.raises(ShapeError, match=field):
             CompressionConfig(**settings)
 
+    def test_config_grid_size_bounded_by_model_cap(self):
+        # an entropy model codes at most 2**15 symbols
+        assert CompressionConfig(lam=0.03, grid_size=2**15).grid_size == 2**15
+        for k in (1, 2**15 + 1):
+            with pytest.raises(ShapeError, match=rf"grid_size must lie in \[2, 32768\], got {k}"):
+                CompressionConfig(lam=0.03, grid_size=k)
+
     @pytest.mark.parametrize("gamma_mode", [GAMMA_STANDARD, GAMMA_ZERO])
     @pytest.mark.parametrize("lam", [0.0, 0.03])
     @pytest.mark.parametrize("kind", [STATIC, ADAPTIVE, CONTEXT])

@@ -224,6 +224,27 @@ class TestCompressedModel:
         with pytest.raises(ParseError, match=f"flag .* {model_kind} model at byte offset"):
             read_compressed(path)
 
+    def test_static_table_must_be_fitted(self, tmp_path):
+        # every writer stores a fitted table (each frequency >= 1, total
+        # 2**15), so any change to one of its bytes breaks the total
+        rng = np.random.default_rng(11)
+        _, _, rec = _quantized_record(rng, model_kind=STATIC, k=3)
+        path = tmp_path / "table.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        data = path.read_bytes()
+        # preamble 10, then the header up to its symbol and payload counts
+        table_at = 10 + rec.header_bytes() - 16 - 2 * rec.grid_size
+        table = np.asarray(rec.static_freqs, dtype="<u2").tobytes()
+        assert data[table_at : table_at + len(table)] == table
+        for at in range(table_at, table_at + len(table)):
+            for mask in range(1, 256):
+                mutant = bytearray(data)
+                mutant[at] ^= mask
+                path.write_bytes(bytes(mutant))
+                with pytest.raises(ParseError, match=f"'layer' has an unfitted static "
+                                   f"table at byte offset {table_at} "):
+                    read_compressed(path)
+
     @pytest.mark.parametrize("grid_size", [1, 2, 2**15, 2**15 + 1])
     def test_grid_size_bounds(self, tmp_path, grid_size):
         rec = QuantizedRecord(
