@@ -268,7 +268,12 @@ def _bias_name(weight_name: str) -> str:
 
 
 def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
-    """Feed-forward pass through the dense layers in name order."""
+    """Feed-forward pass through the dense layers in name order, in float64.
+
+    Each layer's bias and ReLU are applied in place to the product that
+    layer has just made, so each layer allocates one array, its product,
+    and ``features`` is never written.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be samples x inputs, got shape {x.shape}")
@@ -287,19 +292,34 @@ def forward(model_tf: TensorFile, features: np.ndarray) -> np.ndarray:
         if bias in model_tf:
             if model_tf[bias].shape != (w.shape[0],):
                 raise ShapeError(f"bias {bias!r} must have shape ({w.shape[0]},)")
-            x = x + model_tf[bias].astype(np.float64)
+            np.add(x, model_tf[bias].astype(np.float64), out=x)
         if pos + 1 < len(names):
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x
 
 
-def accuracy(model_tf: TensorFile, test_tf: TensorFile) -> float:
+def accuracy(
+    model_tf: TensorFile,
+    test_tf: TensorFile,
+    widened: Optional[Dict[str, np.ndarray]] = None,
+) -> float:
     """Top-1 accuracy on ``test.features`` / ``test.labels``. An empty test
-    set, or labels that are not integers in ``[0, outputs)``, raise InputError."""
+    set, or labels that are not integers in ``[0, outputs)``, raise InputError.
+
+    ``widened`` maps entry names of ``test_tf`` to their float64 copies;
+    the call reads it and fills it. The features are widened for the
+    forward pass by the first call that finds them missing there and held
+    by the map after it; calls on the same ``test_tf`` can share one map,
+    as a sweep process's rows do. ``None`` means a copy of this call's own.
+    """
     for entry in ("test.features", "test.labels"):
         if entry not in test_tf:
             raise InputError(f"test data missing entry {entry!r}")
-    logits = forward(model_tf, test_tf["test.features"])
+    if widened is None:
+        widened = {}
+    if "test.features" not in widened:
+        widened["test.features"] = np.asarray(test_tf["test.features"], dtype=np.float64)
+    logits = forward(model_tf, widened["test.features"])
     labels = test_tf["test.labels"].ravel()
     if logits.shape[0] != labels.size:
         raise ShapeError("test features and labels disagree on sample count")
@@ -325,9 +345,18 @@ def evaluate_model(
     recon_tf: TensorFile,
     calib_tf: TensorFile,
     test_tf: Optional[TensorFile] = None,
+    widened: Optional[Dict[str, np.ndarray]] = None,
 ) -> EvalReport:
     """Layer-output losses of a reconstruction against the original model,
-    and its accuracy on ``test_tf`` when given."""
+    and its accuracy on ``test_tf`` when given.
+
+    ``widened`` is :func:`accuracy`'s map of float64 test entries, read
+    and filled by this call. Each layer's calibration activations are
+    widened to float64 per call and freed before the next layer, not kept
+    in that map: memory then holds at most one layer's copy, and a call
+    that widens the test features holds no calibration copy beside them,
+    so a one-row sweep peaks no higher than a call without a map.
+    """
     losses: Dict[str, float] = {}
     for name in quantizable_names(model_tf):
         if name not in recon_tf:
@@ -339,7 +368,7 @@ def evaluate_model(
             raise ShapeError(f"shape mismatch for layer {name!r}")
         # The float64 copy of the activations dies with this statement, so
         # it is not held through the next layer or the accuracy pass.
-        err = (w - what) @ x.astype(np.float64)
-        losses[name] = float(np.sum(err * err))
-    acc = accuracy(recon_tf, test_tf) if test_tf is not None else None
+        err = (w - what) @ np.asarray(x, dtype=np.float64)
+        losses[name] = float(np.sum(np.multiply(err, err, out=err)))
+    acc = accuracy(recon_tf, test_tf, widened) if test_tf is not None else None
     return EvalReport(layer_losses=losses, total_loss=sum(losses.values()), accuracy=acc)

@@ -100,13 +100,15 @@ def pareto_front(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     return kept
 
 
-def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts) -> SweepPoint:
+def _run_config(config, model_tf, hessians, calib_tf, test_tf, widened,
+                contexts) -> SweepPoint:
     """One row: compress with the job's context map and evaluate the
-    report's reconstruction, timed together as ``wall_ms``."""
+    report's reconstruction with the process's map of widened test
+    entries, timed together as ``wall_ms``."""
     t0 = time.perf_counter()
     try:
         report = compress_model(model_tf, hessians, config, contexts=contexts)
-        ev = evaluate_model(model_tf, report.reconstruction, calib_tf, test_tf)
+        ev = evaluate_model(model_tf, report.reconstruction, calib_tf, test_tf, widened)
         outcome = dict(
             bits_per_weight=report.bits_per_weight,
             layer_loss=ev.total_loss,
@@ -124,17 +126,21 @@ def _run_config(config, model_tf, hessians, calib_tf, test_tf, contexts) -> Swee
     )
 
 
-def _run_job(configs, model_tf, hessians, calib_tf, test_tf) -> List[SweepPoint]:
+def _run_job(configs, model_tf, hessians, calib_tf, test_tf, widened) -> List[SweepPoint]:
     """Rows of configurations that run in turn on one context map
     (:func:`~cerwu.pipeline.compress_model`'s ``contexts``), so each
-    layer's context is built once, by the first row that reaches it."""
+    layer's context is built once, by the first row that reaches it.
+    ``widened`` (:func:`~cerwu.pipeline.evaluate_model`'s) outlives the
+    job: it is the process's."""
     contexts = {}
-    return [_run_config(c, model_tf, hessians, calib_tf, test_tf, contexts) for c in configs]
+    return [_run_config(c, model_tf, hessians, calib_tf, test_tf, widened, contexts)
+            for c in configs]
 
 
 # A pool worker's copy of the inputs every configuration shares:
-# (model, Hessians, calibration, test). Set once per worker by
-# ``_init_worker``; the process that calls ``run_sweep`` never sets it.
+# (model, Hessians, calibration, test, map of widened test entries). Set
+# once per worker by ``_init_worker``; the process that calls
+# ``run_sweep`` never sets it.
 _worker_inputs: tuple = ()
 
 
@@ -210,7 +216,8 @@ def run_sweep(
     lexicographic parameter order.
 
     ``method``, ``damping_delta`` and ``gamma_mode`` go into every
-    configuration; an invalid value raises before any configuration runs.
+    configuration; an invalid value, or ``threads`` below 1, raises
+    InputError before any configuration runs.
     A failing configuration is recorded in its row (``error`` column) and
     the sweep continues.
 
@@ -224,6 +231,17 @@ def run_sweep(
     A row's ``wall_ms`` is its own compress and evaluate time, so the row
     that builds a layer's context carries that build.
 
+    Each process of the sweep (this one when serial, else each pool
+    worker) has one map of widened test entries
+    (:func:`~cerwu.pipeline.evaluate_model`'s ``widened``): the first row
+    it runs that reaches the accuracy pass widens ``test.features`` to
+    float64 and carries that in its ``wall_ms``; later rows reuse the
+    copy, which is held until the sweep ends. Calibration activations are
+    still widened per row, one layer at a time and freed before the
+    accuracy pass, so the row that widens the test features holds no
+    calibration copy beside them and a one-row sweep peaks no higher
+    than one evaluation without a map.
+
     With ``threads > 1`` the jobs run on a process pool of at most
     ``min(threads, number of configurations)`` workers; with one worker
     the sweep runs in this process. When there are fewer lambdas than
@@ -231,14 +249,19 @@ def run_sweep(
     ``ceil(workers / lambdas)`` jobs, each building its own contexts. The
     inputs every configuration shares (model, Hessians, calibration and
     test containers) go to each worker once, through the pool's
-    initializer, and each job carries only its configurations. Under the
-    ``fork`` start method the workers inherit them; under ``spawn`` and
-    ``forkserver`` they are pickled once per worker. Rows are the same as
-    a serial run's but for ``wall_ms``.
+    initializer, with an empty map of widened test entries, and each job
+    carries only its configurations. Under the ``fork`` start method the
+    workers inherit them; under ``spawn`` and ``forkserver`` they are
+    pickled once per worker. Rows are the same as a serial run's but for
+    ``wall_ms``.
     """
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     configs = sweep_configs(lambdas, grid_sizes, scan_orders, model_kinds,
                             method, damping_delta, gamma_mode)
-    shared = (model_tf, hessians, calib_tf, test_tf)
+    # One widened-entry map per process: under ``fork`` each worker
+    # inherits this empty map, under ``spawn`` it gets a pickled one.
+    shared = (model_tf, hessians, calib_tf, test_tf, {})
     workers = min(threads, len(configs))
     jobs = _jobs(configs, workers)
     if workers > 1:

@@ -244,6 +244,27 @@ class TestForwardAccuracy:
         )
         assert np.allclose(forward(model, x), manual, atol=1e-6)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_forward_never_writes_its_input(self, layers):
+        # float64 features, as a caller holding a widened copy passes them:
+        # the bias and ReLU act in place on each layer's own product
+        rng = np.random.default_rng(24)
+        model, _ = tiny_model(rng)
+        if layers == 1:
+            for name in ("l2.weight", "l2.bias"):
+                del model.entries[name]
+        x = rng.normal(size=(5, 8))
+        before = x.copy()
+        out = forward(model, x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        # bitwise the out-of-place pass
+        ref = x @ model["l1.weight"].astype(np.float64).T + model["l1.bias"].astype(np.float64)
+        if layers == 2:
+            ref = (np.maximum(ref, 0.0) @ model["l2.weight"].astype(np.float64).T
+                   + model["l2.bias"].astype(np.float64))
+        assert np.array_equal(out, ref)
+
     def test_architecture_mismatch(self):
         rng = np.random.default_rng(8)
         model, _ = tiny_model(rng)
@@ -472,6 +493,50 @@ class TestRunSweep:
                         ["static", "adaptive", "context"])
         assert len(pts) == 3 and all(not p.error for p in pts)
         assert built == [(6, 8), (3, 6)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_test_features_widened_once_per_process(self, monkeypatch, threads):
+        # serial, or two workers standing in one process: one pool initializer
+        started = InProcessPool.install(monkeypatch)
+        rng = np.random.default_rng(25)
+        model, calib = tiny_model(rng)
+        test = TensorFile()
+        test.add("test.features", rng.normal(size=(20, 8)))
+        test.add("test.labels", rng.integers(0, 3, size=20).astype(np.float64))
+        hes = collect_hessians(model, calib)
+        fed = []
+        forward_pass = pipeline.forward
+
+        def recorded(model_tf, features):
+            fed.append(features)
+            return forward_pass(model_tf, features)
+
+        monkeypatch.setattr(pipeline, "forward", recorded)
+        kinds = ["static", "adaptive", "context"]
+        pts = run_sweep(model, calib, hes, [0.01], [5], ["row-major"], kinds, test_tf=test,
+                        threads=threads)
+        assert [size for size, _ in started] == ([] if threads == 1 else [2])
+        assert len(fed) == 3
+        assert len({id(f) for f in fed}) == 1
+        assert fed[0].dtype == np.float64
+        assert np.array_equal(fed[0], test["test.features"])
+        monkeypatch.setattr(pipeline, "forward", forward_pass)
+        configs = sweep_configs([0.01], [5], ["row-major"], kinds)
+        assert without_wall(pts) == [reference_point(c, model, calib, hes, test)
+                                     for c in configs]
+        assert all(p.accuracy is not None for p in pts)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, monkeypatch, threads):
+        started = InProcessPool.install(monkeypatch)
+        compressed = []
+        monkeypatch.setattr(sweep, "compress_model", lambda *a, **k: compressed.append(a))
+        rng = np.random.default_rng(26)
+        model, calib = tiny_model(rng)
+        with pytest.raises(InputError, match="threads"):
+            run_sweep(model, calib, collect_hessians(model, calib), [0.01], [5],
+                      ["row-major"], ["adaptive"], threads=threads)
+        assert started == [] and compressed == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_group_without_hessians_fails_every_row(self, monkeypatch, threads):
