@@ -35,6 +35,7 @@ from .pipeline import (
     compress_model,
     decompress_model,
     evaluate_model,
+    quantizable_names,
 )
 from .sweep import (
     DEFAULT_LAMBDAS,
@@ -52,7 +53,8 @@ def _add_engine_flags(p: argparse.ArgumentParser):
     """Flags of one compression configuration (compress, oracle)."""
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="rate-distortion trade-off weight (default 0)")
-    p.add_argument("--grid-size", type=int, default=17, help="number of grid levels")
+    p.add_argument("--grid-size", type=int, default=17, help="number of grid levels "
+                   "(an even size has one fewer positive level than negative levels)")
     p.add_argument("--scan-order", choices=[ROW_MAJOR, COLUMN_MAJOR],
                    default=ROW_MAJOR)
     p.add_argument("--model-kind", choices=list(entropy.MODEL_KINDS),
@@ -69,6 +71,15 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="'zero' disables regularized weight updates")
     p.add_argument("--method", choices=list(METHODS), default=METHOD_CERWU,
                    help="'rtn' is the nearest-level + entropy coding baseline")
+
+
+def _load_model(path):
+    """The model container, refused before any Hessian work when it holds
+    no tensor to quantize."""
+    model_tf = load_tensor_file(path)
+    if not quantizable_names(model_tf):
+        raise InputError(f"{path}: no 2-D or 4-D tensor to quantize")
+    return model_tf
 
 
 def _load_calibration(args, model_tf):
@@ -99,7 +110,7 @@ def _config(args) -> CompressionConfig:
 
 def cmd_compress(args) -> int:
     config = _config(args)  # a bad flag is reported before any Hessian work
-    model_tf = load_tensor_file(args.model)
+    model_tf = _load_model(args.model)
     _, hessians = _load_calibration(args, model_tf)
     report = compress_model(model_tf, hessians, config)
     write_compressed(report.compressed, args.out)
@@ -166,7 +177,7 @@ def cmd_sweep(args) -> int:
         gamma_mode=args.gamma_mode,
     )
     sweep_configs(**settings)  # a bad flag is reported before any Hessian work
-    model_tf = load_tensor_file(args.model)
+    model_tf = _load_model(args.model)
     test_tf = load_tensor_file(args.test) if args.test else None
     if test_tf is not None:
         accuracy(model_tf, test_tf)  # so is a bad test set, once, not in every row
@@ -282,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", required=True)
     p.add_argument("--lambdas", type=float, nargs="*", default=None,
                    help="default: 1e-8 .. 1e-1 at half-decade steps")
-    p.add_argument("--grid-sizes", type=int, nargs="+", default=[5, 9, 17, 33])
+    p.add_argument("--grid-sizes", type=int, nargs="+", default=[5, 9, 17, 33],
+                   help="numbers of grid levels (an even size has one fewer positive "
+                   "level than negative levels)")
     p.add_argument("--scan-orders", nargs="+", default=[ROW_MAJOR],
                    choices=[ROW_MAJOR, COLUMN_MAJOR])
     p.add_argument("--model-kinds", nargs="+", default=[entropy.ADAPTIVE],

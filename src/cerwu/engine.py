@@ -18,9 +18,10 @@ The engine walks the weight matrix in scan order and, per entry:
    block's updates to every later column at once, as one product
    ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]`` of its
    recorded errors ``e = w - g``;
-3. feeds the chosen symbol to the entropy model and records its coder
-   interval ``(cum[s], cum[s+1], T)``, which the range coder then codes
-   (:func:`compress_layer`), so a compress replays the model once.
+3. feeds the chosen symbol to the entropy model's one step, which records
+   its coder interval ``(cum[s], cum[s+1], T)`` and then observes it; the
+   range coder codes the recorded intervals (:func:`compress_layer`), so a
+   compress replays the model once.
 
 A layer with at most :data:`BLOCK_SIZE` columns is one block and gets
 bitwise the arithmetic of updating the whole remaining row per entry.
@@ -58,10 +59,11 @@ same per-row block product call, so indices, symbols, loss delta and
 predicted bits are bitwise those of visiting the entries one by one.
 Adaptive and context entries are chosen on Python floats, since for a
 handful of levels each numpy call costs more than its arithmetic, and
-each entry makes one call into the model, the transition from
-:meth:`~EntropyModel.stepper`. The search is bounded and exact: it scores
-the first level at or above the working value, walks down from its lower
-neighbour and then up from its upper one, reads a level's rate
+each entry makes one call into the model, the step from
+:meth:`~EntropyModel.stepper`, which also records the entry's interval.
+The search is bounded and exact: it scores the first level at or above
+the working value, walks down from its lower neighbour and then up from
+its upper one, reads a level's rate
 ``log2(T) - log2(c)`` from the active count table's total and count only
 when it reaches that level, and stops on a side once the distortion
 alone, less the largest Gaussian term, exceeds the best objective so far,
@@ -72,9 +74,7 @@ search that walked one side fully before the other, quantizing that
 layer went from 5.40 to 4.44 us per weight row-major and from 3.69 to
 2.82 column-major (context, k=9; best of 60, interleaved, one thread of
 a 2-vCPU Xeon host). The window widens as ``lam`` grows (7.1 of 9 levels
-at ``lam = 30``). The chosen level's interval starts at ``cum[idx]``,
-summed outward from the table's ``cum[k // 2]`` over the counts in
-between.
+at ``lam = 30``).
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -298,8 +298,7 @@ def quantize_layer(
         # one in scan order, on Python scalars, reading a level's rate from
         # the model's counts only when the search reaches it.
         L = entropy.LOG2
-        tab, step = model.stepper()
-        z = grid.zero_index
+        tab, step, intervals = model.stepper()
         rank = np.argsort(pref)  # tie-break rank by index
         gt = gamma_term_pref[rank].tolist()  # gamma term by index
         gt_max = max(gt)
@@ -307,13 +306,11 @@ def quantize_layer(
         h = half_inv_c2.tolist()
         level_list = levels.tolist()  # ascending, so position == index
         err_seq = []
-        idx_seq, lo_seq, hi_seq, total_seq = (array("i") for _ in range(4))
+        idx_seq = array("i")
         idx_append, err_append = idx_seq.append, err_seq.append
-        lo_append, hi_append, total_append = lo_seq.append, hi_seq.append, total_seq.append
         walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
         for j, wij in walk(wp, err_seq, inv_c, chol):
-            total = tab[k]
-            log_total = L[total]
+            log_total = L[tab[k]]
             hj = h[j]
             # Exact bounded search, equal to scanning all k levels in
             # tie-break order and keeping the first minimum. Each level's
@@ -360,20 +357,11 @@ def quantize_layer(
                 p += 1
             idx_append(idx)
             err_append(wij - level_list[idx])
-            # cum[idx], summed outward from the zero level's cum[z]
-            c_lo = tab[k + 1]
-            if idx > z:
-                c_lo += sum(tab[z:idx])
-            elif idx < z:
-                c_lo -= sum(tab[idx:z])
-            lo_append(c_lo)
-            hi_append(c_lo + tab[idx])
-            total_append(total)
             tab = step(idx)
         symbols = np.frombuffer(idx_seq, dtype=np.intc)
         indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
         err = from_scan_order(np.array(err_seq), n, m, order)
-        intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in (lo_seq, hi_seq, total_seq))
+        intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in intervals)
 
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(

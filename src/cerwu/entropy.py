@@ -9,8 +9,7 @@ encoding-time costs.
 
 Every kind is a pair of count tables, one per context (the previous
 symbol was the zero level ``k // 2``, or it was not), and differs only in
-its tables and in the transition ``update`` applies, chosen once when the
-model is built:
+its tables and in whether its step observes symbols:
     static    one histogram, fitted at construction to integer
               frequencies summing to exactly 2**15, in both slots and
               never updated; its table is serialized in the layer header.
@@ -22,18 +21,24 @@ model is built:
 :func:`make_model` is the one constructor and :meth:`EntropyModel.fresh`
 the one way to copy a model, so quantize, encode and decode replay the
 same model. A model is read through :meth:`EntropyModel.cum` and
-:meth:`EntropyModel.rate_vector`, and per symbol through one transition
-from :meth:`EntropyModel.stepper`, ``tab = step(s)``. Three per-symbol
-loops step the adaptive kinds: the engine's walk, :func:`replay_intervals`
-and the range decoder, which makes the same step inline. A static model
-never changes and is never stepped: the engine prices whole columns from
-one :meth:`EntropyModel.rate_vector`, :func:`replay_intervals` indexes its
+:meth:`EntropyModel.rate_vector`, and per symbol through its one
+transition, the ``step`` of :meth:`EntropyModel.stepper`:
+``tab = step(s)`` records ``s``'s coder interval ``(cum[s], cum[s+1], T)``
+and then observes ``s``. The engine's walk and :func:`replay_intervals`
+take their intervals from it, so the rule that turns a count table into
+an interval is written once, here. The range decoder is the one other
+copy of the transition: it must find ``s`` from the coded value before it
+can step, and the step would then sum and record the interval its search
+has just found, so it observes inline (:func:`~cerwu.rangecoder.decode`
+gives the measured cost). A static model never changes and is stepped
+only by tests and the oracle: the engine prices whole columns from one
+:meth:`EntropyModel.rate_vector`, :func:`replay_intervals` indexes its
 table with numpy, and the decoder reads symbols from a lookup table built
 once from it.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
-A model keeps each table as one list of Python ints that an update
+A model keeps each table as one list of Python ints that an observation
 changes in place: the k counts, then ``T``, then ``cum[k // 2]``, the
 count mass below the zero level. The per-symbol paths (the engine's walk,
 the range coder) therefore never touch numpy, and an observation costs
@@ -121,16 +126,16 @@ class EntropyModel:
     static kind's fitted table, the one a layer header stores, and
     ``None`` for the adaptive kinds.
 
-    ``update(symbol)`` is the kind's transition, bound once here; it
-    returns the table then active. Static holds; the adaptive kinds observe
-    the symbol, then switch to its context's table (one table for both
-    contexts of adaptive). An observation is O(1): ``c_s += 1``,
+    The one transition is the ``step`` of :meth:`stepper`. It records the
+    symbol's coder interval; then static holds, and the adaptive kinds
+    observe the symbol and switch to its context's table (one table for
+    both contexts of adaptive). An observation is O(1): ``c_s += 1``,
     ``T += 1``, and ``cum[z] += 1`` when ``s < z``. When the total would
     exceed ``COUNT_CAP``, :func:`halve` halves every count, the observed one
     included, rounding up. Tables change in place.
     """
 
-    __slots__ = ("kind", "k", "zero_index", "counts", "update", "tables", "_tab")
+    __slots__ = ("kind", "k", "zero_index", "counts", "tables", "_tab")
 
     def __init__(self, kind: str, k: int, static_counts: Optional[Sequence[int]] = None):
         if kind not in MODEL_KINDS:
@@ -154,10 +159,8 @@ class EntropyModel:
             # fitting a fitted table again leaves it unchanged.
             self.counts = quantize_counts(c)
             first = _table(self.counts.tolist())
-            self.update = self._hold
         else:
             first = _table([1] * k)
-            self.update = self._observe
         # (context 0's table, context 1's table), one list twice unless the
         # kind is context; the range decoder steps them itself.
         self.tables = (first, _table([1] * k) if kind == CONTEXT else first)
@@ -169,13 +172,45 @@ class EntropyModel:
         return [0, *accumulate(self._tab[: self.k])]
 
     def stepper(self):
-        """``(tab, step)``, the active table and the transition: each of the
-        three per-symbol loops (the engine's walk, :func:`replay_intervals`
-        and the range decoder's adaptive loop) reads ``tab``, then sets
-        ``tab = step(symbol)`` (the decoder makes the same step inline). A
-        static model is never stepped: its one table is read once through
-        :meth:`cum` or :meth:`rate_vector`."""
-        return self._tab, self.update
+        """``(tab, step, intervals)``: the active table, the transition and
+        three fresh int32 arrays ``(lo, hi, total)``.
+
+        ``tab = step(s)`` appends symbol ``s``'s coder interval
+        ``(cum[s], cum[s + 1], T)`` under the active table to
+        ``intervals``, with ``cum[s]`` summed outward from the zero level's
+        ``cum[k // 2]``; then the adaptive kinds observe ``s`` and switch
+        to its context's table, and the static kind holds. It returns the
+        table then active, which the model also keeps.
+        """
+        intervals = (array("i"), array("i"), array("i"))
+        lo_append, hi_append, total_append = (a.append for a in intervals)
+        k = self.k
+        below = k + 1  # the index of cum[z]
+        z = self.zero_index
+        tables = self.tables
+        observe = self.kind != STATIC
+
+        def step(s: int) -> list:
+            tab = self._tab
+            c_lo = tab[below]
+            if s > z:
+                c_lo += sum(tab[z:s])
+            elif s < z:
+                c_lo -= sum(tab[s:z])
+            lo_append(c_lo)
+            hi_append(c_lo + tab[s])
+            total_append(tab[k])
+            if observe:
+                tab[s] += 1
+                tab[k] += 1
+                if s < z:
+                    tab[below] += 1
+                if tab[k] > COUNT_CAP:
+                    halve(tab)
+                self._tab = tab = tables[s != z]
+            return tab
+
+        return self._tab, step, intervals
 
     def rate_vector(self) -> np.ndarray:
         """Per-symbol cost in bits: -log2(count / T)."""
@@ -186,23 +221,6 @@ class EntropyModel:
     def fresh(self) -> "EntropyModel":
         """New instance of the same kind and parameters, initial state."""
         return EntropyModel(self.kind, self.k, self.counts)
-
-    # -- transitions; __init__ binds one of them as ``update`` -------------
-    def _hold(self, symbol: int) -> list:
-        return self._tab
-
-    def _observe(self, symbol: int) -> list:
-        tab = self._tab
-        k = self.k
-        z = self.zero_index
-        tab[symbol] += 1
-        tab[k] += 1
-        if symbol < z:
-            tab[k + 1] += 1
-        if tab[k] > COUNT_CAP:
-            halve(tab)
-        self._tab = tab = self.tables[symbol != z]
-        return tab
 
 
 def _table(counts: list) -> list:
@@ -238,31 +256,19 @@ def replay_intervals(symbols, model: EntropyModel):
     Returns ``(lo, hi, total)``, three int32 arrays in sequence order: the
     symbol ``s`` seen with cumulative counts ``cum`` gets
     ``(cum[s], cum[s + 1], cum[-1])``. The range coder codes these, and
-    :func:`interval_bits` prices them. An adaptive table finds ``cum[s]``
-    by summing counts outward from the zero level's ``cum[k // 2]``. A
-    static model never changes, so its intervals are looked up in its one
+    :func:`interval_bits` prices them. The adaptive kinds take them from
+    the model's step (:meth:`EntropyModel.stepper`), one symbol at a time.
+    A static model never changes, so its intervals are looked up in its one
     table at once.
     """
     syms = np.asarray(symbols, dtype=np.int64).ravel()
     if model.kind == STATIC:
         cum = np.array(model.cum(), dtype=np.intc)
         return cum[:-1][syms], cum[1:][syms], np.full(syms.size, cum[-1], np.intc)
-    lo, hi, total = array("i"), array("i"), array("i")
-    lo_append, hi_append, total_append = lo.append, hi.append, total.append
-    k = model.k
-    z = model.zero_index
-    tab, step = model.stepper()
+    _, step, intervals = model.stepper()
     for s in syms.tolist():
-        c_lo = tab[k + 1]
-        if s > z:
-            c_lo += sum(tab[z:s])
-        elif s < z:
-            c_lo -= sum(tab[s:z])
-        lo_append(c_lo)
-        hi_append(c_lo + tab[s])
-        total_append(tab[k])
-        tab = step(s)
-    return tuple(np.frombuffer(a, dtype=np.intc) for a in (lo, hi, total))
+        step(s)
+    return tuple(np.frombuffer(a, dtype=np.intc) for a in intervals)
 
 
 def interval_bits(lo, hi, total) -> np.ndarray:

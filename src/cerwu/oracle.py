@@ -56,10 +56,11 @@ def evaluate_objective(
     distortion = float(np.sum(err * err))
 
     model = model_factory()
+    _, step, _ = model.stepper()
     rate = 0.0
     for s in quantized.symbols_in_scan_order().tolist():
         rate += float(model.rate_vector()[s])
-        model.update(s)
+        step(s)
 
     return ObjectiveBreakdown(
         distortion=distortion, rate_bits=rate, total=distortion + lam * rate

@@ -116,7 +116,7 @@ def collect_hessians(
 
     hessians = {}
     for name in names:
-        m = _layer_weight_matrix(model_tf[name]).shape[1]
+        m = int(np.prod(model_tf[name].shape[1:]))  # the columns of the 2-D view
         x = _activations(calib_tf, name, m).astype(np.float64)
         hessians[name] = accumulate_hessian([x])
 

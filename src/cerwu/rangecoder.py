@@ -38,8 +38,9 @@ adaptive kinds step the model's count tables (``EntropyModel.tables``)
 themselves: each symbol is found by walking the active table's counts
 outward from the zero level's ``cum[k // 2]``, down or up, until the
 interval holds the scaled offset, and the table then takes the model's
-O(1) observation inline. Both loops give the same symbols and raise the
-same errors.
+O(1) observation inline, the one copy of the model's transition outside
+:mod:`cerwu.entropy`. Both loops give the same symbols and raise the same
+errors.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     transition inline, on its tables: pass a fresh model, which the decode
     uses up. Both give the same symbols and the same errors.
 
+    This inline observation is the one copy of the transition outside
+    :meth:`EntropyModel.stepper`'s step, kept because the search has
+    already found the symbol's interval, which the step would sum again
+    and record: routed through the step, decoding 200 000 zero-heavy
+    symbols at k = 9 and 17 took 1.35 to 1.9 times as long (best of 9,
+    one thread of a 2-vCPU Xeon host).
+
     Raises:
         DecodeError: truncated or corrupt payload.
     """
@@ -168,9 +176,9 @@ def decode(payload: Payload, model: EntropyModel) -> np.ndarray:
             append(s)
         return np.array(out, dtype=np.int32)
 
-    # The adaptive transition, EntropyModel.update, made inline: the walk
-    # below leaves the interval [lo, hi) = [cum[s], cum[s + 1]) of symbol s
-    # in table ``tab`` (counts, then T at index k and cum[z] at k + 1).
+    # The adaptive transition, EntropyModel.stepper's step, made inline: the
+    # walk below leaves the interval [lo, hi) = [cum[s], cum[s + 1]) of
+    # symbol s in table ``tab`` (counts, then T at index k and cum[z] at k + 1).
     tables = model.tables
     z = model.zero_index
     tab = model.stepper()[0]

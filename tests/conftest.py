@@ -139,6 +139,12 @@ def sequence_rate_bits(symbols, model: EntropyModel) -> float:
     return float(np.cumsum(bits)[-1]) if bits.size else 0.0
 
 
+def step_model(model: EntropyModel, symbol: int) -> list:
+    """Take the model's one transition on ``symbol`` (static holds) and
+    return the table then active."""
+    return model.stepper()[1](symbol)
+
+
 def current_context(model: EntropyModel) -> int:
     """Index of the model's active table; always 0 when both slots share one."""
     return 0 if model.stepper()[0] is model.tables[0] else 1

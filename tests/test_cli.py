@@ -479,6 +479,27 @@ class TestErrors:
         # rejected before any Hessian work
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_model_with_nothing_to_quantize_is_input_error(self, tmp_path, capsys, command):
+        # a bias-only model is refused before any Hessian work, and leaves
+        # no compressed file, CSV or Hessian cache behind
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(12))
+        model = load_tensor_file(model_path)
+        biases = TensorFile()
+        biases.add("fc0.bias", model["fc0.bias"])
+        write_tensor_file(biases, model_path)
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "compress" else "--csv-out"
+        capsys.readouterr()
+        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
+                     out_flag, str(out), "--lambda" if command == "compress" else "--lambdas",
+                     "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {model_path}: no 2-D or 4-D tensor to quantize"]
+        assert "Traceback" not in err and not out.exists()
+        assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
     def test_sweep_checks_test_set_before_hessian_work(self, tmp_path, capsys):
         model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(10))
         test = TensorFile()

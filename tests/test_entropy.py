@@ -10,10 +10,12 @@ from cerwu.entropy import (
     TOTAL,
     make_model,
     quantize_counts,
+    replay_intervals,
 )
 from cerwu.errors import ShapeError
 
-from conftest import current_context, entropy_bits, sequence_rate_bits, set_context
+from conftest import (current_context, entropy_bits, oracle_stream, reference_intervals,
+                      sequence_rate_bits, set_context, step_model)
 
 
 class TestQuantizeCounts:
@@ -120,7 +122,7 @@ class TestRateBits:
     def test_heavy_symbol_gets_cheap(self):
         m = make_model(ADAPTIVE, 3)
         for _ in range(100):
-            m.update(1)
+            step_model(m, 1)
         assert m.rate_vector()[1] < 0.1
 
     def test_worst_case_fifteen_bits(self):
@@ -140,7 +142,7 @@ class TestRateBits:
 class TestUpdate:
     def test_adaptive_increments(self):
         m = make_model(ADAPTIVE, 2)
-        m.update(0)
+        step_model(m, 0)
         assert np.diff(m.cum()).tolist() == [2, 1]
         assert m.cum() == [0, 2, 3]
         assert m.rate_vector().tolist() == pytest.approx([np.log2(3) - 1.0, np.log2(3)])
@@ -148,15 +150,15 @@ class TestUpdate:
     def test_context_switches(self):
         m = make_model(CONTEXT, 3)  # zero level index 1
         assert m.zero_index == 1
-        m.update(1)
+        step_model(m, 1)
         assert current_context(m) == 0
-        m.update(2)
+        step_model(m, 2)
         assert current_context(m) == 1
 
     def test_context_tables_independent(self):
         m = make_model(CONTEXT, 3)
-        m.update(2)  # counted in context 0, switches to context 1
-        m.update(2)  # counted in context 1
+        step_model(m, 2)  # counted in context 0, switches to context 1
+        step_model(m, 2)  # counted in context 1
         assert m.cum() == [0, 1, 2, 4]
         set_context(m, 0)
         assert m.cum() == [0, 1, 2, 4]
@@ -164,18 +166,36 @@ class TestUpdate:
     def test_halving_cap(self):
         m = make_model(ADAPTIVE, 2)
         for _ in range(COUNT_CAP - 2):
-            m.update(0)
+            step_model(m, 0)
         assert m.cum() == [0, COUNT_CAP - 1, COUNT_CAP]
         assert m.rate_vector()[1] == 16.0  # the worst case of the adaptive kinds
-        m.update(0)
+        step_model(m, 0)
         assert m.cum() == [0, 32768, 32769]
 
     def test_static_never_changes(self):
         m = make_model(STATIC, 3, static_counts=[5, 2, 1])
         before = np.diff(m.cum())
         for s in (0, 1, 2, 0):
-            m.update(s)
+            step_model(m, s)
         assert np.array_equal(np.diff(m.cum()), before)
+
+
+@pytest.mark.parametrize("k", [2, 5, 9, 33])
+def test_static_step_records_table_lookup(k):
+    # a static model's step holds its one table and records the intervals
+    # that replay_intervals looks up in it, which are the reference model's
+    rng = np.random.default_rng(k)
+    counts = rng.integers(0, 50, size=k)
+    counts[k // 2] += 200
+    syms = oracle_stream(rng, k, 3_000, 0.5)
+    m = make_model(STATIC, k, static_counts=counts)
+    tab, step, intervals = m.stepper()
+    for s in syms.tolist():
+        assert step(s) is tab
+    got = [np.frombuffer(a, dtype=np.intc) for a in intervals]
+    for want in (replay_intervals(syms, m.fresh()), reference_intervals(syms, m.fresh())):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestReplayDeterminism:
@@ -187,8 +207,8 @@ class TestReplayDeterminism:
         b = make_model(kind, 4)
         for s in seq.tolist():
             assert np.array_equal(np.diff(a.cum()), np.diff(b.cum()))
-            a.update(s)
-            b.update(s)
+            step_model(a, s)
+            step_model(b, s)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_fresh_restores_initial_state(self, kind):
@@ -198,7 +218,7 @@ class TestReplayDeterminism:
             initial = [0] + np.cumsum(quantize_counts(counts)).tolist()
         m = make_model(kind, 4, static_counts=counts)
         for s in (1, 2, 3, 0):
-            m.update(s)
+            step_model(m, s)
         f = m.fresh()
         assert (f.kind, f.k) == (kind, 4)
         assert current_context(f) == 0
@@ -207,8 +227,8 @@ class TestReplayDeterminism:
         assert f.cum() == initial
         # the copy shares no table with the model it came from
         before = list(m.cum())
-        f.update(2)
-        f.update(0)
+        step_model(f, 2)
+        step_model(f, 0)
         assert m.cum() == before
 
 
@@ -238,7 +258,7 @@ def test_distribution_total_exact_across_reachable_states(kind):
     ctx = 0
     halvings = 0
     seq = np.where(rng.random(150_000) < 0.9, 0, rng.integers(0, k, size=150_000))
-    tab, step = m.stepper()
+    tab, step, _ = m.stepper()
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
             assert current_context(m) == ctx

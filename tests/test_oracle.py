@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cerwu.entropy import ADAPTIVE, make_model
+from cerwu.entropy import ADAPTIVE, STATIC, make_model
 from cerwu.errors import SearchSpaceError, ShapeError
 from cerwu.grids import build_grid, grid_from_scale, round_to_nearest
 from cerwu.oracle import (
@@ -10,7 +10,7 @@ from cerwu.oracle import (
     evaluate_objective,
 )
 
-from conftest import random_spd
+from conftest import random_spd, sequence_rate_bits, step_model
 
 
 def _adaptive(k):
@@ -61,9 +61,20 @@ class TestEvaluateObjective:
         expect = 0.0
         for s in q.symbols_in_scan_order().tolist():
             expect += model.rate_vector()[s]
-            model.update(s)
+            step_model(model, s)
         obj = evaluate_objective(w, rng.normal(size=(2, 2)), q, 1.0, _adaptive(3))
         assert obj.rate_bits == expect
+
+    def test_static_rate_is_replay_rate(self):
+        # a static model is stepped like the adaptive kinds, and its rate is
+        # the one the table lookup of replay_intervals prices
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(5, 7))
+        grid = build_grid(w, 9)
+        q = round_to_nearest(w, grid)
+        model = make_model(STATIC, 9, static_counts=np.bincount(q.indices.ravel(), minlength=9))
+        obj = evaluate_objective(w, rng.normal(size=(7, 3)), q, 1.0, model.fresh)
+        assert obj.rate_bits == sequence_rate_bits(q.symbols_in_scan_order(), model.fresh())
 
     def test_shape_mismatch(self):
         w = np.ones((2, 3))
