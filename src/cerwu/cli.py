@@ -46,8 +46,6 @@ from .sweep import (
     sweep_configs,
 )
 
-log = logging.getLogger("cerwu")
-
 
 def _add_engine_flags(p: argparse.ArgumentParser):
     """Flags of one compression configuration (compress, oracle)."""
@@ -75,10 +73,14 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _load_model(path):
     """The model container, refused before any Hessian work when it holds
-    no tensor to quantize."""
+    no tensor to quantize or an empty one."""
     model_tf = load_tensor_file(path)
-    if not quantizable_names(model_tf):
+    names = quantizable_names(model_tf)
+    if not names:
         raise InputError(f"{path}: no 2-D or 4-D tensor to quantize")
+    for name in names:
+        if model_tf[name].size == 0:
+            raise InputError(f"{path}: entry {name!r} of shape {model_tf[name].shape} is empty")
     return model_tf
 
 
@@ -117,10 +119,11 @@ def cmd_compress(args) -> int:
     for st in report.layers:
         print(
             f"layer {st.name}: {st.params} params, {st.bits_per_weight:.4f} bpw, "
-            f"loss delta {st.quadratic_loss_delta:.6g}"
+            f"loss delta {st.quadratic_loss_delta:.6g}, "
+            f"{st.predicted_rate_bits:.1f} bits predicted, {st.actual_bits} paid"
         )
     print(
-        f"total: {report.bits_per_weight:.4f} bpw, "
+        f"total: {report.compressed.bits_per_weight():.4f} bpw, "
         f"loss delta {report.total_loss_delta:.6g}, "
         f"wall {report.wall_seconds:.2f}s -> {args.out}"
     )

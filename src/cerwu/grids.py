@@ -42,24 +42,26 @@ def round_scale16(step: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform reconstruction grid containing zero.
+    """Uniform reconstruction grid containing zero: the value ``(size, step)``.
 
     Level ``i`` of ``size`` k is ``(i - k // 2) * step``: zero sits at index
     ``k // 2``, with one more negative level than positive ones for an even
-    k. ``step`` is always the 16-bit rounded scale.
+    k. ``step`` is always the 16-bit rounded scale. ``levels`` is derived
+    from ``(size, step)`` by that rule, here and nowhere else, so two grids
+    compare and hash equal exactly when their size and step do.
     """
 
     size: int
     step: float
-    levels: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 2:
             raise ShapeError(f"grid size must be >= 2, got {self.size}")
         if self.step <= 0:
             raise ShapeError("grid step must be positive")
-        if len(self.levels) != self.size or np.any(np.diff(self.levels) <= 0):
-            raise ShapeError("grid levels must be strictly increasing, one per index")
+        idx = np.arange(self.size, dtype=np.float64) - self.size // 2
+        object.__setattr__(self, "levels", idx * self.step)
 
     @property
     def zero_index(self) -> int:
@@ -69,9 +71,7 @@ class Grid:
 
 def grid_from_scale(size: int, step: float) -> Grid:
     """The grid of ``size`` levels whose step is ``step`` rounded to binary16."""
-    step = round_scale16(step)
-    idx = np.arange(size, dtype=np.float64) - size // 2
-    return Grid(size=size, step=step, levels=idx * step)
+    return Grid(size, round_scale16(step))
 
 
 def build_grid(weights, size: int) -> Grid:
@@ -161,25 +161,24 @@ def layer_from_symbols(
 def nearest_indices(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Nearest-level indices with deterministic tie-breaking.
 
-    Ties go to the level with the smaller absolute value, then to the
-    negative one. Works on arrays of any shape.
+    The two candidate indices come from flooring ``value / step``; their
+    levels are read from ``grid.levels``. Ties go to the level with the
+    smaller absolute value, then to the negative one. Works on arrays of
+    any shape.
     """
     v = np.asarray(values, dtype=np.float64)
-    imin = -grid.zero_index
-    imax = imin + grid.size - 1
-    t = np.floor(v / grid.step).astype(np.int64)
-    lo = np.clip(t, imin, imax)
-    hi = np.clip(t + 1, imin, imax)
-    lo_lvl = lo * grid.step
-    hi_lvl = hi * grid.step
+    t = np.floor(v / grid.step).astype(np.int64) + grid.zero_index
+    lo = np.clip(t, 0, grid.size - 1)
+    hi = np.clip(t + 1, 0, grid.size - 1)
+    lo_lvl = grid.levels[lo]
+    hi_lvl = grid.levels[hi]
     d_lo = np.abs(v - lo_lvl)
     d_hi = np.abs(v - hi_lvl)
     # On a distance tie, prefer the smaller |level|; |lo| == |hi| cannot
     # occur on a zero-containing uniform grid, but the lower (negative)
     # candidate wins there by construction.
     pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (np.abs(hi_lvl) < np.abs(lo_lvl)))
-    chosen = np.where(pick_hi, hi, lo)
-    return (chosen - imin).astype(np.int32)
+    return np.where(pick_hi, hi, lo).astype(np.int32)
 
 
 def round_to_nearest(weights, grid: Grid, scan_order: str = ROW_MAJOR) -> QuantizedLayer:

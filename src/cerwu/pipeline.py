@@ -159,10 +159,6 @@ class CompressionReport:
     wall_seconds: float = 0.0
 
     @property
-    def bits_per_weight(self) -> float:
-        return self.compressed.bits_per_weight()
-
-    @property
     def total_loss_delta(self) -> float:
         return sum(s.quadratic_loss_delta for s in self.layers)
 

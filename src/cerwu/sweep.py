@@ -110,7 +110,7 @@ def _run_config(config, model_tf, hessians, calib_tf, test_tf, widened,
         report = compress_model(model_tf, hessians, config, contexts=contexts)
         ev = evaluate_model(model_tf, report.reconstruction, calib_tf, test_tf, widened)
         outcome = dict(
-            bits_per_weight=report.bits_per_weight,
+            bits_per_weight=report.compressed.bits_per_weight(),
             layer_loss=ev.total_loss,
             accuracy=ev.accuracy,
         )

@@ -281,7 +281,7 @@ def _sweep_points(fix, method, gamma_mode="standard", lambdas=DEFAULT_LAMBDAS):
             ev = evaluate_model(fix["model"], recon, fix["calib"], fix["test"])
             points.append(SweepPoint(
                 lam=float(lam), grid_size=k, scan_order=ROW_MAJOR,
-                model_kind=STATIC, bits_per_weight=report_.bits_per_weight,
+                model_kind=STATIC, bits_per_weight=report_.compressed.bits_per_weight(),
                 layer_loss=ev.total_loss, accuracy=ev.accuracy,
             ))
     _sweep_cache[key] = points

@@ -1,4 +1,5 @@
 import builtins
+import re
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from cerwu.modelio import (
     read_compressed, write_compressed, write_tensor_file,
 )
 from cerwu.oracle import evaluate_objective
+from cerwu.pipeline import compress_model
 from cerwu.sweep import CSV_COLUMNS, points_from_csv
 
 from conftest import DiskFull
@@ -500,6 +502,28 @@ class TestErrors:
         assert "Traceback" not in err and not out.exists()
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    @pytest.mark.parametrize("shape", [(0, 6), (0, 6, 1, 1)], ids=["matrix", "kernel"])
+    def test_empty_entry_is_input_error(self, tmp_path, capsys, command, shape):
+        # an entry with no rows (a kernel with no output channels) is refused
+        # before any Hessian work, and leaves no compressed file, CSV or
+        # Hessian cache behind
+        model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(13))
+        model = load_tensor_file(model_path)
+        model.add("fc0.weight", np.zeros(shape))
+        write_tensor_file(model, model_path)
+        out = tmp_path / "out"
+        out_flag = "--out" if command == "compress" else "--csv-out"
+        capsys.readouterr()
+        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
+                     out_flag, str(out), "--lambda" if command == "compress" else "--lambdas",
+                     "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {model_path}: entry 'fc0.weight' of shape {shape} is empty"]
+        assert "Traceback" not in err and not out.exists()
+        assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
     def test_sweep_checks_test_set_before_hessian_work(self, tmp_path, capsys):
         model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(10))
         test = TensorFile()
@@ -630,6 +654,32 @@ class TestMlpAccuracy:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         acc = float(line.split("accuracy ")[1])
         assert acc >= 0.99 * mlp_fixture["float_accuracy"]
+
+
+    def test_layer_lines_show_predicted_and_paid_bits(self, tmp_path, capsys, mlp_fixture):
+        # each layer line prints the report's predicted and paid bits, and
+        # the paid bits keep within the coder bound of the predicted ones
+        mp = tmp_path / "model.tns"
+        cp = tmp_path / "calib.tns"
+        write_tensor_file(mlp_fixture["model"], mp)
+        write_tensor_file(mlp_fixture["calib"], cp)
+        capsys.readouterr()
+        assert main([
+            "compress", "--model", str(mp), "--calib", str(cp), "--lambda", "0.03",
+            "--grid-size", "9", "--model-kind", "context", "--out", str(tmp_path / "m.cwm"),
+        ]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            m = re.fullmatch(r"layer (\S+): .*, ([0-9.]+) bits predicted, (\d+) paid", line)
+            if m:
+                printed[m[1]] = (m[2], int(m[3]))
+        report = compress_model(mlp_fixture["model"], mlp_fixture["hessians"], CompressionConfig(
+            lam=0.03, grid_size=9, model_kind="context"))
+        assert printed == {
+            st.name: (f"{st.predicted_rate_bits:.1f}", st.actual_bits) for st in report.layers}
+        for st in report.layers:
+            predicted = st.predicted_rate_bits
+            assert predicted <= st.actual_bits <= predicted + 64 + 0.001 * predicted
 
 
 class TestOracleCommand:

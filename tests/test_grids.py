@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,25 @@ class TestBuildGrid:
             assert (g.step, g.levels.tobytes(), g.zero_index) == (
                 want[0], want[1].tobytes(), want[2])
             lv = g.levels
+            marks = np.concatenate([lv, (lv[:-1] + lv[1:]) / 2])
             values = np.concatenate([
-                w.ravel(), lv, (lv[:-1] + lv[1:]) / 2, [lv[0] - g.step, lv[-1] + g.step]])
+                w.ravel(), marks, np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf),
+                [lv[0] - g.step, lv[-1] + g.step]])
             assert np.array_equal(nearest_indices(values, g),
                                   reference_nearest_indices(values, want[0], k))
+
+
+class TestGridValue:
+    def test_equal_size_and_step_make_equal_grids(self):
+        a, b = grid_from_scale(9, 0.5), grid_from_scale(9, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != grid_from_scale(5, 0.5)
+        assert a != grid_from_scale(9, 0.25)
+
+    def test_pickle_round_trip(self):
+        g = grid_from_scale(9, 0.1)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.levels.tobytes() == g.levels.tobytes()
 
 
 class TestScale16:

@@ -124,7 +124,7 @@ class TestCompressDecompress:
         hes = collect_hessians(model, calib)
         report = compress_model(model, hes, CompressionConfig(lam=0.0, grid_size=5))
         assert [s.name for s in report.layers] == ["l1.weight", "l2.weight"]
-        assert report.bits_per_weight > 0
+        assert report.compressed.bits_per_weight() > 0
         for s in report.layers:
             gap = s.actual_bits - s.predicted_rate_bits
             assert 0 <= gap <= 64 + 0.001 * s.predicted_rate_bits
@@ -316,7 +316,7 @@ def reference_point(config, model, calib, hessians, test=None) -> SweepPoint:
     try:
         report = compress_model(model, hessians, config)
         ev = evaluate_model(model, decompress_model(report.compressed), calib, test)
-        outcome = dict(bits_per_weight=report.bits_per_weight, layer_loss=ev.total_loss,
+        outcome = dict(bits_per_weight=report.compressed.bits_per_weight(), layer_loss=ev.total_loss,
                        accuracy=ev.accuracy)
     except Exception as exc:
         outcome = dict(error=f"{type(exc).__name__}: {exc}")
