@@ -72,8 +72,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _load_model(path):
-    """The model container, refused before any Hessian work when it holds
-    no tensor to quantize or an empty one."""
+    """The model container, refused right after loading, before any
+    Hessian work, when it holds no tensor to quantize or an empty one;
+    ``compress``, ``sweep`` and ``eval`` all load the model through it."""
     model_tf = load_tensor_file(path)
     names = quantizable_names(model_tf)
     if not names:
@@ -153,7 +154,7 @@ def _load_model_or_reconstruction(path):
 
 
 def cmd_eval(args) -> int:
-    model_tf = load_tensor_file(args.model)
+    model_tf = _load_model(args.model)
     recon_tf, cm = _load_model_or_reconstruction(args.compressed)
     calib_tf = load_tensor_file(args.calib)
     test_tf = load_tensor_file(args.test) if args.test else None

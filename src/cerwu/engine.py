@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -176,10 +176,14 @@ class CompressionConfig:
 
 @dataclass
 class LayerResult:
-    """Output of one engine pass over a layer."""
+    """Output of one engine pass over a layer.
+
+    ``predicted_rate_bits`` is derived, not passed: the running total of
+    :func:`~cerwu.entropy.interval_bits` over ``intervals``, the rate the
+    range coder pays for them up to its flush and rounding.
+    """
 
     quantized: QuantizedLayer
-    predicted_rate_bits: float
     quadratic_loss_delta: float
     # Levels covered by the exact search: n*m*k. The walk's bounded search
     # evaluates fewer, but rules out the rest without changing the choice.
@@ -188,6 +192,10 @@ class LayerResult:
     # arrays: what the model read when the symbol was chosen, and what
     # :func:`~cerwu.rangecoder.encode_intervals` codes.
     intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    predicted_rate_bits: float = field(init=False)
+
+    def __post_init__(self):
+        self.predicted_rate_bits = _running_total(entropy.interval_bits(*self.intervals))
 
 
 def _search_order(levels: np.ndarray, lam: float, gamma: float):
@@ -366,7 +374,6 @@ def quantize_layer(
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
         quantized=quantized,
-        predicted_rate_bits=_running_total(entropy.interval_bits(*intervals)),
         quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
         grid_evaluations=n * m * k,
         intervals=intervals,
@@ -521,8 +528,7 @@ def compress_layer(
     if config.method == METHOD_RTN:
         quantized = round_to_nearest(w, grid, config.scan_order)
         intervals = entropy.replay_intervals(quantized.symbols_in_scan_order(), model.fresh())
-        bits = _running_total(entropy.interval_bits(*intervals))
-        result = LayerResult(quantized, bits, 0.0, 0, intervals)
+        result = LayerResult(quantized, 0.0, 0, intervals)
     else:
         result = quantize_layer(w, hessian, grid, config, model=model.fresh(), context=context)
     return result, encode_intervals(*result.intervals), model

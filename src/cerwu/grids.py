@@ -161,13 +161,20 @@ def layer_from_symbols(
 def nearest_indices(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Nearest-level indices with deterministic tie-breaking.
 
-    The two candidate indices come from flooring ``value / step``; their
-    levels are read from ``grid.levels``. Ties go to the level with the
-    smaller absolute value, then to the negative one. Works on arrays of
-    any shape.
+    The two candidate indices come from flooring ``value / step``, clipped
+    to ``[-k, k]`` first so that a value any distance beyond the grid
+    (infinities too) gets the end level on its side; their levels are read
+    from ``grid.levels``. Ties go to the level with the smaller absolute
+    value, then to the negative one. Works on arrays of any shape.
+
+    Raises:
+        ShapeError: a value is NaN, which has no nearest level.
     """
     v = np.asarray(values, dtype=np.float64)
-    t = np.floor(v / grid.step).astype(np.int64) + grid.zero_index
+    q = np.clip(v / grid.step, -grid.size, grid.size)
+    if np.isnan(q).any():
+        raise ShapeError("nearest_indices: NaN has no nearest grid level")
+    t = np.floor(q).astype(np.int64) + grid.zero_index
     lo = np.clip(t, 0, grid.size - 1)
     hi = np.clip(t + 1, 0, grid.size - 1)
     lo_lvl = grid.levels[lo]

@@ -35,17 +35,21 @@ A tensor entry and a raw record share the dtype/ndim/dims header, written
 by ``_tensor_header`` and read by ``_Reader.shape``. A quantized record's
 bytes up to its payload are defined in one place,
 :meth:`QuantizedRecord.header`: the writer emits them, and header sizes are
-measured from them. Reported bits per weight divide 8x the quantized
-records' bytes (headers plus payloads) by the number of quantized
-parameters; raw records and the file preamble are excluded.
+measured from them. A record is built from its coded layer in one place
+too, :meth:`QuantizedRecord.of`, the inverse of its ``decode_layer``, and
+reconstructs its tensor by one rule, its ``array``. Reported bits per
+weight divide 8x the quantized records' bytes (headers plus payloads) by
+the number of quantized parameters; raw records and the file preamble are
+excluded.
 
 Readers check every length and count against the bytes actually present
-(a grid size must lie in ``[2, 2**15]``; a grid step must be finite with
-its sign bit clear, so ``-0.0`` is rejected and ``+0``, which all-zero
-layers store, reads as the degenerate step; a static table must be fitted,
-every frequency >= 1 and the total 2**15) and raise ParseError with the
-byte offset. Writers go through :func:`atomic_output`, so a failed write
-never leaves a partial file in place of an existing one.
+(a name must not repeat an earlier one in the file; a grid size must lie
+in ``[2, 2**15]``; a grid step must be finite with its sign bit clear, so
+``-0.0`` is rejected and ``+0``, which all-zero layers store, reads as the
+degenerate step; a static table must be fitted, every frequency >= 1 and
+the total 2**15) and raise ParseError with the byte offset. Writers go
+through :func:`atomic_output`, so a failed write never leaves a partial
+file in place of an existing one.
 """
 
 from __future__ import annotations
@@ -174,17 +178,22 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def name(self) -> str:
-        """A name: u16 length, then that many bytes of UTF-8."""
+    def name(self, seen) -> str:
+        """A name: u16 length, then that many bytes of UTF-8. A name that
+        ``seen`` holds is refused: a container names each entry once, and
+        a repeated name would hide one of them."""
         (size,) = self.unpack("<H")
         at = self.pos
         raw = self.take(size)
         try:
-            return raw.decode("utf-8")
+            name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(
                 f"{self.what}: name at byte offset {at} is not valid UTF-8"
             ) from exc
+        if name in seen:
+            raise ParseError(f"{self.what}: repeated name {name!r} at byte offset {at}")
+        return name
 
     def shape(self) -> Tuple[int, ...]:
         """A tensor header: dtype u8 (float32 only), ndim u8, dims u32 x ndim."""
@@ -231,7 +240,7 @@ def load_tensor_file(path) -> TensorFile:
     r, count = _open_container(path, TENSOR_MAGIC, TENSOR_VERSION, "tensor container")
     tf = TensorFile()
     for _ in range(count):
-        name = r.name()
+        name = r.name(tf.entries)
         shape = r.shape()
         at = r.pos
         what = f"{path}: tensor {name!r} at byte offset {at}"
@@ -248,7 +257,12 @@ def load_tensor_file(path) -> TensorFile:
 
 @dataclass
 class QuantizedRecord:
-    """One entropy-coded layer inside a compressed model."""
+    """One entropy-coded layer inside a compressed model.
+
+    :meth:`of` builds the record of a coded layer and :meth:`decode_layer`
+    is its inverse; :meth:`array` is the one rule for the tensor a record
+    reconstructs.
+    """
 
     name: str
     rows: int
@@ -260,6 +274,14 @@ class QuantizedRecord:
     static_freqs: Optional[np.ndarray]
     symbol_count: int
     payload: bytes
+
+    @classmethod
+    def of(cls, name: str, layer: QuantizedLayer, model: entropy.EntropyModel,
+           payload: Payload) -> "QuantizedRecord":
+        """The record of ``layer`` coded into ``payload`` by ``model`` in its
+        initial state: the inverse of :meth:`decode_layer`."""
+        return cls(name, layer.rows, layer.cols, layer.grid.size, layer.scan_order, model.kind,
+                   layer.grid.step, model.counts, payload.symbol_count, payload.data)
 
     @property
     def param_count(self) -> int:
@@ -303,6 +325,16 @@ class QuantizedRecord:
         return layer_from_symbols(
             symbols, self.rows, self.cols, self.grid(), self.scan_order
         )
+
+    def array(self, layer: Optional[QuantizedLayer] = None) -> np.ndarray:
+        """The layer's levels as float32, a ``rows x cols`` matrix.
+
+        ``layer`` is the coded layer this record was built from, whose
+        levels are the payload's; without it the payload is decoded.
+        """
+        if layer is None:
+            layer = self.decode_layer()
+        return layer.dequantize().astype(np.float32)
 
 
 @dataclass
@@ -365,8 +397,10 @@ def write_compressed(model: CompressedModel, path) -> None:
 def read_compressed(path) -> CompressedModel:
     r, count = _open_container(path, COMPRESSED_MAGIC, COMPRESSED_VERSION, "compressed-model")
     model = CompressedModel()
+    names = set()
     for _ in range(count):
-        name = r.name()
+        name = r.name(names)
+        names.add(name)
         (kind,) = r.unpack("<B")
         if kind == _KIND_QUANTIZED:
             grid_at = r.pos + 8  # after rows and cols
@@ -416,21 +450,9 @@ def read_compressed(path) -> CompressedModel:
                     f"{path}: record {name!r} claims {symbol_count} symbols "
                     f"in a {payload_len}-byte payload, before offset {r.pos}"
                 )
-            payload = r.take(payload_len)
-            model.records.append(
-                QuantizedRecord(
-                    name=name,
-                    rows=rows,
-                    cols=cols,
-                    grid_size=grid_size,
-                    scan_order=_SCAN_NAMES[scan],
-                    model_kind=model_kind,
-                    step=step,
-                    static_freqs=static_freqs,
-                    symbol_count=symbol_count,
-                    payload=payload,
-                )
-            )
+            model.records.append(QuantizedRecord(
+                name, rows, cols, grid_size, _SCAN_NAMES[scan], model_kind, step,
+                static_freqs, symbol_count, r.take(payload_len)))
         elif kind == _KIND_RAW:
             shape = r.shape()
             (length,) = r.unpack("<Q")

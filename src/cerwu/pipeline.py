@@ -148,9 +148,10 @@ class CompressionReport:
     """A compressed model, its per-layer statistics and its reconstruction.
 
     ``reconstruction`` holds every tensor as :func:`decompress_model` of
-    ``compressed`` returns it, bitwise, without decoding a payload: each
-    quantized layer's dequantized indices as float32 (a 4-D kernel as its
-    2-D matrix) and each raw record's stored float32 array.
+    ``compressed`` returns it, by the same rule, each record's ``array``,
+    but without decoding a payload: a quantized record is handed the layer
+    it was built from. That is each quantized layer's levels as float32
+    (a 4-D kernel as its 2-D matrix) and each raw record's stored array.
     """
 
     compressed: CompressedModel
@@ -207,29 +208,17 @@ def compress_model(
             )
         except CerwuError as exc:
             raise type(exc)(f"layer {name!r}: {exc}") from exc
-        grid = result.quantized.grid
-        rec = QuantizedRecord(
-            name=name,
-            rows=w.shape[0],
-            cols=w.shape[1],
-            grid_size=grid.size,
-            scan_order=config.scan_order,
-            model_kind=config.model_kind,
-            step=grid.step,
-            static_freqs=model.counts,
-            symbol_count=payload.symbol_count,
-            payload=payload.data,
-        )
+        rec = QuantizedRecord.of(name, result.quantized, model, payload)
         cm.records.append(rec)
-        recon.add(name, result.quantized.dequantize().astype(np.float32))
+        recon.add(name, rec.array(result.quantized))
         stats.append(
             LayerStats(
                 name=name,
                 params=rec.param_count,
-                record_bytes=rec.header_bytes() + len(rec.payload),
+                record_bytes=rec.header_bytes() + len(payload.data),
                 quadratic_loss_delta=result.quadratic_loss_delta,
                 predicted_rate_bits=result.predicted_rate_bits,
-                actual_bits=8 * len(rec.payload),
+                actual_bits=8 * len(payload.data),
             )
         )
 
@@ -242,14 +231,12 @@ def compress_model(
 
 
 def decompress_model(cm: CompressedModel) -> TensorFile:
-    """Reconstruct every tensor; quantized records dequantize exactly."""
+    """Every record's tensor, by its own :meth:`~cerwu.modelio.QuantizedRecord.array`
+    or :meth:`~cerwu.modelio.RawRecord.array`: a quantized record's decoded
+    levels, exactly, and a raw record's stored array."""
     tf = TensorFile()
     for rec in cm.records:
-        if isinstance(rec, QuantizedRecord):
-            layer = rec.decode_layer()
-            tf.add(rec.name, layer.dequantize().astype(np.float32))
-        else:
-            tf.add(rec.name, rec.array())
+        tf.add(rec.name, rec.array())
     return tf
 
 

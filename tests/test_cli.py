@@ -481,28 +481,34 @@ class TestErrors:
         # rejected before any Hessian work
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
-    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    @staticmethod
+    def _model_argv(command, model_path, calib_path, out):
+        """``command`` on ``model_path``; eval evaluates the model file itself."""
+        rest = {"compress": ["--out", str(out), "--lambda", "0.01"],
+                "sweep": ["--csv-out", str(out), "--lambdas", "0.01"],
+                "eval": ["--compressed", str(model_path)]}[command]
+        return [command, "--model", str(model_path), "--calib", str(calib_path), *rest]
+
+    @pytest.mark.parametrize("command", ["compress", "sweep", "eval"])
     def test_model_with_nothing_to_quantize_is_input_error(self, tmp_path, capsys, command):
         # a bias-only model is refused before any Hessian work, and leaves
-        # no compressed file, CSV or Hessian cache behind
+        # no compressed file, CSV or Hessian cache behind; eval would report
+        # a total loss of 0 over no layers
         model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(12))
         model = load_tensor_file(model_path)
         biases = TensorFile()
         biases.add("fc0.bias", model["fc0.bias"])
         write_tensor_file(biases, model_path)
         out = tmp_path / "out"
-        out_flag = "--out" if command == "compress" else "--csv-out"
         capsys.readouterr()
-        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
-                     out_flag, str(out), "--lambda" if command == "compress" else "--lambdas",
-                     "0.01"]) == 1
+        assert main(self._model_argv(command, model_path, calib_path, out)) == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: {model_path}: no 2-D or 4-D tensor to quantize"]
         assert "Traceback" not in err and not out.exists()
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
 
-    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    @pytest.mark.parametrize("command", ["compress", "sweep", "eval"])
     @pytest.mark.parametrize("shape", [(0, 6), (0, 6, 1, 1)], ids=["matrix", "kernel"])
     def test_empty_entry_is_input_error(self, tmp_path, capsys, command, shape):
         # an entry with no rows (a kernel with no output channels) is refused
@@ -513,16 +519,26 @@ class TestErrors:
         model.add("fc0.weight", np.zeros(shape))
         write_tensor_file(model, model_path)
         out = tmp_path / "out"
-        out_flag = "--out" if command == "compress" else "--csv-out"
         capsys.readouterr()
-        assert main([command, "--model", str(model_path), "--calib", str(calib_path),
-                     out_flag, str(out), "--lambda" if command == "compress" else "--lambdas",
-                     "0.01"]) == 1
+        assert main(self._model_argv(command, model_path, calib_path, out)) == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: {model_path}: entry 'fc0.weight' of shape {shape} is empty"]
         assert "Traceback" not in err and not out.exists()
         assert not (tmp_path / "calib.tns.hcache.npz").exists()
+
+    def test_repeated_record_name_is_input_error(self, tmp_path, capsys):
+        # two raw records named a.bias would decompress to one tensor
+        rec = RawRecord("a.bias", (2,), np.ones(2, dtype="<f4").tobytes())
+        path = tmp_path / "twice.cwm"
+        write_compressed(CompressedModel(records=[rec, rec]), path)
+        out = tmp_path / "o.tns"
+        capsys.readouterr()
+        assert main(["decompress", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "repeated name 'a.bias' at byte offset" in err
+        assert not out.exists()
 
     def test_sweep_checks_test_set_before_hessian_work(self, tmp_path, capsys):
         model_path, calib_path = write_diag_model(tmp_path, np.random.default_rng(10))

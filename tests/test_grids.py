@@ -182,8 +182,19 @@ class TestRoundToNearest:
 
     def test_out_of_range_values_clip(self):
         g = grid_from_scale(4, 0.5)  # levels -1, -0.5, 0, 0.5
-        q = round_to_nearest(np.array([[9.0, -9.0]]), g)
-        assert np.array_equal(q.dequantize(), [[0.5, -1.0]])
+        # values 2**63 steps and more from zero get the end level on their
+        # side too, not the int64 cast's most negative index
+        far = [9.0, -9.0, 1e19, -1e19, 1e300, -1e300]
+        q = round_to_nearest(np.array([far]), g)
+        assert np.array_equal(q.dequantize(), [[0.5, -1.0] * 3])
+        with np.errstate(all="raise"):
+            got = nearest_indices(np.array(far + [np.inf, -np.inf]), g)
+        assert got.tolist() == [3, 0] * 4
+
+    def test_nan_has_no_nearest_level(self):
+        g = grid_from_scale(9, 1.0)
+        with pytest.raises(ShapeError, match="NaN"):
+            nearest_indices(np.array([1e300, 1e19, -1e300, 5.0, np.nan]), g)
 
 
 class TestScanSymbols:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cerwu.engine import CompressionConfig, compress_layer
-from cerwu.entropy import CONTEXT, COUNT_CAP, STATIC
+from cerwu.engine import METHOD_CERWU, METHOD_RTN, CompressionConfig, compress_layer
+from cerwu.entropy import CONTEXT, COUNT_CAP, MODEL_KINDS, STATIC
 from cerwu.errors import CerwuError, ParseError, ShapeError
-from cerwu.grids import ROW_MAJOR
+from cerwu.grids import ROW_MAJOR, SCAN_ORDERS
 from cerwu.linalg import accumulate_hessian
 from cerwu import modelio
 from cerwu.modelio import (
@@ -95,6 +95,17 @@ class TestTensorFile:
         with pytest.raises(ParseError, match="dtype"):
             load_tensor_file(path)
 
+    def test_repeated_name_is_parse_error(self, tmp_path):
+        # two entries named "x": the second would silently replace the first
+        def entry(value):
+            return struct.pack("<H", 1) + b"x" + struct.pack("<BBIf", 0, 1, 1, value)
+
+        path = tmp_path / "twice.tns"
+        path.write_bytes(b"TNSR" + struct.pack("<HI", 1, 2) + entry(1.0) + entry(2.0))
+        # preamble 10, the first entry 13, the second's name length 2
+        with pytest.raises(ParseError, match=f"repeated name 'x' at byte offset {10 + 13 + 2}$"):
+            load_tensor_file(path)
+
     def test_rejects_non_finite(self):
         tf = TensorFile()
         with pytest.raises(ShapeError):
@@ -106,18 +117,49 @@ def _quantized_record(rng, name="layer", model_kind=CONTEXT, k=5, n=6, m=8, lam=
     h = accumulate_hessian([rng.normal(size=(m, 2 * m))])
     cfg = CompressionConfig(lam=lam, grid_size=k, model_kind=model_kind)
     result, payload, model = compress_layer(w, h, cfg)
-    return w, result, QuantizedRecord(
-        name=name,
-        rows=n,
-        cols=m,
-        grid_size=k,
-        scan_order=ROW_MAJOR,
-        model_kind=model_kind,
-        step=result.quantized.grid.step,
-        static_freqs=model.counts if model_kind == STATIC else None,
-        symbol_count=payload.symbol_count,
-        payload=payload.data,
-    )
+    return w, result, QuantizedRecord.of(name, result.quantized, model, payload)
+
+
+class TestRecordOfLayer:
+    """``QuantizedRecord.of`` builds the record ``compress_model`` stores,
+    ``decode_layer`` inverts it and ``array`` reconstructs it."""
+
+    @pytest.mark.parametrize("method", [METHOD_CERWU, METHOD_RTN])
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("model_kind", MODEL_KINDS)
+    def test_of_inverts_decode_layer(self, tmp_path, model_kind, scan_order, method):
+        rng = np.random.default_rng(14)
+        model_tf = TensorFile()
+        model_tf.add("fc.weight", rng.normal(size=(6, 8)))
+        w = model_tf["fc.weight"].astype(np.float64)
+        h = accumulate_hessian([rng.normal(size=(8, 16))])
+        cfg = CompressionConfig(lam=0.02, grid_size=5, scan_order=scan_order,
+                                model_kind=model_kind, method=method)
+        result, payload, model = compress_layer(w, h, cfg)
+        rec = QuantizedRecord.of("fc.weight", result.quantized, model, payload)
+
+        # every field is the one the weights, the config, the grid, the
+        # model and the payload give
+        grid = result.quantized.grid
+        assert (rec.name, rec.rows, rec.cols, rec.grid_size, rec.scan_order, rec.model_kind,
+                rec.step, rec.symbol_count, rec.payload) == (
+            "fc.weight", 6, 8, 5, scan_order, model_kind, grid.step, 48, payload.data)
+        if model_kind == STATIC:
+            assert np.array_equal(rec.static_freqs, model.counts)
+        else:
+            assert rec.static_freqs is None
+        stored = compress_model(model_tf, {"fc.weight": h}, cfg).compressed.quantized()
+        assert [r.header() + r.payload for r in stored] == [rec.header() + rec.payload]
+
+        path = tmp_path / "of.cwm"
+        write_compressed(CompressedModel(records=[rec]), path)
+        for back in (rec, read_compressed(path).quantized()[0]):
+            layer = back.decode_layer()
+            assert np.array_equal(layer.indices, result.quantized.indices)
+            assert (layer.grid, layer.scan_order) == (grid, scan_order)
+            decoded = back.array()
+            assert decoded.dtype == np.float32 and decoded.shape == (6, 8)
+            assert back.array(result.quantized).tobytes() == decoded.tobytes()
 
 
 class TestCompressedModel:
@@ -155,6 +197,20 @@ class TestCompressedModel:
         write_compressed(cm, p1)
         write_compressed(read_compressed(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["raw", "quantized"])
+    def test_repeated_name_is_parse_error(self, tmp_path, kind):
+        if kind == "raw":
+            rec = RawRecord("a.bias", (2,), np.ones(2, dtype="<f4").tobytes())
+        else:
+            _, _, rec = _quantized_record(np.random.default_rng(15), name="a.bias")
+        path = tmp_path / "twice.cwm"
+        write_compressed(CompressedModel(records=[rec, rec]), path)
+        # preamble 10, two equal records, then the second's name length 2
+        second_at = (len(path.read_bytes()) + 10) // 2 + 2
+        with pytest.raises(ParseError,
+                           match=f"repeated name 'a.bias' at byte offset {second_at}$"):
+            read_compressed(path)
 
     def test_version_mismatch_names_supported(self, tmp_path):
         path = tmp_path / "v.cwm"
