@@ -120,7 +120,7 @@ def cmd_compress(args) -> int:
     for st in report.layers:
         print(
             f"layer {st.name}: {st.params} params, {st.bits_per_weight:.4f} bpw, "
-            f"loss delta {st.quadratic_loss_delta:.6g}, "
+            f"loss delta {st.quadratic_loss_delta:.6g}, rounds {st.rounds}, "
             f"{st.predicted_rate_bits:.1f} bits predicted, {st.actual_bits} paid"
         )
     print(

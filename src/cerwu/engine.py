@@ -36,55 +36,84 @@ exactly those a fresh model's replay over the symbol stream would give,
 since the model is a deterministic function of that stream, so the
 payload pays exactly the predicted bits (up to coder flush overhead).
 
-Two traversals apply the updates:
+The column pass (:func:`_column_steps`) applies the updates one column
+at a time: once every row's entry in a column is chosen, one rank-1
+update moves the rest of the block for all rows, and a finished block
+gives each row its block product. A static model's costs never change,
+so it takes this pass in either scan order, choosing a whole column at
+once (an ``n x k`` objective and a row-wise ``argmin``) in one round, and
+reads the intervals from its one cumulative table.
 
-- The column pass (:func:`_column_steps`) hands out one column at a
-  time; once every row's entry in it is chosen, one rank-1 update moves
-  the rest of the block for all rows, and a finished block gives each row
-  its block product. A static model's costs never change, so the row
-  order does not matter and it takes this pass in either scan order,
-  choosing a whole column at once (an ``n x k`` objective and a row-wise
-  ``argmin``) and reading the intervals from its one cumulative table.
-  Adaptive and context models take it in column-major order, choosing the
-  column's entries one by one.
-- The row-major walk (:func:`_row_major_walk`) of the adaptive and
-  context models defers once more, inside the block, to sub-blocks of
-  :data:`SUB_BLOCK` columns: an entry updates the rest of its sub-block
-  on Python floats, and a finished sub-block reaches the rest of its
-  block in one fold per row that subtracts the same products in the same
-  order.
+The adaptive and context kinds read counts that every earlier choice
+set. They take the exact speculative pass (:func:`_speculative_pass`):
+guess the choices, check them all at once, keep the exact prefix. This
+is the fixed-point view of a sequential computation (Song et al.,
+"Accelerating Feedforward Computation via Parallel Nonlinear Equation
+Solving", ICML 2021) and the exact form of speculative decoding's verify
+step (Leviathan et al., ICML 2023). Each round takes a window:
+
+- row-major, a window of rows. Every row starts from the count tables
+  the guessed rows above it produce (:func:`_start_tables`); the column
+  pass then runs on all of them at once, each row stepping its own copy
+  of the tables and taking its context from its own previous column. The
+  first row whose choices differ from its guess started from exact
+  tables, and so did the rows above it: they are accepted, and the rest
+  keep this round's choices as their next guess and restart from ``W'``.
+  A row's first guess is the nearest levels of its ``W'`` row.
+- column-major, the rest of a column, whose working values do not depend
+  on its own choices. The guess is the choice under the tables at the
+  column's start, along the context chain it makes; every entry's tables
+  follow from the guess by running sums (:func:`_tables_along`). Entries
+  are accepted up to the first choice that differs from its guess, or
+  up to the first entry whose observation halves a table.
+
+Choices use :func:`_objective`'s arithmetic and the first minimum in
+tie-break order, as the walk below does. A round whose window stays
+mostly unaccepted halves the window (:func:`_drive`); a row-major window
+halved below :data:`PASS_MIN_ROWS` rows gives way to the walk for the
+next :data:`ROW_START` rows. The coder intervals come from one replay of
+the chosen symbols through the tables (:func:`_replay`).
+
+Layers of fewer than :data:`PASS_MIN_ROWS` rows, or more than
+:data:`PASS_MAX_K` levels, take the per-entry walk instead: it visits the
+entries one by one in scan order on Python floats and steps the model
+once per entry (the step from :meth:`~EntropyModel.stepper`, which also
+records the entry's interval). Row-major, it defers the updates once
+more, inside the block, to sub-blocks of :data:`SUB_BLOCK` columns; an
+entry updates the rest of its sub-block on Python floats, and a finished
+sub-block reaches the rest of its block in one fold per row that
+subtracts the same products in the same order. Its search is bounded and
+exact: it scores the first level at or above the working value, walks
+down from its lower neighbour and then up from its upper one, reads a
+level's rate ``log2(T) - log2(c)`` only when it reaches that level, and
+stops on a side once the distortion alone, less the largest Gaussian
+term, exceeds the best objective so far, because the rate is never
+negative (1.5 to 1.75 levels per entry for k from 5 to 17 and 3.0 at
+k=33 on a 256x32 layer at ``lam = 0.03``).
 
 Every path does the per-entry walk's elementwise arithmetic and makes the
-same per-row block product call, so indices, symbols, loss delta and
-predicted bits are bitwise those of visiting the entries one by one.
-Adaptive and context entries are chosen on Python floats, since for a
-handful of levels each numpy call costs more than its arithmetic, and
-each entry makes one call into the model, the step from
-:meth:`~EntropyModel.stepper`, which also records the entry's interval.
-The search is bounded and exact: it scores the first level at or above
-the working value, walks down from its lower neighbour and then up from
-its upper one, reads a level's rate
-``log2(T) - log2(c)`` from the active count table's total and count only
-when it reaches that level, and stops on a side once the distortion
-alone, less the largest Gaussian term, exceeds the best objective so far,
-because the rate is never negative. On a 256x32 layer at ``lam = 0.03``
-it scores 1.5 to 1.75 levels per entry for k from 5 to 17 and 3.0 at
-k=33, so it is straight-line code around two ``while`` loops: against a
-search that walked one side fully before the other, quantizing that
-layer went from 5.40 to 4.44 us per weight row-major and from 3.69 to
-2.82 column-major (context, k=9; best of 60, interleaved, one thread of
-a 2-vCPU Xeon host). The window widens as ``lam`` grows (7.1 of 9 levels
-at ``lam = 30``).
+same per-row block product call, so indices, symbols, intervals, loss
+delta and predicted bits are bitwise those of visiting the entries one by
+one. Quantizing a 256x32 context layer at k=9 and ``lam = 0.03`` takes 3
+rounds and about 1 us per weight against 2.4 for the walk; a 1000x1000
+one takes 11 rounds row-major and about one per column column-major, in
+about 0.4 times the walk's time (see CHANGES.md for the measurements,
+one thread of a 2-vCPU Xeon host). The pass is slower than the walk
+on narrow layers, where a round's fixed cost per column is shared by few
+rows, at more than 33 levels, and when the model locks in and each round
+accepts a row or two (``lam`` from 1 at k=33, or 30 at k=9), where the
+fallback to the walk bounds the loss to about 1.2 to 1.5 times the walk's
+time.
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
 choices but removes the Gaussian regularization from the updates.
 
 :func:`compress_layer` is the one per-layer entry for both methods of
-:class:`CompressionConfig`: ``cerwu`` is the walk above, and ``rtn``, the
+:class:`CompressionConfig`: ``cerwu`` is the quantizer above, and ``rtn``, the
 baseline the paper compares against, takes the nearest levels without
 weight updates. Both then share the grid, the entropy model and the coder.
-The walk's ``C'`` and ``W'`` come from :func:`layer_context`, which
+Its ``C'`` and ``W'`` come from :func:`layer_context`, which
 configurations that differ only in grid size, scan order or model kind
 can build once and share.
 """
@@ -139,6 +168,29 @@ BLOCK_SIZE = 64
 # 256x32 context layer 16 measured the same and 4 took 1.2x as long.
 SUB_BLOCK = 8
 
+# The speculative pass of the adaptive and context kinds, measured on one
+# thread of a 2-vCPU Xeon host: layers of fewer rows take the walk (on
+# context layers of 16 to 64 rows and 32 or 784 columns at k=9 and
+# lam=0.03 the pass first matched the walk at 64 rows column-major, and
+# was not reliably faster below that row-major); grids of more levels take
+# it too (at k=49 and 65 the pass took 1.4 to 1.9 times as long on a
+# 256x32 context layer).
+PASS_MIN_ROWS = 64
+PASS_MAX_K = 33
+# A row-major layer's first window of rows, and the rows walked when the
+# window falls below PASS_MIN_ROWS; windows accepted whole double up to
+# ROW_WINDOW. A 1000x1000 layer took 11 rounds from a 256-row first window
+# and 3 from a 1024-row one, in about the same time; a 1000x200 one at
+# k=33 and lam=1, whose rounds accept little, took 0.8 times as long.
+ROW_START = 256
+ROW_WINDOW = 1024
+# A round that accepts fewer units than this halves its window: a round
+# costs about as much as walking 10 to 15 rows.
+MIN_ACCEPT = PASS_MIN_ROWS // 4
+# Table entries per run of the interval replay: runs of 1 << 12 to 1 << 17
+# replayed 10^6 symbols at k=9 in 0.11 to 0.22 s, 1 << 14 the fastest.
+REPLAY_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CompressionConfig:
@@ -192,6 +244,10 @@ class LayerResult:
     # arrays: what the model read when the symbol was chosen, and what
     # :func:`~cerwu.rangecoder.encode_intervals` codes.
     intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    # Rounds the quantizer took: 1 for static and rtn, the speculative
+    # pass's rounds for the adaptive kinds, where a walked entry counts as
+    # one round (a layer that takes the walk has n*m).
+    rounds: int
     predicted_rate_bits: float = field(init=False)
 
     def __post_init__(self):
@@ -212,9 +268,10 @@ def _search_order(levels: np.ndarray, lam: float, gamma: float):
 
 
 def _objective(w, half_inv_c2, levels_pref, rate_term, out=None):
-    """Objective of every level in tie-break order for an ``(n, 1)`` column.
+    """Objective of every level in tie-break order for the working values ``w``.
 
-    ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term``, as an ``n x k`` table.
+    ``0.5*(w - g)^2 / c_j^2`` plus ``rate_term``, broadcast: an ``n x k``
+    table for an ``(n, 1)`` column and a ``k``-vector or ``n x k`` rate term.
     The operations are those of the per-entry walk's search, one element at
     a time, so the column path and the walk choose bitwise alike.
     """
@@ -301,83 +358,97 @@ def quantize_layer(
             indices[:, j] = idx
             np.subtract(col, levels[idx], out=err[:, j])
         intervals = entropy.replay_intervals(in_scan_order(indices, order), model)
+        rounds = 1
+    elif n < PASS_MIN_ROWS or k > PASS_MAX_K:
+        indices, err, intervals = _walk(wp, order, model, levels, half_inv_c2, inv_c, chol,
+                                        lam, pref, gamma_term_pref)
+        rounds = n * m
     else:
-        # The rates change after every symbol: visit the entries one by
-        # one in scan order, on Python scalars, reading a level's rate from
-        # the model's counts only when the search reaches it.
-        L = entropy.LOG2
-        tab, step, intervals = model.stepper()
-        rank = np.argsort(pref)  # tie-break rank by index
-        gt = gamma_term_pref[rank].tolist()  # gamma term by index
-        gt_max = max(gt)
-        rank = rank.tolist()
-        h = half_inv_c2.tolist()
-        level_list = levels.tolist()  # ascending, so position == index
-        err_seq = []
-        idx_seq = array("i")
-        idx_append, err_append = idx_seq.append, err_seq.append
-        walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
-        for j, wij in walk(wp, err_seq, inv_c, chol):
-            log_total = L[tab[k]]
-            hj = h[j]
-            # Exact bounded search, equal to scanning all k levels in
-            # tie-break order and keeping the first minimum. Each level's
-            # objective is q + (r*lam - gt[p]) with q = (g - w)^2 * hj.
-            # Rounding is monotone, r >= 0 (a count never exceeds the total
-            # T and the LOG2 table never decreases), lam >= 0 and
-            # gt[p] <= gt_max, so the objective is at least fl(q - gt_max).
-            # The search scores the first level at or above w (the top one
-            # if none is), then walks down from its lower neighbour and up
-            # from its upper one. Moving away from w q never decreases, so
-            # once fl(q - gt_max) > best every level further out on that
-            # side has an objective above best, and best only falls,
-            # whatever the order of visits. The levels skipped can neither
-            # win nor tie; among the levels scanned, keeping the lower
-            # tie-break rank on equal objectives picks what the full scan's
-            # strict ``<`` picks.
-            pos = bisect_left(level_list, wij)
-            if pos == k:
-                pos -= 1
-            idx = pos
-            d = level_list[pos] - wij
-            best = d * d * hj + ((log_total - L[tab[pos]]) * lam - gt[pos])
-            p = pos - 1
-            while p >= 0:
-                d = level_list[p] - wij
-                q = d * d * hj
-                if q - gt_max > best:
-                    break
-                obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
-                if obj < best or (obj == best and rank[p] < rank[idx]):
-                    best = obj
-                    idx = p
-                p -= 1
-            p = pos + 1
-            while p < k:
-                d = level_list[p] - wij
-                q = d * d * hj
-                if q - gt_max > best:
-                    break
-                obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
-                if obj < best or (obj == best and rank[p] < rank[idx]):
-                    best = obj
-                    idx = p
-                p += 1
-            idx_append(idx)
-            err_append(wij - level_list[idx])
-            tab = step(idx)
-        symbols = np.frombuffer(idx_seq, dtype=np.intc)
-        indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
-        err = from_scan_order(np.array(err_seq), n, m, order)
-        intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in intervals)
-
+        rounds, indices, err, intervals = _speculative_pass(
+            wp, context.w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
+            pref, levels_pref, gamma_term_pref)
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
         quantized=quantized,
         quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
         grid_evaluations=n * m * k,
         intervals=intervals,
+        rounds=rounds,
     )
+
+
+def _walk(wp, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
+    n, m = wp.shape
+    k = model.k
+    # The rates change after every symbol: visit the entries one by
+    # one in scan order, on Python scalars, reading a level's rate from
+    # the model's counts only when the search reaches it.
+    L = entropy.LOG2
+    tab, step, intervals = model.stepper()
+    rank = np.argsort(pref)  # tie-break rank by index
+    gt = gamma_term_pref[rank].tolist()  # gamma term by index
+    gt_max = max(gt)
+    rank = rank.tolist()
+    h = half_inv_c2.tolist()
+    level_list = levels.tolist()  # ascending, so position == index
+    err_seq = []
+    idx_seq = array("i")
+    idx_append, err_append = idx_seq.append, err_seq.append
+    walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
+    for j, wij in walk(wp, err_seq, inv_c, chol):
+        log_total = L[tab[k]]
+        hj = h[j]
+        # Exact bounded search, equal to scanning all k levels in
+        # tie-break order and keeping the first minimum. Each level's
+        # objective is q + (r*lam - gt[p]) with q = (g - w)^2 * hj.
+        # Rounding is monotone, r >= 0 (a count never exceeds the total
+        # T and the LOG2 table never decreases), lam >= 0 and
+        # gt[p] <= gt_max, so the objective is at least fl(q - gt_max).
+        # The search scores the first level at or above w (the top one
+        # if none is), then walks down from its lower neighbour and up
+        # from its upper one. Moving away from w q never decreases, so
+        # once fl(q - gt_max) > best every level further out on that
+        # side has an objective above best, and best only falls,
+        # whatever the order of visits. The levels skipped can neither
+        # win nor tie; among the levels scanned, keeping the lower
+        # tie-break rank on equal objectives picks what the full scan's
+        # strict ``<`` picks.
+        pos = bisect_left(level_list, wij)
+        if pos == k:
+            pos -= 1
+        idx = pos
+        d = level_list[pos] - wij
+        best = d * d * hj + ((log_total - L[tab[pos]]) * lam - gt[pos])
+        p = pos - 1
+        while p >= 0:
+            d = level_list[p] - wij
+            q = d * d * hj
+            if q - gt_max > best:
+                break
+            obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+            if obj < best or (obj == best and rank[p] < rank[idx]):
+                best = obj
+                idx = p
+            p -= 1
+        p = pos + 1
+        while p < k:
+            d = level_list[p] - wij
+            q = d * d * hj
+            if q - gt_max > best:
+                break
+            obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+            if obj < best or (obj == best and rank[p] < rank[idx]):
+                best = obj
+                idx = p
+            p += 1
+        idx_append(idx)
+        err_append(wij - level_list[idx])
+        tab = step(idx)
+    symbols = np.frombuffer(idx_seq, dtype=np.intc)
+    indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
+    err = from_scan_order(np.array(err_seq), n, m, order)
+    intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in intervals)
+    return indices, err, intervals
 
 
 def _blocks(m: int):
@@ -450,11 +521,20 @@ def _column_steps(wp, err, inv_c, chol):
     last, each row gets :func:`_block_update`.
     """
     n, m = wp.shape
+    # The speculative pass keeps each column contiguous (Fortran order),
+    # where updating the rest of the block as rows of the transpose takes
+    # half the time on 250x1000; on C-ordered arrays the row form is faster.
+    # Both subtract the same products.
+    by_column = wp.strides[0] == wp.itemsize
     for b0, b1 in _blocks(m):
         for j in range(b0, b1):
             yield j
             if j + 1 < b1:
-                wp[:, j + 1 : b1] -= (err[:, j] * inv_c[j])[:, None] * chol[j, j + 1 : b1]
+                f = err[:, j] * inv_c[j]
+                if by_column:
+                    wp.T[j + 1 : b1] -= chol[j, j + 1 : b1, None] * f
+                else:
+                    wp[:, j + 1 : b1] -= f[:, None] * chol[j, j + 1 : b1]
         if b1 < m:
             for i in range(n):
                 _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
@@ -471,6 +551,309 @@ def _column_major_walk(wp, err_seq, inv_c, chol):
         for w in wp[:, j].tolist():
             yield j, w
         err[:, j] = err_seq[-n:]
+
+
+def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
+                      pref, levels_pref, gamma_term_pref):
+    """The exact speculative pass of the adaptive and context kinds.
+
+    Returns ``(rounds, indices, err, intervals)`` as :func:`quantize_layer`
+    uses them. Symbols are handled as positions in tie-break order, and each
+    count table as its counts in that order followed by its total: the
+    model's two tables form a ``(2, k + 1)`` array, and the adaptive kind
+    uses its first row only. ``tables`` and ``table`` hold the exact
+    tables and the index of the active one in front of the first symbol
+    not yet accepted.
+    """
+    n, m = wp.shape
+    k = model.k
+    log2 = entropy._LOG2
+    two = model.kind == entropy.CONTEXT
+    rank = np.argsort(pref)  # the position of each index
+    nz = ((pref != k // 2) & two).astype(np.intp)  # table index after each position
+    first = tables = _pref_tables(model, pref)
+    table = 0
+    # Fortran order keeps each column contiguous for the column steps.
+    err = np.empty((m, n)).T
+
+    def choose(w, j, cur, lv=levels_pref):
+        # _objective's choice for the working values w under tables cur:
+        # the walk's arithmetic, and the first minimum in tie-break order
+        lg = log2[cur]
+        rate = lg[..., k:] - lg[..., :k]
+        rate *= lam
+        rate -= gamma_term_pref
+        return _objective(w, half_inv_c2[j], lv, rate).argmin(axis=-1)
+
+    if order == ROW_MAJOR:
+        # The guess for every row, and in the end the choices: nearest
+        # levels of W' before a row's first round.
+        guesses = rank[nearest_indices(w_prime, grid)]
+        rows_buf = np.empty((m, n)).T
+        got_buf = np.empty((m, n), dtype=np.intp).T
+        walker, walked = None, 0  # a model stepped through the rows before ``walked``
+
+        def row_round(u0, u1):
+            nonlocal tables, table
+            r = u1 - u0
+            guess = guesses[u0:u1]
+            rows = rows_buf[:r]
+            rows[...] = w_prime[u0:u1]
+            tabs, slots = _start_tables(tables, table, guess, nz)
+            may_halve = tabs[:, :, k].max() + m > entropy.COUNT_CAP
+            ar = np.arange(r)
+            # Each row's active table and its other one, swapped where a
+            # choice moves the row to the other context.
+            cur, other = tabs[ar, slots], tabs[ar, 1 - slots]
+            e = err[u0:u1]
+            got = got_buf[:r]
+            for j in _column_steps(rows, e, inv_c, chol):
+                p = choose(rows[:, j, None], j, cur)
+                cur[ar, p] += 1
+                cur[:, k] += 1
+                if may_halve and cur[:, k].max() > entropy.COUNT_CAP:
+                    for i in np.flatnonzero(cur[:, k] > entropy.COUNT_CAP).tolist():
+                        cur[i] = _halved(cur[i])
+                if two:
+                    swap = (nz[p] != slots)[:, None]
+                    cur, other = np.where(swap, other, cur), np.where(swap, cur, other)
+                    slots = nz[p]
+                got[:, j] = p
+                np.subtract(rows[:, j], levels_pref[p], out=e[:, j])
+            # Rows up to the first that differs from its guess started from
+            # exact tables, so they are exact; the rest are the next guess.
+            differs = (got != guess).any(axis=1)
+            a = int(differs.argmax()) + 1 if differs.any() else r
+            guess[...] = got
+            table = int(slots[a - 1])
+            tables = np.empty((2, k + 1), dtype=np.int64)
+            tables[table], tables[1 - table] = cur[a - 1], other[a - 1]
+            return a
+
+        def walk_rows(u0, u1):
+            # The per-entry walk of rows [u0, u1), on a model brought up to
+            # row u0 by stepping it through the rows accepted since its last walk.
+            nonlocal tables, table, walker, walked
+            if walker is None:
+                walker = model.fresh()
+            step = walker.stepper()[1]
+            for x in pref[guesses[walked:u0]].ravel().tolist():
+                step(x)
+            idx, err[u0:u1], _ = _walk(w_prime[u0:u1].copy(), ROW_MAJOR, walker, grid.levels,
+                                       half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref)
+            guesses[u0:u1] = rank[idx]
+            walked = u1
+            tables = _pref_tables(walker, pref)
+            table = int(two and walker.stepper()[0] is walker.tables[1])
+            return (u1 - u0) * m  # one round per entry
+
+        rounds = _drive(n, ROW_START, ROW_WINDOW, row_round, walk_rows)
+        stream = guesses.ravel()
+    else:
+        guesses = np.empty((m, n), dtype=np.intp)  # column by column, in scan order
+        wp = np.asfortranarray(wp)
+        both_levels = np.stack((levels_pref, levels_pref))
+        ar_n = np.arange(n)
+
+        def first_guess(vals, j, base, slot):
+            # the choices under the tables at the column's start
+            if not two:
+                return choose(vals[:, None], j, base[:1])
+            # under either table, then along the context chain they make:
+            # each entry maps the table it reads to the next one, as a
+            # constant, the identity or a swap; the table after an entry is
+            # the last constant's value (or ``slot``) swapped once per swap
+            # since
+            a0, a1 = choose(vals[:, None, None], j, base, both_levels).T
+            f0, f1 = nz[a0], nz[a1]
+            last = np.maximum.accumulate(np.where(f0 == f1, ar_n, -1))
+            swaps = np.cumsum(f0 > f1)
+            known = last >= 0
+            after = np.where(known, f0[last], slot) ^ ((swaps - np.where(known, swaps[last], 0)) & 1)
+            reads = np.concatenate(([slot], after[:-1]))
+            return np.where(reads == 1, a1, a0)
+
+        def col_round(j, u0, u1):
+            nonlocal tables, table
+            guess = guesses[j, u0:u1]
+            cur, tabs, sl = _tables_along(tables, table, guess, nz)
+            r = len(cur)
+            vals = wp[u0:u0 + r, j]
+            p = choose(vals[:, None], j, cur)
+            # Entries up to the first choice that differs from its guess
+            # read exact tables; so does one whose observation halves a
+            # table, where _tables_along stops.
+            differs = p != guess[:r]
+            a = int(differs.argmax()) + 1 if differs.any() else r
+            guess[:r] = p
+            np.subtract(vals[:a], levels_pref[p[:a]], out=err[u0:u0 + a, j])
+            tables, table = _observed(tabs[a - 1], sl[a - 1], p[a - 1]), int(nz[p[a - 1]])
+            return a
+
+        rounds = 0
+        for j in _column_steps(wp, err, inv_c, chol):
+            guesses[j] = first_guess(wp[:, j], j, tables, table)
+            rounds += _drive(n, n, n, lambda u0, u1: col_round(j, u0, u1))
+        stream = guesses.ravel()
+        guesses = guesses.T
+    intervals = tuple(np.empty(n * m, dtype=np.intc) for _ in range(3))
+
+    def record(pos, cur, p):
+        # (cum[s], cum[s + 1], T) of each symbol s under the table it read
+        a = len(p)
+        ar = np.arange(a)
+        lo, hi, total = (x[pos:pos + a] for x in intervals)
+        hi[:] = np.cumsum(cur[:, rank], axis=1)[ar, pref[p]]
+        np.subtract(hi, cur[ar, p], out=lo)
+        total[:] = cur[:, k]
+
+    _replay(first, 0, stream, nz, record)
+    indices = np.ascontiguousarray(pref.astype(np.int32)[guesses])
+    return rounds, indices, err, intervals
+
+
+def _drive(n, first, most, round_fn, walk_fn=None):
+    """Accept units ``[0, n)`` (rows, or a column's entries) by rounds on a
+    window from the first unit not yet accepted; returns the number of rounds.
+
+    ``round_fn(u0, u1)`` runs one round on the window ``[u0, u1)`` and
+    returns how many units it accepted, at least one. The window starts at
+    ``first`` units. A round that accepts it whole doubles it, up to
+    ``most``; one that accepts fewer than :data:`MIN_ACCEPT` units, unless
+    its first unit has not been through a round before, halves it, down to
+    one unit. With ``walk_fn``, once the window is halved below
+    :data:`PASS_MIN_ROWS` units the next ``first`` units are walked instead
+    (``walk_fn(u0, u1)`` returns its rounds), and the window doubles.
+    """
+    rounds = u0 = seen = 0
+    size = first
+    while u0 < n:
+        u1 = min(n, u0 + size)
+        if walk_fn is not None and size < PASS_MIN_ROWS:
+            u1 = min(n, u0 + first)
+            rounds += walk_fn(u0, u1)
+            accepted = u1 - u0
+        else:
+            accepted = round_fn(u0, u1)
+            rounds += 1
+            if accepted < min(MIN_ACCEPT, u1 - u0) and u0 < seen:
+                size = max(1, size // 2)
+        if accepted == u1 - u0:
+            size = min(most, 2 * size)
+        seen = max(seen, u1)
+        u0 += accepted
+    return rounds
+
+
+def _pref_tables(model, pref):
+    """The model's two count tables in tie-break order, each followed by
+    its total, as a ``(2, k + 1)`` int64 array."""
+    tables = np.array([t[: model.k + 1] for t in model.tables], dtype=np.int64)
+    tables[:, :-1] = tables[:, pref]
+    return tables
+
+
+def _tables_along(base, slot, symbols, nz):
+    """The tables a model in state ``(base, slot)`` reads along ``symbols``.
+
+    Returns ``(cur, tabs, sl)``: the table each symbol reads, both tables
+    and the index of the one read, in front of each symbol, up to the first
+    symbol whose observation halves a table (included). Counts come from
+    running sums of the observations, so they hold only while no table
+    halves.
+    """
+    r = symbols.size
+    k = base.shape[1] - 1
+    sl = np.empty(r, dtype=np.intp)
+    sl[0] = slot
+    sl[1:] = nz[symbols[:-1]]
+    ar = np.arange(r)
+    tabs = np.empty((r, 2, k + 1), dtype=np.int64)
+    tabs[0] = base
+    if r > 1:
+        obs = np.zeros((r - 1, 2, k + 1), dtype=np.int64)
+        obs[ar[:-1], sl[:-1], symbols[:-1]] = 1
+        obs[ar[:-1], sl[:-1], k] = 1
+        np.cumsum(obs, axis=0, out=tabs[1:])
+        tabs[1:] += base
+    cur = tabs[ar, sl]
+    if base[:, k].max() + r > entropy.COUNT_CAP:
+        full = cur[:, k] >= entropy.COUNT_CAP
+        if full.any():
+            r = int(full.argmax()) + 1
+    return cur[:r], tabs[:r], sl[:r]
+
+
+def _observed(tables, slot, symbol):
+    """``tables`` after table ``slot`` observes ``symbol``, halved when its
+    total would exceed ``COUNT_CAP``: the model's step, on a copy."""
+    out = tables.copy()
+    t = out[slot]
+    t[symbol] += 1
+    t[-1] += 1
+    if t[-1] > entropy.COUNT_CAP:
+        out[slot] = _halved(t)
+    return out
+
+
+def _replay(base, slot, stream, nz, record=None):
+    """Step the state ``(base, slot)`` through ``stream`` a run of symbols
+    at a time; returns the state after it.
+
+    Each run ends at :data:`REPLAY_CHUNK` table entries or at a halving;
+    ``record(pos, cur, p)`` sees the tables ``cur`` that the run's symbols
+    ``p``, starting at ``stream[pos]``, read.
+    """
+    k = base.shape[1] - 1
+    chunk = max(1, REPLAY_CHUNK // (k + 1))
+    pos = 0
+    while pos < stream.size:
+        cur, tabs, sl = _tables_along(base, slot, stream[pos:pos + chunk], nz)
+        a = len(cur)
+        p = stream[pos:pos + a]
+        if record is not None:
+            record(pos, cur, p)
+        base, slot = _observed(tabs[a - 1], sl[a - 1], p[-1]), int(nz[p[-1]])
+        pos += a
+    return base, slot
+
+
+def _start_tables(base, slot, guess, nz):
+    """The tables each row of ``guess`` starts from, and the index of the
+    one it reads first, when the rows above it are observed from
+    ``(base, slot)``.
+
+    The counts are running sums of each row's observations; a row whose
+    observations halve a table is replayed symbol by symbol, and the sums
+    start again after it.
+    """
+    r, m = guess.shape
+    k = base.shape[1] - 1
+    flat = guess.ravel()
+    sl = np.empty(flat.size, dtype=np.intp)
+    sl[0] = slot
+    sl[1:] = nz[flat[:-1]]
+    key = (np.repeat(np.arange(0, 2 * r, 2), m) + sl) * (k + 1) + flat
+    obs = np.bincount(key, minlength=r * 2 * (k + 1)).reshape(r, 2, k + 1)
+    obs[:, :, k] = obs[:, :, :k].sum(axis=2)
+    tabs = np.cumsum(obs, axis=0)
+    tabs -= obs
+    tabs += base
+    while True:
+        over = (tabs[:, :, k] > entropy.COUNT_CAP).any(axis=1)
+        if not over.any():
+            return tabs, sl[::m].copy()
+        b = int(over.argmax()) - 1
+        after, _ = _replay(tabs[b], sl[b * m], guess[b], nz)
+        rest = obs[b + 1:]
+        tabs[b + 1:] = np.cumsum(rest, axis=0) - rest + after
+
+
+def _halved(t):
+    """A table's counts and total after :func:`~cerwu.entropy.halve`."""
+    tab = list(t) + [0]
+    entropy.halve(tab)
+    return tab[:-1]
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -528,7 +911,7 @@ def compress_layer(
     if config.method == METHOD_RTN:
         quantized = round_to_nearest(w, grid, config.scan_order)
         intervals = entropy.replay_intervals(quantized.symbols_in_scan_order(), model.fresh())
-        result = LayerResult(quantized, 0.0, 0, intervals)
+        result = LayerResult(quantized, 0.0, 0, intervals, 1)
     else:
         result = quantize_layer(w, hessian, grid, config, model=model.fresh(), context=context)
     return result, encode_intervals(*result.intervals), model

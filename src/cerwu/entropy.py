@@ -24,24 +24,27 @@ same model. A model is read through :meth:`EntropyModel.cum` and
 :meth:`EntropyModel.rate_vector`, and per symbol through its one
 transition, the ``step`` of :meth:`EntropyModel.stepper`:
 ``tab = step(s)`` records ``s``'s coder interval ``(cum[s], cum[s+1], T)``
-and then observes ``s``. The engine's walk and :func:`replay_intervals`
-take their intervals from it, so the rule that turns a count table into
-an interval is written once, here. The range decoder is the one other
-copy of the transition: it must find ``s`` from the coded value before it
-can step, and the step would then sum and record the interval its search
-has just found, so it observes inline (:func:`~cerwu.rangecoder.decode`
-gives the measured cost). A static model never changes and is stepped
-only by tests and the oracle: the engine prices whole columns from one
-:meth:`EntropyModel.rate_vector`, :func:`replay_intervals` indexes its
-table with numpy, and the decoder reads symbols from a lookup table built
-once from it.
+and then observes ``s``. The engine's per-entry walk, which takes narrow
+layers, and :func:`replay_intervals` take their intervals from it. The
+range decoder copies the transition: it must find ``s`` from the coded
+value before it can step, and the step would then sum and record the
+interval its search has just found, so it observes inline
+(:func:`~cerwu.rangecoder.decode` gives the measured cost). The engine's
+speculative pass copies it too: it steps numpy copies of the tables for
+many rows or entries at once, and takes the intervals from one replay of
+the chosen symbols through them; both copies halve with :func:`halve`,
+and tests hold them bitwise to this step. A static model never changes
+and is stepped only by tests and the oracle: the engine prices whole
+columns from one :meth:`EntropyModel.rate_vector`,
+:func:`replay_intervals` indexes its table with numpy, and the decoder
+reads symbols from a lookup table built once from it.
 
 Every model's current distribution is a table of integer counts, each
 >= 1, with total ``T <= COUNT_CAP = 2**16`` (``T = 2**15`` for static).
 A model keeps each table as one list of Python ints that an observation
 changes in place: the k counts, then ``T``, then ``cum[k // 2]``, the
 count mass below the zero level. The per-symbol paths (the engine's walk,
-the range coder) therefore never touch numpy, and an observation costs
+the range decoder) therefore never touch numpy, and an observation costs
 O(1) whatever k is. The zero level is the most probable symbol, so a
 symbol's cumulative count ``cum[s]`` is summed outward from ``cum[k // 2]``
 over the few counts between them, and the decoder searches outward from

@@ -89,11 +89,20 @@ _QUANT_COUNTS = "<QQ"  # symbol count, payload length
 # tensor container
 
 
-@dataclass
+@dataclass(eq=False)
 class TensorFile:
-    """Ordered name -> float32 ndarray container."""
+    """Ordered name -> float32 ndarray container.
+
+    Two containers are equal when they hold the same names in the same
+    order, each with the same dtype, shape and bytes.
+    """
 
     entries: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TensorFile):
+            return NotImplemented
+        return _layout(self) == _layout(other)
 
     def add(self, name: str, array) -> None:
         a = np.ascontiguousarray(array, dtype=np.float32)
@@ -106,6 +115,10 @@ class TensorFile:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.entries[name]
+
+
+def _layout(tf: TensorFile) -> list:
+    return [(name, a.dtype.str, a.shape, a.tobytes()) for name, a in tf.entries.items()]
 
 
 @contextmanager
@@ -255,13 +268,14 @@ def load_tensor_file(path) -> TensorFile:
 # compressed model
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedRecord:
     """One entropy-coded layer inside a compressed model.
 
     :meth:`of` builds the record of a coded layer and :meth:`decode_layer`
     is its inverse; :meth:`array` is the one rule for the tensor a record
-    reconstructs.
+    reconstructs. Two records are equal when they serialize to the same
+    bytes, ``header() + payload``.
     """
 
     name: str
@@ -282,6 +296,11 @@ class QuantizedRecord:
         initial state: the inverse of :meth:`decode_layer`."""
         return cls(name, layer.rows, layer.cols, layer.grid.size, layer.scan_order, model.kind,
                    layer.grid.step, model.counts, payload.symbol_count, payload.data)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuantizedRecord):
+            return NotImplemented
+        return self.header() + self.payload == other.header() + other.payload
 
     @property
     def param_count(self) -> int:

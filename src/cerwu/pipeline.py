@@ -137,6 +137,8 @@ class LayerStats:
     quadratic_loss_delta: float
     predicted_rate_bits: float
     actual_bits: int
+    # The quantizer's rounds (LayerResult.rounds): 1 for static and rtn.
+    rounds: int
 
     @property
     def bits_per_weight(self) -> float:
@@ -219,6 +221,7 @@ def compress_model(
                 quadratic_loss_delta=result.quadratic_loss_delta,
                 predicted_rate_bits=result.predicted_rate_bits,
                 actual_bits=8 * len(payload.data),
+                rounds=result.rounds,
             )
         )
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cerwu import engine
 from cerwu.engine import (
     BLOCK_SIZE,
+    PASS_MIN_ROWS,
     CompressionConfig,
     GAMMA_STANDARD,
     GAMMA_ZERO,
@@ -828,3 +830,86 @@ class TestStaticColumnPath:
         assert col.predicted_rate_bits == ent.predicted_rate_bits
         assert col.quadratic_loss_delta == ent.quadratic_loss_delta
         assert col.grid_evaluations == ent.grid_evaluations == n * m * k
+
+
+def pass_and_walk(monkeypatch, w, h, cfg):
+    """The layer quantized by the speculative pass, and by the per-entry
+    walk that layers of fewer than ``PASS_MIN_ROWS`` rows take."""
+    assert w.shape[0] >= PASS_MIN_ROWS
+    grid = build_grid(w, cfg.grid_size)
+    ctx = layer_context(w, h, cfg)
+    passed = quantize_layer(w, h, grid, cfg, context=ctx)
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "PASS_MIN_ROWS", w.shape[0] + 1)
+        walked = quantize_layer(w, h, grid, cfg, context=ctx)
+    n, m = w.shape
+    assert passed.rounds < n * m == walked.rounds
+    for a, b in ((passed.quantized.indices, walked.quantized.indices),
+                 *zip(passed.intervals, walked.intervals)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert passed.predicted_rate_bits == walked.predicted_rate_bits
+    assert passed.quadratic_loss_delta == walked.quadratic_loss_delta
+    assert passed.grid_evaluations == walked.grid_evaluations
+    return passed
+
+
+def tall_layer(seed, n, m):
+    """N(0, 1/m) weights with log-normal row scales, and the Hessian of 4m
+    Gaussian samples."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, m)) / np.sqrt(m) * np.exp(0.5 * rng.normal(size=(n, 1)))
+    return w, accumulate_hessian([rng.normal(size=(m, 4 * m))])
+
+
+class TestSpeculativePass:
+    """The adaptive kinds' speculative pass gives bitwise the per-entry walk."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.03, 1.0, 30.0])
+    @pytest.mark.parametrize("k", [2, 3, 9, 17, 33])
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    def test_equals_walk(self, monkeypatch, kind, scan_order, k, lam):
+        w, h = tall_layer(k, PASS_MIN_ROWS + 6, 40)
+        cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order, model_kind=kind)
+        pass_and_walk(monkeypatch, w, h, cfg)
+
+    @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    def test_tables_halve_inside_rows_and_windows(self, monkeypatch, kind, scan_order):
+        # 300 x 300 = 90 000 symbols: a table halves in the middle of a row
+        # (of a column, column-major), the adaptive kind's one table inside
+        # the first 256-row window, whose rows observe 76 800 symbols
+        w, h = tall_layer(7, 300, 300)
+        cfg = CompressionConfig(lam=0.03, grid_size=9, scan_order=scan_order, model_kind=kind)
+        res = pass_and_walk(monkeypatch, w, h, cfg)
+        symbols = res.quantized.symbols_in_scan_order()
+        assert max(halvings_per_table(symbols, res.intervals[2], kind, 9)) >= 1
+        first = np.flatnonzero(np.diff(res.intervals[2]) < 0)[0] + 1
+        assert first % 300 not in (0, 299)
+        if kind == ADAPTIVE and scan_order == ROW_MAJOR:
+            assert first < 256 * 300
+
+    def test_slow_convergence_falls_back_to_the_walk(self, monkeypatch):
+        # context at k=33 and lam=1 locks in: rounds accept a row or two, so
+        # the window halves until the rows are walked
+        walks = []
+        real_walk = engine._walk
+
+        def counted(*args):
+            walks.append(args[0].shape)
+            return real_walk(*args)
+
+        monkeypatch.setattr(engine, "_walk", counted)
+        w, h = tall_layer(1, 256, 32)
+        cfg = CompressionConfig(lam=1.0, grid_size=33, model_kind=CONTEXT)
+        pass_and_walk(monkeypatch, w, h, cfg)
+        # the pass walked the rows after its first rounds; the last walk is
+        # the reference's, of the whole layer
+        assert len(walks) == 2 and 0 < walks[0][0] < 256 and walks[1] == w.shape
+
+    def test_slow_column_takes_several_rounds(self, monkeypatch):
+        w, h = tall_layer(1, 256, 32)
+        cfg = CompressionConfig(lam=1.0, grid_size=33, scan_order=COLUMN_MAJOR,
+                                model_kind=CONTEXT)
+        res = pass_and_walk(monkeypatch, w, h, cfg)
+        assert res.rounds > 2 * 32

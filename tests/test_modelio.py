@@ -162,6 +162,45 @@ class TestRecordOfLayer:
             assert back.array(result.quantized).tobytes() == decoded.tobytes()
 
 
+class TestEquality:
+    """Records compare by their serialized bytes and containers by their
+    names, dtypes, shapes and bytes; the generated equality compared
+    ndarrays and raised."""
+
+    def _static_record(self, name="fc.weight"):
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=(4, 6))
+        cfg = CompressionConfig(lam=0.0, grid_size=5, model_kind=STATIC, method=METHOD_RTN)
+        result, payload, model = compress_layer(w, None, cfg)
+        return QuantizedRecord.of(name, result.quantized, model, payload)
+
+    def test_static_records(self):
+        a, b = self._static_record(), self._static_record()
+        assert a == b and not (a != b)
+        assert a != self._static_record("other")
+        assert a != RawRecord("fc.weight", (4, 6), bytes(96))
+
+    def test_tensor_files(self):
+        a, b = TensorFile(), TensorFile()
+        for tf in (a, b):
+            tf.add("w", np.arange(6.0).reshape(2, 3))
+        assert a == b
+        b.entries["w"] = b["w"].reshape(3, 2)
+        assert a != b
+        c = TensorFile()
+        c.add("v", np.arange(6.0).reshape(2, 3))
+        assert a != c
+        assert TensorFile() == TensorFile() and a != TensorFile()
+
+    def test_compressed_models(self, tmp_path):
+        cm = CompressedModel(records=[self._static_record(),
+                                      RawRecord("b", (2,), np.ones(2, dtype="<f4").tobytes())])
+        path = tmp_path / "eq.cwm"
+        write_compressed(cm, path)
+        assert read_compressed(path) == cm
+        assert CompressedModel(records=[self._static_record()]) != cm
+
+
 class TestCompressedModel:
     def test_raw_record_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
