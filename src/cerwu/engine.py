@@ -68,42 +68,38 @@ step (Leviathan et al., ICML 2023). Each round takes a window:
   up to the first entry whose observation halves a table.
 
 Choices use :func:`_objective`'s arithmetic and the first minimum in
-tie-break order, as the walk below does. A round whose window stays
-mostly unaccepted halves the window (:func:`_drive`); a row-major window
-halved below :data:`PASS_MIN_ROWS` rows gives way to the walk for the
-next :data:`ROW_START` rows. The coder intervals come from one replay of
-the chosen symbols through the tables (:func:`_replay`).
+tie-break order, as the walk below does. A round that accepts little of
+its window halves the window, down to :data:`MIN_ACCEPT` units
+(:func:`_drive`). The coder intervals come from one replay of the chosen
+symbols through the tables (:func:`_replay`).
 
-Layers of fewer than :data:`PASS_MIN_ROWS` rows, or more than
-:data:`PASS_MAX_K` levels, take the per-entry walk instead: it visits the
-entries one by one in scan order on Python floats and steps the model
-once per entry (the step from :meth:`~EntropyModel.stepper`, which also
-records the entry's interval). Row-major, it defers the updates once
-more, inside the block, to sub-blocks of :data:`SUB_BLOCK` columns; an
-entry updates the rest of its sub-block on Python floats, and a finished
-sub-block reaches the rest of its block in one fold per row that
-subtracts the same products in the same order. Its search is bounded and
-exact: it scores the first level at or above the working value, walks
-down from its lower neighbour and then up from its upper one, reads a
-level's rate ``log2(T) - log2(c)`` only when it reaches that level, and
-stops on a side once the distortion alone, less the largest Gaussian
-term, exceeds the best objective so far, because the rate is never
-negative (1.5 to 1.75 levels per entry for k from 5 to 17 and 3.0 at
-k=33 on a 256x32 layer at ``lam = 0.03``).
+Layers of fewer than :data:`PASS_MIN_ROWS` rows take the per-entry walk
+instead: it visits the entries one by one in scan order on Python floats
+and steps the model once per entry (the step from
+:meth:`~EntropyModel.stepper`, which also records the entry's interval).
+Row-major, it defers the updates once more, inside the block, to
+sub-blocks of :data:`SUB_BLOCK` columns; an entry updates the rest of its
+sub-block on Python floats, and a finished sub-block reaches the rest of
+its block in one fold per row that subtracts the same products in the
+same order. Its search is bounded and exact: it scores the first level at
+or above the working value, walks down from its lower neighbour and then
+up from its upper one, reads a level's rate ``log2(T) - log2(c)`` only
+when it reaches that level, and stops on a side once the distortion
+alone, less the largest Gaussian term, exceeds the best objective so far,
+because the rate is never negative.
 
 Every path does the per-entry walk's elementwise arithmetic and makes the
 same per-row block product call, so indices, symbols, intervals, loss
 delta and predicted bits are bitwise those of visiting the entries one by
-one. Quantizing a 256x32 context layer at k=9 and ``lam = 0.03`` takes 3
-rounds and about 1 us per weight against 2.4 for the walk; a 1000x1000
-one takes 11 rounds row-major and about one per column column-major, in
-about 0.4 times the walk's time (see CHANGES.md for the measurements,
-one thread of a 2-vCPU Xeon host). The pass is slower than the walk
-on narrow layers, where a round's fixed cost per column is shared by few
-rows, at more than 33 levels, and when the model locks in and each round
-accepts a row or two (``lam`` from 1 at k=33, or 30 at k=9), where the
-fallback to the walk bounds the loss to about 1.2 to 1.5 times the walk's
-time.
+one. Measured on one thread of a 2-vCPU Xeon host (see CHANGES.md): a
+256x32 context layer at k=9 and ``lam = 0.03`` takes 3 rounds and 1 to
+1.6 us per weight against 2.4 to 3.9 for the walk, and a 1000x1000 one 11
+rounds row-major and about one per column column-major, in about half the
+walk's time. The pass is slower than the walk where a round's fixed cost per
+column is shared by few rows, which is why narrow layers walk; when the
+model locks in and rounds accept a row or two (the context kind at k=9
+and ``lam = 30`` on 256x32: 21 to 25 us per weight against 3.7 to 5.3);
+and at 65 levels on 256x32 (4.8 to 8.2 against 3.0 to 3.2).
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -168,25 +164,25 @@ BLOCK_SIZE = 64
 # 256x32 context layer 16 measured the same and 4 took 1.2x as long.
 SUB_BLOCK = 8
 
-# The speculative pass of the adaptive and context kinds, measured on one
-# thread of a 2-vCPU Xeon host: layers of fewer rows take the walk (on
-# context layers of 16 to 64 rows and 32 or 784 columns at k=9 and
-# lam=0.03 the pass first matched the walk at 64 rows column-major, and
-# was not reliably faster below that row-major); grids of more levels take
-# it too (at k=49 and 65 the pass took 1.4 to 1.9 times as long on a
-# 256x32 context layer).
+# Layers of fewer rows take the per-entry walk instead of the speculative
+# pass: on the fixture's 32x784 fc1 the pass took up to 5 rounds of 784
+# columns, and with it taking every layer the fixture-sweep benchmark's
+# sweep took 1.22 times as long, slower in all of ten pairs; on the
+# tall-context benchmark's 256x32 layers it takes half the walk's time.
 PASS_MIN_ROWS = 64
-PASS_MAX_K = 33
-# A row-major layer's first window of rows, and the rows walked when the
-# window falls below PASS_MIN_ROWS; windows accepted whole double up to
-# ROW_WINDOW. A 1000x1000 layer took 11 rounds from a 256-row first window
-# and 3 from a 1024-row one, in about the same time; a 1000x200 one at
-# k=33 and lam=1, whose rounds accept little, took 0.8 times as long.
+# A row-major layer's first window of rows of the speculative pass; windows
+# accepted whole double up to ROW_WINDOW. A 1000x1000 layer took 11 rounds
+# from a 256-row first window and 3 from a 1024-row one, in about the same
+# time.
 ROW_START = 256
 ROW_WINDOW = 1024
-# A round that accepts fewer units than this halves its window: a round
-# costs about as much as walking 10 to 15 rows.
-MIN_ACCEPT = PASS_MIN_ROWS // 4
+# A round that accepts fewer units than this halves its window, down to
+# this many units. When rounds accept a row or two (the context kind at
+# k=33 and lam=1 on 256x32), a window of 16 rows costs little more per
+# column than one of a single row and leaves its other rows a better next
+# guess: halving down to 16 rather than 1 took 36 rounds instead of 158,
+# 0.35 times the time, and 0.46 to 0.96 times on the other slow cases.
+MIN_ACCEPT = 16
 # Table entries per run of the interval replay: runs of 1 << 12 to 1 << 17
 # replayed 10^6 symbols at k=9 in 0.11 to 0.22 s, 1 << 14 the fastest.
 REPLAY_CHUNK = 1 << 14
@@ -245,8 +241,8 @@ class LayerResult:
     # :func:`~cerwu.rangecoder.encode_intervals` codes.
     intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
     # Rounds the quantizer took: 1 for static and rtn, the speculative
-    # pass's rounds for the adaptive kinds, where a walked entry counts as
-    # one round (a layer that takes the walk has n*m).
+    # pass's rounds for the adaptive kinds, and n*m, one per entry, for a
+    # layer that takes the walk.
     rounds: int
     predicted_rate_bits: float = field(init=False)
 
@@ -322,7 +318,7 @@ def quantize_layer(
     if model.k != grid.size:
         raise ShapeError(f"model k={model.k} does not match grid size {grid.size}")
 
-    wp = context.w_prime.copy()
+    w_prime = context.w_prime
     chol = context.chol_upper
     # build_context leaves C' a positive, finite diagonal, which scales as
     # 1 / |X|: it is used as it is, at any scale of the activations.
@@ -346,6 +342,7 @@ def quantize_layer(
     if model.kind == entropy.STATIC:
         # The rates never change, so every row sees the same costs in any
         # order: quantize one column for all rows at once.
+        wp = np.array(w_prime, order="F")  # the column steps' working copy
         indices = np.empty((n, m), dtype=np.int32)
         err = np.empty((n, m), dtype=np.float64)  # working value minus chosen level
         # lam * ratebits(g) - 0.5*lam*gamma*g^2 over levels in tie-break order
@@ -359,13 +356,13 @@ def quantize_layer(
             np.subtract(col, levels[idx], out=err[:, j])
         intervals = entropy.replay_intervals(in_scan_order(indices, order), model)
         rounds = 1
-    elif n < PASS_MIN_ROWS or k > PASS_MAX_K:
-        indices, err, intervals = _walk(wp, order, model, levels, half_inv_c2, inv_c, chol,
+    elif n < PASS_MIN_ROWS:
+        indices, err, intervals = _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol,
                                         lam, pref, gamma_term_pref)
         rounds = n * m
     else:
         rounds, indices, err, intervals = _speculative_pass(
-            wp, context.w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
+            w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
             pref, levels_pref, gamma_term_pref)
     quantized = QuantizedLayer(n, m, indices, grid, order)
     return LayerResult(
@@ -377,13 +374,14 @@ def quantize_layer(
     )
 
 
-def _walk(wp, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
-    n, m = wp.shape
+def _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
+    n, m = w_prime.shape
+    wp = np.array(w_prime, order="F")  # the walk's working copy
     k = model.k
     # The rates change after every symbol: visit the entries one by
     # one in scan order, on Python scalars, reading a level's rate from
     # the model's counts only when the search reaches it.
-    L = entropy.LOG2
+    L = entropy.log2_list()
     tab, step, intervals = model.stepper()
     rank = np.argsort(pref)  # tie-break rank by index
     gt = gamma_term_pref[rank].tolist()  # gamma term by index
@@ -461,9 +459,9 @@ def _block_update(wp, i, b0, b1, errs, inv_c, chol):
     """Apply a finished block's deferred updates to row ``i`` right of it.
 
     ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]``, with ``errs``
-    the row's recorded errors ``e`` on the block's columns. The column pass
-    and the row-major walk both call this once per row and block, on the
-    same values, so they stay bitwise equal.
+    the row's recorded errors ``e`` on the block's columns. Every path calls
+    this once per row and block, on the same values, so they stay bitwise
+    equal.
     """
     wp[i, b1:] -= (errs * inv_c[b0:b1]) @ chol[b0:b1, b1:]
 
@@ -519,22 +517,17 @@ def _column_steps(wp, err, inv_c, chol):
     ``W'[:, j+1:b1] -= (e / c_j) C'[j, j+1:b1]`` (the per-entry update,
     elementwise). When every row has finished a block that is not the
     last, each row gets :func:`_block_update`.
+
+    The update runs over rows of the transpose, the form that suits the
+    callers' column-contiguous (Fortran-ordered) ``wp``: on 250x1000 it took
+    half the time of the row form on a C-ordered copy.
     """
     n, m = wp.shape
-    # The speculative pass keeps each column contiguous (Fortran order),
-    # where updating the rest of the block as rows of the transpose takes
-    # half the time on 250x1000; on C-ordered arrays the row form is faster.
-    # Both subtract the same products.
-    by_column = wp.strides[0] == wp.itemsize
     for b0, b1 in _blocks(m):
         for j in range(b0, b1):
             yield j
             if j + 1 < b1:
-                f = err[:, j] * inv_c[j]
-                if by_column:
-                    wp.T[j + 1 : b1] -= chol[j, j + 1 : b1, None] * f
-                else:
-                    wp[:, j + 1 : b1] -= f[:, None] * chol[j, j + 1 : b1]
+                wp.T[j + 1 : b1] -= chol[j, j + 1 : b1, None] * (err[:, j] * inv_c[j])
         if b1 < m:
             for i in range(n):
                 _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
@@ -553,7 +546,7 @@ def _column_major_walk(wp, err_seq, inv_c, chol):
         err[:, j] = err_seq[-n:]
 
 
-def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
+def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
                       pref, levels_pref, gamma_term_pref):
     """The exact speculative pass of the adaptive and context kinds.
 
@@ -565,7 +558,7 @@ def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol,
     tables and the index of the active one in front of the first symbol
     not yet accepted.
     """
-    n, m = wp.shape
+    n, m = w_prime.shape
     k = model.k
     log2 = entropy._LOG2
     two = model.kind == entropy.CONTEXT
@@ -591,7 +584,6 @@ def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol,
         guesses = rank[nearest_indices(w_prime, grid)]
         rows_buf = np.empty((m, n)).T
         got_buf = np.empty((m, n), dtype=np.intp).T
-        walker, walked = None, 0  # a model stepped through the rows before ``walked``
 
         def row_round(u0, u1):
             nonlocal tables, table
@@ -630,28 +622,11 @@ def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol,
             tables[table], tables[1 - table] = cur[a - 1], other[a - 1]
             return a
 
-        def walk_rows(u0, u1):
-            # The per-entry walk of rows [u0, u1), on a model brought up to
-            # row u0 by stepping it through the rows accepted since its last walk.
-            nonlocal tables, table, walker, walked
-            if walker is None:
-                walker = model.fresh()
-            step = walker.stepper()[1]
-            for x in pref[guesses[walked:u0]].ravel().tolist():
-                step(x)
-            idx, err[u0:u1], _ = _walk(w_prime[u0:u1].copy(), ROW_MAJOR, walker, grid.levels,
-                                       half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref)
-            guesses[u0:u1] = rank[idx]
-            walked = u1
-            tables = _pref_tables(walker, pref)
-            table = int(two and walker.stepper()[0] is walker.tables[1])
-            return (u1 - u0) * m  # one round per entry
-
-        rounds = _drive(n, ROW_START, ROW_WINDOW, row_round, walk_rows)
+        rounds = _drive(n, ROW_START, ROW_WINDOW, row_round)
         stream = guesses.ravel()
     else:
         guesses = np.empty((m, n), dtype=np.intp)  # column by column, in scan order
-        wp = np.asfortranarray(wp)
+        wp = np.array(w_prime, order="F")  # the column steps' working copy
         both_levels = np.stack((levels_pref, levels_pref))
         ar_n = np.arange(n)
 
@@ -712,7 +687,7 @@ def _speculative_pass(wp, w_prime, model, order, grid, half_inv_c2, inv_c, chol,
     return rounds, indices, err, intervals
 
 
-def _drive(n, first, most, round_fn, walk_fn=None):
+def _drive(n, first, most, round_fn):
     """Accept units ``[0, n)`` (rows, or a column's entries) by rounds on a
     window from the first unit not yet accepted; returns the number of rounds.
 
@@ -721,23 +696,16 @@ def _drive(n, first, most, round_fn, walk_fn=None):
     ``first`` units. A round that accepts it whole doubles it, up to
     ``most``; one that accepts fewer than :data:`MIN_ACCEPT` units, unless
     its first unit has not been through a round before, halves it, down to
-    one unit. With ``walk_fn``, once the window is halved below
-    :data:`PASS_MIN_ROWS` units the next ``first`` units are walked instead
-    (``walk_fn(u0, u1)`` returns its rounds), and the window doubles.
+    :data:`MIN_ACCEPT` units.
     """
     rounds = u0 = seen = 0
     size = first
     while u0 < n:
         u1 = min(n, u0 + size)
-        if walk_fn is not None and size < PASS_MIN_ROWS:
-            u1 = min(n, u0 + first)
-            rounds += walk_fn(u0, u1)
-            accepted = u1 - u0
-        else:
-            accepted = round_fn(u0, u1)
-            rounds += 1
-            if accepted < min(MIN_ACCEPT, u1 - u0) and u0 < seen:
-                size = max(1, size // 2)
+        accepted = round_fn(u0, u1)
+        rounds += 1
+        if accepted < min(MIN_ACCEPT, u1 - u0) and u0 < seen:
+            size = max(MIN_ACCEPT, size // 2)
         if accepted == u1 - u0:
             size = min(most, 2 * size)
         seen = max(seen, u1)

@@ -24,9 +24,9 @@ same model. A model is read through :meth:`EntropyModel.cum` and
 :meth:`EntropyModel.rate_vector`, and per symbol through its one
 transition, the ``step`` of :meth:`EntropyModel.stepper`:
 ``tab = step(s)`` records ``s``'s coder interval ``(cum[s], cum[s+1], T)``
-and then observes ``s``. The engine's per-entry walk, which takes narrow
-layers, and :func:`replay_intervals` take their intervals from it. The
-range decoder copies the transition: it must find ``s`` from the coded
+and then observes ``s``. The engine's per-entry walk, which takes layers
+of few rows, and :func:`replay_intervals` take their intervals from it.
+The range decoder copies the transition: it must find ``s`` from the coded
 value before it can step, and the step would then sum and record the
 interval its search has just found, so it observes inline
 (:func:`~cerwu.rangecoder.decode` gives the measured cost). The engine's
@@ -52,13 +52,14 @@ it the same way (Witten, Neal & Cleary, CACM 1987, keep frequent symbols
 first for the same reason). A symbol with count ``c`` costs
 ``log2(T) - log2(c)`` bits, read from one table of base-2 logarithms (as
 a numpy array for :meth:`EntropyModel.rate_vector`, as a list of the same
-floats, :data:`LOG2`, for per-symbol reads) so every rate path agrees
-bitwise. The worst-case symbol cost is 16 bits (15 for static).
+floats, :func:`log2_list`, for the walk's per-symbol reads) so every rate
+path agrees bitwise. The worst-case symbol cost is 16 bits (15 for static).
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -77,9 +78,15 @@ MODEL_KINDS = (STATIC, ADAPTIVE, CONTEXT)
 # log2(n) for n = 0..COUNT_CAP; log2(0) = -inf prices a zero count at inf.
 with np.errstate(divide="ignore"):
     _LOG2 = np.log2(np.arange(COUNT_CAP + 1, dtype=np.float64))
-# The same table as Python floats, for per-symbol reads: indexing a list
-# costs less than a numpy scalar and yields the same doubles.
-LOG2 = _LOG2.tolist()
+
+
+@cache
+def log2_list() -> list:
+    """The same table as Python floats, for per-symbol reads: indexing a
+    list costs less than a numpy scalar and yields the same doubles. It is
+    built on first use, since converting it took about 3 ms of every
+    ``import cerwu`` and only the engine's walk reads it."""
+    return _LOG2.tolist()
 
 
 def quantize_counts(counts: np.ndarray) -> np.ndarray:
@@ -278,7 +285,7 @@ def interval_bits(lo, hi, total) -> np.ndarray:
     """Per-symbol cost ``log2(T) - log2(c)`` in bits of coder intervals.
 
     ``c = hi - lo`` is the symbol's count; the table is the one every rate
-    path reads, so these are the doubles the walk and
+    path reads, so these are the doubles the engine and
     :meth:`EntropyModel.rate_vector` compute.
     """
     return _LOG2[total] - _LOG2[np.subtract(hi, lo)]

@@ -25,7 +25,7 @@ model transitions in the same order, as an autoregressive model requires.
 The encoder codes recorded intervals ``(cum[s], cum[s+1], T)``, one per
 symbol: :func:`encode` takes them from a replay of a fresh model
 (:func:`~cerwu.entropy.replay_intervals`), and a compress takes the ones
-the engine's walk recorded, so both go through the one coding loop,
+the engine recorded, so both go through the one coding loop,
 :func:`encode_intervals`. Both loops run on Python ints.
 
 ``decode(payload, model)`` takes k from the model, as :func:`encode` does,
@@ -90,7 +90,7 @@ def encode_intervals(lo, hi, total) -> Payload:
     ``total[t]``, with ``0 <= lo < hi <= total <= 2**16``.
 
     The one range-coding loop. The arrays (int32, as
-    :func:`~cerwu.entropy.replay_intervals` and the engine's walk record
+    :func:`~cerwu.entropy.replay_intervals` and the engine record
     them) are read through memoryviews, so no list of Python ints is built.
     """
     out = bytearray()

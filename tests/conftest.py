@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cerwu.engine import BLOCK_SIZE, model_spec_for
-from cerwu.entropy import (CONTEXT, COUNT_CAP, LOG2, STATIC, EntropyModel, interval_bits,
+from cerwu.entropy import (CONTEXT, COUNT_CAP, STATIC, EntropyModel, interval_bits, log2_list,
                            quantize_counts, replay_intervals)
 from cerwu.errors import DecodeError, FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
@@ -15,6 +15,8 @@ from cerwu.grids import FLOAT16_MAX, ROW_MAJOR, round_scale16
 from cerwu.linalg import LayerContext, as_matrix, compute_gamma
 from cerwu.pipeline import accuracy, collect_hessians
 from cerwu.rangecoder import _MASK32, _TOP, FLUSH_BYTES, Payload
+
+LOG2 = log2_list()
 
 
 def random_spd(rng, m, scale=1.0):

@@ -121,6 +121,30 @@ class TestCompressDecompressEval:
         for name, w in model.entries.items():
             assert np.array_equal(np.sign(back.entries[name]), np.sign(w)), name
 
+    @pytest.mark.parametrize("kind", ["static", "context"])
+    def test_layer_lines_show_rounds(self, tmp_path, capsys, kind):
+        # a static layer takes one round; the layer of 10 rows is walked,
+        # one round per entry; the 80-row layer takes the speculative pass,
+        # in fewer rounds than entries
+        rng = np.random.default_rng(2)
+        model, calib = TensorFile(), TensorFile()
+        for name, (rows, cols) in {"a.weight": (80, 16), "b.weight": (10, 80)}.items():
+            model.add(name, rng.normal(size=(rows, cols)) / 4)
+            calib.add(name + ".activations", rng.normal(size=(cols, 64)))
+        mp, cp = tmp_path / "model.tns", tmp_path / "calib.tns"
+        write_tensor_file(model, mp)
+        write_tensor_file(calib, cp)
+        capsys.readouterr()
+        assert main(["compress", "--model", str(mp), "--calib", str(cp), "--lambda", "0.03",
+                     "--grid-size", "9", "--model-kind", kind,
+                     "--out", str(tmp_path / "m.cwm")]) == 0
+        rounds = dict(re.findall(r"^layer (\S+): .*, rounds (\d+), [0-9.]+ bits predicted, \d+ paid$",
+                                 capsys.readouterr().out, re.M))
+        if kind == "static":
+            assert rounds == {"a.weight": "1", "b.weight": "1"}
+        else:
+            assert rounds["b.weight"] == "800" and 1 < int(rounds["a.weight"]) < 80 * 16
+
 
 class TestErrors:
     def test_missing_file_is_input_error(self, tmp_path):
@@ -670,31 +694,6 @@ class TestMlpAccuracy:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         acc = float(line.split("accuracy ")[1])
         assert acc >= 0.99 * mlp_fixture["float_accuracy"]
-
-
-    @pytest.mark.parametrize("kind", ["static", "context"])
-    def test_layer_lines_show_rounds(self, tmp_path, capsys, kind):
-        # a static layer takes one round; the fixture-sized layer of 10
-        # rows is walked, one round per entry; the 80-row layer takes the
-        # speculative pass, in fewer rounds than entries
-        rng = np.random.default_rng(2)
-        model, calib = TensorFile(), TensorFile()
-        for name, (rows, cols) in {"a.weight": (80, 16), "b.weight": (10, 80)}.items():
-            model.add(name, rng.normal(size=(rows, cols)) / 4)
-            calib.add(name + ".activations", rng.normal(size=(cols, 64)))
-        mp, cp = tmp_path / "model.tns", tmp_path / "calib.tns"
-        write_tensor_file(model, mp)
-        write_tensor_file(calib, cp)
-        capsys.readouterr()
-        assert main(["compress", "--model", str(mp), "--calib", str(cp), "--lambda", "0.03",
-                     "--grid-size", "9", "--model-kind", kind,
-                     "--out", str(tmp_path / "m.cwm")]) == 0
-        rounds = dict(re.findall(r"^layer (\S+): .*, rounds (\d+), [0-9.]+ bits predicted, \d+ paid$",
-                                 capsys.readouterr().out, re.M))
-        if kind == "static":
-            assert rounds == {"a.weight": "1", "b.weight": "1"}
-        else:
-            assert rounds["b.weight"] == "800" and 1 < int(rounds["a.weight"]) < 80 * 16
 
     def test_layer_lines_show_predicted_and_paid_bits(self, tmp_path, capsys, mlp_fixture):
         # each layer line prints the report's predicted and paid bits, and

@@ -19,7 +19,7 @@ from cerwu.engine import (
     quantize_layer,
 )
 from cerwu.entropy import (
-    ADAPTIVE, CONTEXT, LOG2, STATIC, interval_bits, make_model,
+    ADAPTIVE, CONTEXT, STATIC, interval_bits, make_model,
 )
 from cerwu.grids import (
     COLUMN_MAJOR, ROW_MAJOR, SCAN_ORDERS, build_grid, grid_from_scale, layer_from_symbols,
@@ -31,7 +31,7 @@ from cerwu.oracle import brute_force_minimize, evaluate_objective
 from cerwu.rangecoder import decode, encode
 
 from conftest import (
-    HALVING_STREAM, halvings_per_table, obs_row_update, oracle_stream, random_spd,
+    HALVING_STREAM, LOG2, halvings_per_table, obs_row_update, oracle_stream, random_spd,
     reference_intervals, reference_walk, regularized_hessian, sequence_rate_bits,
 )
 
@@ -865,7 +865,7 @@ class TestSpeculativePass:
     """The adaptive kinds' speculative pass gives bitwise the per-entry walk."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.03, 1.0, 30.0])
-    @pytest.mark.parametrize("k", [2, 3, 9, 17, 33])
+    @pytest.mark.parametrize("k", [2, 3, 9, 17, 33, 65])
     @pytest.mark.parametrize("scan_order", SCAN_ORDERS)
     @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
     def test_equals_walk(self, monkeypatch, kind, scan_order, k, lam):
@@ -889,23 +889,24 @@ class TestSpeculativePass:
         if kind == ADAPTIVE and scan_order == ROW_MAJOR:
             assert first < 256 * 300
 
-    def test_slow_convergence_falls_back_to_the_walk(self, monkeypatch):
+    def test_slow_convergence_halves_the_window(self, monkeypatch):
         # context at k=33 and lam=1 locks in: rounds accept a row or two, so
-        # the window halves until the rows are walked
-        walks = []
-        real_walk = engine._walk
+        # the window of rows halves down to MIN_ACCEPT rows
+        windows = []
+        real_drive = engine._drive
 
-        def counted(*args):
-            walks.append(args[0].shape)
-            return real_walk(*args)
+        def spied(n, first, most, round_fn):
+            def counted(u0, u1):
+                windows.append(u1 - u0)
+                return round_fn(u0, u1)
+            return real_drive(n, first, most, counted)
 
-        monkeypatch.setattr(engine, "_walk", counted)
+        monkeypatch.setattr(engine, "_drive", spied)
         w, h = tall_layer(1, 256, 32)
         cfg = CompressionConfig(lam=1.0, grid_size=33, model_kind=CONTEXT)
-        pass_and_walk(monkeypatch, w, h, cfg)
-        # the pass walked the rows after its first rounds; the last walk is
-        # the reference's, of the whole layer
-        assert len(walks) == 2 and 0 < walks[0][0] < 256 and walks[1] == w.shape
+        res = pass_and_walk(monkeypatch, w, h, cfg)
+        assert windows[0] == 256 and engine.MIN_ACCEPT in windows
+        assert res.rounds == len(windows)
 
     def test_slow_column_takes_several_rounds(self, monkeypatch):
         w, h = tall_layer(1, 256, 32)
