@@ -18,10 +18,8 @@ The engine walks the weight matrix in scan order and, per entry:
    block's updates to every later column at once, as one product
    ``W'[i, b1:] -= (e[b0:b1] / c[b0:b1]) @ C'[b0:b1, b1:]`` of its
    recorded errors ``e = w - g``;
-3. feeds the chosen symbol to the entropy model's one step, which records
-   its coder interval ``(cum[s], cum[s+1], T)`` and then observes it; the
-   range coder codes the recorded intervals (:func:`compress_layer`), so a
-   compress replays the model once.
+3. feeds the chosen symbol to the entropy model, whose costs the next
+   entry reads.
 
 A layer with at most :data:`BLOCK_SIZE` columns is one block and gets
 bitwise the arithmetic of updating the whole remaining row per entry.
@@ -31,18 +29,20 @@ values differ from it only by rounding.
 Row-major order finishes a row before moving down; column-major finishes
 a column first. Both use the same per-row compensation (the quadratic
 loss has no cross-row terms); only the traversal, and therefore the
-symbol stream seen by the model, differs. The recorded intervals are
-exactly those a fresh model's replay over the symbol stream would give,
-since the model is a deterministic function of that stream, so the
-payload pays exactly the predicted bits (up to coder flush overhead).
+symbol stream seen by the model, differs. Every path below returns only
+its choices: :func:`quantize_layer` prices the symbol stream once,
+through :func:`~cerwu.entropy.replay_intervals` from the model's state,
+which the replay leaves unchanged, and the range coder codes those
+intervals (:func:`compress_layer`). The model is a deterministic function
+of the stream, so the payload pays exactly the predicted bits (up to
+coder flush overhead).
 
 The column pass (:func:`_column_steps`) applies the updates one column
 at a time: once every row's entry in a column is chosen, one rank-1
 update moves the rest of the block for all rows, and a finished block
 gives each row its block product. A static model's costs never change,
 so it takes this pass in either scan order, choosing a whole column at
-once (an ``n x k`` objective and a row-wise ``argmin``) in one round, and
-reads the intervals from its one cumulative table.
+once (an ``n x k`` objective and a row-wise ``argmin``) in one round.
 
 The adaptive and context kinds read counts that every earlier choice
 set. They take the exact speculative pass (:func:`_speculative_pass`):
@@ -63,43 +63,48 @@ step (Leviathan et al., ICML 2023). Each round takes a window:
 - column-major, the rest of a column, whose working values do not depend
   on its own choices. The guess is the choice under the tables at the
   column's start, along the context chain it makes; every entry's tables
-  follow from the guess by running sums (:func:`_tables_along`). Entries
-  are accepted up to the first choice that differs from its guess, or
-  up to the first entry whose observation halves a table.
+  follow from the guess by running sums
+  (:func:`~cerwu.entropy._tables_along`). Entries are accepted up to the
+  first choice that differs from its guess, or up to the first entry
+  whose observation halves a table.
 
 Choices use :func:`_objective`'s arithmetic and the first minimum in
 tie-break order, as the walk below does. A round that accepts little of
 its window halves the window, down to :data:`MIN_ACCEPT` units
-(:func:`_drive`). The coder intervals come from one replay of the chosen
-symbols through the tables (:func:`_replay`).
+(:func:`_drive`).
 
-Layers of fewer than :data:`PASS_MIN_ROWS` rows take the per-entry walk
-instead: it visits the entries one by one in scan order on Python floats
-and steps the model once per entry (the step from
-:meth:`~EntropyModel.stepper`, which also records the entry's interval).
-Row-major, it defers the updates once more, inside the block, to
-sub-blocks of :data:`SUB_BLOCK` columns; an entry updates the rest of its
-sub-block on Python floats, and a finished sub-block reaches the rest of
-its block in one fold per row that subtracts the same products in the
-same order. Its search is bounded and exact: it scores the first level at
-or above the working value, walks down from its lower neighbour and then
-up from its upper one, reads a level's rate ``log2(T) - log2(c)`` only
-when it reaches that level, and stops on a side once the distortion
-alone, less the largest Gaussian term, exceeds the best objective so far,
-because the rate is never negative.
+Row-major layers of fewer than :data:`PASS_MIN_ROWS` rows take the
+per-entry walk instead: it visits the entries one by one on Python floats
+and steps a fresh copy of the model once per entry (the step of
+:meth:`~EntropyModel.stepper`). It defers the updates once more, inside
+the block, to sub-blocks of :data:`SUB_BLOCK` columns; an entry updates
+the rest of its sub-block on Python floats, and a finished sub-block
+reaches the rest of its block in one fold per row that subtracts the
+same products in the same order. Its search is bounded and exact: it
+scores the first level at or above the working value, walks down from its
+lower neighbour and then up from its upper one, reads a level's rate
+``log2(T) - log2(c)`` only when it reaches that level, and stops on a side
+once the distortion alone, less the largest Gaussian term, exceeds the
+best objective so far, because the rate is never negative.
 
 Every path does the per-entry walk's elementwise arithmetic and makes the
 same per-row block product call, so indices, symbols, intervals, loss
 delta and predicted bits are bitwise those of visiting the entries one by
 one. Measured on one thread of a 2-vCPU Xeon host (see CHANGES.md): a
 256x32 context layer at k=9 and ``lam = 0.03`` takes 3 rounds and 1 to
-1.6 us per weight against 2.4 to 3.9 for the walk, and a 1000x1000 one 11
-rounds row-major and about one per column column-major, in about half the
-walk's time. The pass is slower than the walk where a round's fixed cost per
-column is shared by few rows, which is why narrow layers walk; when the
-model locks in and rounds accept a row or two (the context kind at k=9
-and ``lam = 30`` on 256x32: 21 to 25 us per weight against 3.7 to 5.3);
-and at 65 levels on 256x32 (4.8 to 8.2 against 3.0 to 3.2).
+1.6 us per weight against 2.4 to 3.9 for the walk, and a 1000x1000 one 3
+or 4 rounds row-major and about one per column column-major, in about half
+the walk's time. The pass is slower than the walk where a round's fixed cost
+per column is shared by few rows, which is why short row-major layers
+walk; when the model locks in and rounds accept a row or two (the context
+kind at k=9 and ``lam = 30`` on 256x32: 21 to 25 us per weight against
+3.7 to 5.3); and at 65 levels on 256x32 (4.8 to 8.2 against 3.0 to 3.2).
+Column-major layers of every height take the pass all the same: no
+benchmark workload runs that order, and one path is kept rather than two.
+Short column-major layers pay for it (context, k=9, ``lam = 0.03``, walk
+then pass, medians of 7: the fixture's 32x784 fc1 63 and 67 ms, its 10x32
+fc2 0.7 and 2.3 ms, 2x1536 16 and 128 ms), and fc1 at k=33 and
+``lam = 1`` gains (202 and 96 ms).
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -132,7 +137,6 @@ from .grids import (
     Grid,
     QuantizedLayer,
     build_grid,
-    from_scan_order,
     in_scan_order,
     nearest_indices,
     round_to_nearest,
@@ -164,17 +168,18 @@ BLOCK_SIZE = 64
 # 256x32 context layer 16 measured the same and 4 took 1.2x as long.
 SUB_BLOCK = 8
 
-# Layers of fewer rows take the per-entry walk instead of the speculative
-# pass: on the fixture's 32x784 fc1 the pass took up to 5 rounds of 784
-# columns, and with it taking every layer the fixture-sweep benchmark's
-# sweep took 1.22 times as long, slower in all of ten pairs; on the
-# tall-context benchmark's 256x32 layers it takes half the walk's time.
+# Row-major layers of fewer rows take the per-entry walk instead of the
+# speculative pass: on the fixture's 32x784 fc1 the pass took up to 5
+# rounds of 784 columns, and with it taking every layer the fixture-sweep
+# benchmark's sweep took 1.22 times as long, slower in all of ten pairs;
+# on the tall-context benchmark's 256x32 layers it takes half the walk's
+# time. Column-major layers of every height take the pass.
 PASS_MIN_ROWS = 64
-# A row-major layer's first window of rows of the speculative pass; windows
-# accepted whole double up to ROW_WINDOW. A 1000x1000 layer took 11 rounds
-# from a 256-row first window and 3 from a 1024-row one, in about the same
-# time.
-ROW_START = 256
+# A row-major layer's window of rows in the speculative pass: its first
+# round takes this many, and a halved window that is accepted whole
+# doubles back up to it. A 1000x1000 layer took 3 or 4 rounds from it and
+# 11 from a first window of 256 rows, in the same time (15 pairs per kind:
+# time ratios 1.00 and 0.97 at the median).
 ROW_WINDOW = 1024
 # A round that accepts fewer units than this halves its window, down to
 # this many units. When rounds accept a row or two (the context kind at
@@ -183,9 +188,6 @@ ROW_WINDOW = 1024
 # guess: halving down to 16 rather than 1 took 36 rounds instead of 158,
 # 0.35 times the time, and 0.46 to 0.96 times on the other slow cases.
 MIN_ACCEPT = 16
-# Table entries per run of the interval replay: runs of 1 << 12 to 1 << 17
-# replayed 10^6 symbols at k=9 in 0.11 to 0.22 s, 1 << 14 the fastest.
-REPLAY_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -237,12 +239,13 @@ class LayerResult:
     # evaluates fewer, but rules out the rest without changing the choice.
     grid_evaluations: int
     # Each symbol's coder interval (lo, hi, total) in scan order, as int32
-    # arrays: what the model read when the symbol was chosen, and what
+    # arrays from :func:`~cerwu.entropy.replay_intervals`: what the model
+    # read when the symbol was chosen, and what
     # :func:`~cerwu.rangecoder.encode_intervals` codes.
     intervals: Tuple[np.ndarray, np.ndarray, np.ndarray]
     # Rounds the quantizer took: 1 for static and rtn, the speculative
     # pass's rounds for the adaptive kinds, and n*m, one per entry, for a
-    # layer that takes the walk.
+    # row-major layer that takes the walk.
     rounds: int
     predicted_rate_bits: float = field(init=False)
 
@@ -305,9 +308,9 @@ def quantize_layer(
     """Quantize one layer with rate-aware search and weight updates.
 
     ``hessian`` must come from the layer's calibration activations and
-    ``grid`` from its weights. A prebuilt ``model`` (fresh) or ``context``
-    may be supplied; by default they are derived from the config, the
-    context by :func:`layer_context`.
+    ``grid`` from its weights. A prebuilt ``model`` (fresh; it is left
+    unchanged) or ``context`` may be supplied; by default they are derived
+    from the config, the context by :func:`layer_context`.
     """
     w = as_matrix(weights, "weights")
     n, m = w.shape
@@ -338,7 +341,6 @@ def quantize_layer(
     pref, levels_pref, gamma_term_pref = _search_order(levels, lam, context.gamma)
 
     order = config.scan_order
-
     if model.kind == entropy.STATIC:
         # The rates never change, so every row sees the same costs in any
         # order: quantize one column for all rows at once.
@@ -354,14 +356,13 @@ def quantize_layer(
             idx = pref[obj.argmin(axis=1)]
             indices[:, j] = idx
             np.subtract(col, levels[idx], out=err[:, j])
-        intervals = entropy.replay_intervals(in_scan_order(indices, order), model)
         rounds = 1
-    elif n < PASS_MIN_ROWS:
-        indices, err, intervals = _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol,
-                                        lam, pref, gamma_term_pref)
+    elif n < PASS_MIN_ROWS and order == ROW_MAJOR:
+        indices, err = _walk(w_prime, model.fresh(), levels, half_inv_c2, inv_c, chol, lam,
+                             pref, gamma_term_pref)
         rounds = n * m
     else:
-        rounds, indices, err, intervals = _speculative_pass(
+        rounds, indices, err = _speculative_pass(
             w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
             pref, levels_pref, gamma_term_pref)
     quantized = QuantizedLayer(n, m, indices, grid, order)
@@ -369,12 +370,14 @@ def quantize_layer(
         quantized=quantized,
         quadratic_loss_delta=_running_total(in_scan_order(err * err * half_inv_c2, order)),
         grid_evaluations=n * m * k,
-        intervals=intervals,
+        intervals=entropy.replay_intervals(quantized.symbols_in_scan_order(), model),
         rounds=rounds,
     )
 
 
-def _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
+def _walk(w_prime, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
+    """The per-entry walk of a row-major layer; returns ``(indices, err)``.
+    It steps ``model``."""
     n, m = w_prime.shape
     wp = np.array(w_prime, order="F")  # the walk's working copy
     k = model.k
@@ -382,7 +385,7 @@ def _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, ga
     # one in scan order, on Python scalars, reading a level's rate from
     # the model's counts only when the search reaches it.
     L = entropy.log2_list()
-    tab, step, intervals = model.stepper()
+    tab, step = model.stepper()
     rank = np.argsort(pref)  # tie-break rank by index
     gt = gamma_term_pref[rank].tolist()  # gamma term by index
     gt_max = max(gt)
@@ -392,8 +395,7 @@ def _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, ga
     err_seq = []
     idx_seq = array("i")
     idx_append, err_append = idx_seq.append, err_seq.append
-    walk = _row_major_walk if order == ROW_MAJOR else _column_major_walk
-    for j, wij in walk(wp, err_seq, inv_c, chol):
+    for j, wij in _row_major_walk(wp, err_seq, inv_c, chol):
         log_total = L[tab[k]]
         hj = h[j]
         # Exact bounded search, equal to scanning all k levels in
@@ -442,11 +444,7 @@ def _walk(w_prime, order, model, levels, half_inv_c2, inv_c, chol, lam, pref, ga
         idx_append(idx)
         err_append(wij - level_list[idx])
         tab = step(idx)
-    symbols = np.frombuffer(idx_seq, dtype=np.intc)
-    indices = np.ascontiguousarray(from_scan_order(symbols, n, m, order))
-    err = from_scan_order(np.array(err_seq), n, m, order)
-    intervals = tuple(np.frombuffer(a, dtype=np.intc) for a in intervals)
-    return indices, err, intervals
+    return np.frombuffer(idx_seq, dtype=np.intc).reshape(n, m), np.array(err_seq).reshape(n, m)
 
 
 def _blocks(m: int):
@@ -533,25 +531,12 @@ def _column_steps(wp, err, inv_c, chol):
                 _block_update(wp, i, b0, b1, err[i, b0:b1], inv_c, chol)
 
 
-def _column_major_walk(wp, err_seq, inv_c, chol):
-    """Column-major positions for the per-entry walk, like
-    :func:`_row_major_walk`, on :func:`_column_steps`: yields every row's
-    entry of a column, then hands the column's errors to the pass.
-    """
-    n = wp.shape[0]
-    err = np.empty_like(wp)
-    for j in _column_steps(wp, err, inv_c, chol):
-        for w in wp[:, j].tolist():
-            yield j, w
-        err[:, j] = err_seq[-n:]
-
-
 def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam,
                       pref, levels_pref, gamma_term_pref):
     """The exact speculative pass of the adaptive and context kinds.
 
-    Returns ``(rounds, indices, err, intervals)`` as :func:`quantize_layer`
-    uses them. Symbols are handled as positions in tie-break order, and each
+    Returns ``(rounds, indices, err)`` as :func:`quantize_layer` uses
+    them. Symbols are handled as positions in tie-break order, and each
     count table as its counts in that order followed by its total: the
     model's two tables form a ``(2, k + 1)`` array, and the adaptive kind
     uses its first row only. ``tables`` and ``table`` hold the exact
@@ -563,9 +548,9 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
     log2 = entropy._LOG2
     two = model.kind == entropy.CONTEXT
     rank = np.argsort(pref)  # the position of each index
-    nz = ((pref != k // 2) & two).astype(np.intp)  # table index after each position
-    first = tables = _pref_tables(model, pref)
-    table = 0
+    tables, table, nz = entropy._state(model)
+    tables[:, :k] = tables[:, pref]
+    nz = nz[pref]  # table index after each position
     # Fortran order keeps each column contiguous for the column steps.
     err = np.empty((m, n)).T
 
@@ -605,7 +590,7 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
                 cur[:, k] += 1
                 if may_halve and cur[:, k].max() > entropy.COUNT_CAP:
                     for i in np.flatnonzero(cur[:, k] > entropy.COUNT_CAP).tolist():
-                        cur[i] = _halved(cur[i])
+                        cur[i] = entropy._halved(cur[i])
                 if two:
                     swap = (nz[p] != slots)[:, None]
                     cur, other = np.where(swap, other, cur), np.where(swap, cur, other)
@@ -622,8 +607,7 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
             tables[table], tables[1 - table] = cur[a - 1], other[a - 1]
             return a
 
-        rounds = _drive(n, ROW_START, ROW_WINDOW, row_round)
-        stream = guesses.ravel()
+        rounds = _drive(n, ROW_WINDOW, row_round)
     else:
         guesses = np.empty((m, n), dtype=np.intp)  # column by column, in scan order
         wp = np.array(w_prime, order="F")  # the column steps' working copy
@@ -651,7 +635,7 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
         def col_round(j, u0, u1):
             nonlocal tables, table
             guess = guesses[j, u0:u1]
-            cur, tabs, sl = _tables_along(tables, table, guess, nz)
+            cur, tabs, sl = entropy._tables_along(tables, table, guess, nz)
             r = len(cur)
             vals = wp[u0:u0 + r, j]
             p = choose(vals[:, None], j, cur)
@@ -662,44 +646,31 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
             a = int(differs.argmax()) + 1 if differs.any() else r
             guess[:r] = p
             np.subtract(vals[:a], levels_pref[p[:a]], out=err[u0:u0 + a, j])
-            tables, table = _observed(tabs[a - 1], sl[a - 1], p[a - 1]), int(nz[p[a - 1]])
+            tables = entropy._observed(tabs[a - 1], sl[a - 1], p[a - 1])
+            table = int(nz[p[a - 1]])
             return a
 
         rounds = 0
         for j in _column_steps(wp, err, inv_c, chol):
             guesses[j] = first_guess(wp[:, j], j, tables, table)
-            rounds += _drive(n, n, n, lambda u0, u1: col_round(j, u0, u1))
-        stream = guesses.ravel()
+            rounds += _drive(n, n, lambda u0, u1: col_round(j, u0, u1))
         guesses = guesses.T
-    intervals = tuple(np.empty(n * m, dtype=np.intc) for _ in range(3))
-
-    def record(pos, cur, p):
-        # (cum[s], cum[s + 1], T) of each symbol s under the table it read
-        a = len(p)
-        ar = np.arange(a)
-        lo, hi, total = (x[pos:pos + a] for x in intervals)
-        hi[:] = np.cumsum(cur[:, rank], axis=1)[ar, pref[p]]
-        np.subtract(hi, cur[ar, p], out=lo)
-        total[:] = cur[:, k]
-
-    _replay(first, 0, stream, nz, record)
-    indices = np.ascontiguousarray(pref.astype(np.int32)[guesses])
-    return rounds, indices, err, intervals
+    return rounds, np.ascontiguousarray(pref.astype(np.int32)[guesses]), err
 
 
-def _drive(n, first, most, round_fn):
+def _drive(n, most, round_fn):
     """Accept units ``[0, n)`` (rows, or a column's entries) by rounds on a
     window from the first unit not yet accepted; returns the number of rounds.
 
     ``round_fn(u0, u1)`` runs one round on the window ``[u0, u1)`` and
     returns how many units it accepted, at least one. The window starts at
-    ``first`` units. A round that accepts it whole doubles it, up to
-    ``most``; one that accepts fewer than :data:`MIN_ACCEPT` units, unless
-    its first unit has not been through a round before, halves it, down to
-    :data:`MIN_ACCEPT` units.
+    ``most`` units. A round that accepts fewer than :data:`MIN_ACCEPT`
+    units, unless its first unit has not been through a round before,
+    halves it, down to :data:`MIN_ACCEPT` units; one that accepts it whole
+    doubles it, up to ``most``.
     """
     rounds = u0 = seen = 0
-    size = first
+    size = most
     while u0 < n:
         u1 = min(n, u0 + size)
         accepted = round_fn(u0, u1)
@@ -711,79 +682,6 @@ def _drive(n, first, most, round_fn):
         seen = max(seen, u1)
         u0 += accepted
     return rounds
-
-
-def _pref_tables(model, pref):
-    """The model's two count tables in tie-break order, each followed by
-    its total, as a ``(2, k + 1)`` int64 array."""
-    tables = np.array([t[: model.k + 1] for t in model.tables], dtype=np.int64)
-    tables[:, :-1] = tables[:, pref]
-    return tables
-
-
-def _tables_along(base, slot, symbols, nz):
-    """The tables a model in state ``(base, slot)`` reads along ``symbols``.
-
-    Returns ``(cur, tabs, sl)``: the table each symbol reads, both tables
-    and the index of the one read, in front of each symbol, up to the first
-    symbol whose observation halves a table (included). Counts come from
-    running sums of the observations, so they hold only while no table
-    halves.
-    """
-    r = symbols.size
-    k = base.shape[1] - 1
-    sl = np.empty(r, dtype=np.intp)
-    sl[0] = slot
-    sl[1:] = nz[symbols[:-1]]
-    ar = np.arange(r)
-    tabs = np.empty((r, 2, k + 1), dtype=np.int64)
-    tabs[0] = base
-    if r > 1:
-        obs = np.zeros((r - 1, 2, k + 1), dtype=np.int64)
-        obs[ar[:-1], sl[:-1], symbols[:-1]] = 1
-        obs[ar[:-1], sl[:-1], k] = 1
-        np.cumsum(obs, axis=0, out=tabs[1:])
-        tabs[1:] += base
-    cur = tabs[ar, sl]
-    if base[:, k].max() + r > entropy.COUNT_CAP:
-        full = cur[:, k] >= entropy.COUNT_CAP
-        if full.any():
-            r = int(full.argmax()) + 1
-    return cur[:r], tabs[:r], sl[:r]
-
-
-def _observed(tables, slot, symbol):
-    """``tables`` after table ``slot`` observes ``symbol``, halved when its
-    total would exceed ``COUNT_CAP``: the model's step, on a copy."""
-    out = tables.copy()
-    t = out[slot]
-    t[symbol] += 1
-    t[-1] += 1
-    if t[-1] > entropy.COUNT_CAP:
-        out[slot] = _halved(t)
-    return out
-
-
-def _replay(base, slot, stream, nz, record=None):
-    """Step the state ``(base, slot)`` through ``stream`` a run of symbols
-    at a time; returns the state after it.
-
-    Each run ends at :data:`REPLAY_CHUNK` table entries or at a halving;
-    ``record(pos, cur, p)`` sees the tables ``cur`` that the run's symbols
-    ``p``, starting at ``stream[pos]``, read.
-    """
-    k = base.shape[1] - 1
-    chunk = max(1, REPLAY_CHUNK // (k + 1))
-    pos = 0
-    while pos < stream.size:
-        cur, tabs, sl = _tables_along(base, slot, stream[pos:pos + chunk], nz)
-        a = len(cur)
-        p = stream[pos:pos + a]
-        if record is not None:
-            record(pos, cur, p)
-        base, slot = _observed(tabs[a - 1], sl[a - 1], p[-1]), int(nz[p[-1]])
-        pos += a
-    return base, slot
 
 
 def _start_tables(base, slot, guess, nz):
@@ -812,16 +710,9 @@ def _start_tables(base, slot, guess, nz):
         if not over.any():
             return tabs, sl[::m].copy()
         b = int(over.argmax()) - 1
-        after, _ = _replay(tabs[b], sl[b * m], guess[b], nz)
+        after, _ = entropy._replay(tabs[b], sl[b * m], guess[b], nz)
         rest = obs[b + 1:]
         tabs[b + 1:] = np.cumsum(rest, axis=0) - rest + after
-
-
-def _halved(t):
-    """A table's counts and total after :func:`~cerwu.entropy.halve`."""
-    tab = list(t) + [0]
-    entropy.halve(tab)
-    return tab[:-1]
 
 
 def _running_total(values: np.ndarray) -> float:
@@ -834,8 +725,8 @@ def _running_total(values: np.ndarray) -> float:
 
 
 def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyModel:
-    """Fresh entropy model for a layer; quantize, encode and decode each
-    replay a :meth:`~EntropyModel.fresh` copy of it.
+    """Fresh entropy model for a layer. Quantize and encode replay it and
+    leave it unchanged; decode steps a :meth:`~EntropyModel.fresh` copy.
 
     The static kind is fitted to the layer's nearest-level index histogram
     (a cheap pre-pass); its fitted table travels in the layer header.
@@ -852,7 +743,7 @@ def compress_layer(
     weights, hessian, config: CompressionConfig, context: Optional[LayerContext] = None
 ) -> Tuple[LayerResult, Payload, EntropyModel]:
     """Quantize a layer by ``config.method``, then range-code the coder
-    intervals the quantizer recorded, so the model is replayed once.
+    intervals its choices were priced with.
 
     ``rtn`` leaves ``hessian`` and ``context`` unused and reports a zero
     loss delta and no grid evaluations; a zero-effect ``cerwu``
@@ -878,8 +769,8 @@ def compress_layer(
     model = model_spec_for(w, grid, config)
     if config.method == METHOD_RTN:
         quantized = round_to_nearest(w, grid, config.scan_order)
-        intervals = entropy.replay_intervals(quantized.symbols_in_scan_order(), model.fresh())
+        intervals = entropy.replay_intervals(quantized.symbols_in_scan_order(), model)
         result = LayerResult(quantized, 0.0, 0, intervals, 1)
     else:
-        result = quantize_layer(w, hessian, grid, config, model=model.fresh(), context=context)
+        result = quantize_layer(w, hessian, grid, config, model=model, context=context)
     return result, encode_intervals(*result.intervals), model

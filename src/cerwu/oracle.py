@@ -56,7 +56,7 @@ def evaluate_objective(
     distortion = float(np.sum(err * err))
 
     model = model_factory()
-    _, step, _ = model.stepper()
+    _, step = model.stepper()
     rate = 0.0
     for s in quantized.symbols_in_scan_order().tolist():
         rate += float(model.rate_vector()[s])

@@ -22,11 +22,12 @@ the payload end on an intact stream.
 
 Encoding visits symbols front to back and the decoder replays the same
 model transitions in the same order, as an autoregressive model requires.
-The encoder codes recorded intervals ``(cum[s], cum[s+1], T)``, one per
-symbol: :func:`encode` takes them from a replay of a fresh model
-(:func:`~cerwu.entropy.replay_intervals`), and a compress takes the ones
-the engine recorded, so both go through the one coding loop,
-:func:`encode_intervals`. Both loops run on Python ints.
+The encoder codes intervals ``(cum[s], cum[s+1], T)``, one per symbol,
+from the one interval rule, :func:`~cerwu.entropy.replay_intervals`:
+:func:`encode` replays a fresh model over the symbols, and a compress
+codes the intervals the engine priced its choices with, so both go
+through the one coding loop, :func:`encode_intervals`. Both loops run on
+Python ints.
 
 ``decode(payload, model)`` takes k from the model, as :func:`encode` does,
 and has two loops, chosen by ``model.kind``. A static model never changes,
@@ -71,10 +72,10 @@ def encode(symbols, model: EntropyModel) -> Payload:
     """Encode grid indices with a fresh entropy model.
 
     Replays the model over the symbols into coder intervals
-    (:func:`~cerwu.entropy.replay_intervals`) and codes those with
-    :func:`encode_intervals`. The model is mutated (one transition per
-    symbol); pass a fresh instance. Decoding with an identically
-    initialized model restores the exact sequence.
+    (:func:`~cerwu.entropy.replay_intervals`), from its current state,
+    which the replay leaves unchanged, and codes those with
+    :func:`encode_intervals`. Pass a fresh model: decoding with an
+    identically initialized one restores the exact sequence.
     """
     syms = np.asarray(symbols, dtype=np.int64)
     if syms.ndim != 1:
@@ -86,12 +87,12 @@ def encode(symbols, model: EntropyModel) -> Payload:
 
 
 def encode_intervals(lo, hi, total) -> Payload:
-    """Code recorded intervals: symbol ``t`` takes ``[lo[t], hi[t])`` of
+    """Code intervals: symbol ``t`` takes ``[lo[t], hi[t])`` of
     ``total[t]``, with ``0 <= lo < hi <= total <= 2**16``.
 
     The one range-coding loop. The arrays (int32, as
-    :func:`~cerwu.entropy.replay_intervals` and the engine record
-    them) are read through memoryviews, so no list of Python ints is built.
+    :func:`~cerwu.entropy.replay_intervals` returns them) are read through
+    memoryviews, so no list of Python ints is built.
     """
     out = bytearray()
     low = 0
@@ -129,11 +130,10 @@ def decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     uses up. Both give the same symbols and the same errors.
 
     This inline observation is the one copy of the transition outside
-    :meth:`EntropyModel.stepper`'s step, kept because the search has
-    already found the symbol's interval, which the step would sum again
-    and record: routed through the step, decoding 200 000 zero-heavy
-    symbols at k = 9 and 17 took 1.35 to 1.9 times as long (best of 9,
-    one thread of a 2-vCPU Xeon host).
+    :meth:`EntropyModel.stepper`'s step, kept because a call per symbol
+    costs more than the observation: routed through the step, decoding
+    200 000 zero-heavy symbols at k = 9 and 17 took 1.12 to 1.14 times as
+    long (best of 9, one thread of a 2-vCPU Xeon host).
 
     Raises:
         DecodeError: truncated or corrupt payload.

@@ -132,7 +132,8 @@ def reference_nearest_indices(values, step: float, size: int) -> np.ndarray:
 
 
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:
-    """Total predicted bits for a symbol sequence; mutates the model.
+    """Total predicted bits for a symbol sequence replayed from the model's
+    current state, which it leaves unchanged.
 
     Sums the costs of :func:`cerwu.entropy.replay_intervals` left to right,
     in sequence order, so totals match the other replay paths exactly.
@@ -311,7 +312,7 @@ def obs_row_update(row_state, j, quantized_value, chol_upper) -> float:
 
 
 def reference_walk(weights, grid, config, context):
-    """Exhaustive per-entry walk for the adaptive kinds, the engine's reference.
+    """Exhaustive per-entry walk for every model kind, the engine's reference.
 
     Every entry scans all k levels on Python floats in tie-break order
     (``(|level|, level)``) and keeps the first minimum with a strict

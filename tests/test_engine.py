@@ -783,20 +783,6 @@ class TestWalkIntervals:
         assert res.predicted_rate_bits == float(np.cumsum(interval_bits(*want))[-1])
 
 
-class EntryByEntry:
-    """A static model under another kind: ``quantize_layer`` then visits
-    the entries one by one instead of a column at a time."""
-
-    kind = "static-entry-by-entry"
-
-    def __init__(self, inner):
-        self.k = inner.k
-        self._inner = inner
-
-    def stepper(self):
-        return self._inner.stepper()
-
-
 class TestStaticColumnPath:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -819,37 +805,42 @@ class TestStaticColumnPath:
         grid = build_grid(w, k)
         cfg = CompressionConfig(lam=lam, grid_size=k, scan_order=scan_order,
                                 model_kind=STATIC)
-        model = model_spec_for(w, grid, cfg)
         ctx = build_context(w, h, lam, cfg.damping_delta)
-        col = quantize_layer(w, h, grid, cfg, model=model.fresh(), context=ctx)
-        ent = quantize_layer(w, h, grid, cfg, model=EntryByEntry(model.fresh()), context=ctx)
-        for a, b in ((col.quantized.indices, ent.quantized.indices),
-                     (col.quantized.symbols_in_scan_order(),
-                      ent.quantized.symbols_in_scan_order())):
+        col = quantize_layer(w, h, grid, cfg, context=ctx)
+        indices, symbols, bits, loss = reference_walk(w, grid, cfg, ctx)
+        for a, b in ((col.quantized.indices, indices),
+                     (col.quantized.symbols_in_scan_order(), symbols)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert col.predicted_rate_bits == ent.predicted_rate_bits
-        assert col.quadratic_loss_delta == ent.quadratic_loss_delta
-        assert col.grid_evaluations == ent.grid_evaluations == n * m * k
+        assert col.predicted_rate_bits == bits
+        assert col.quadratic_loss_delta == loss
+        assert col.grid_evaluations == n * m * k
 
 
 def pass_and_walk(monkeypatch, w, h, cfg):
-    """The layer quantized by the speculative pass, and by the per-entry
-    walk that layers of fewer than ``PASS_MIN_ROWS`` rows take."""
+    """The layer quantized by the speculative pass, checked bitwise against
+    the per-entry walk that row-major layers of fewer than ``PASS_MIN_ROWS``
+    rows take, or, column-major, against ``conftest.reference_walk``."""
     assert w.shape[0] >= PASS_MIN_ROWS
     grid = build_grid(w, cfg.grid_size)
     ctx = layer_context(w, h, cfg)
     passed = quantize_layer(w, h, grid, cfg, context=ctx)
-    with monkeypatch.context() as mp:
-        mp.setattr(engine, "PASS_MIN_ROWS", w.shape[0] + 1)
-        walked = quantize_layer(w, h, grid, cfg, context=ctx)
     n, m = w.shape
-    assert passed.rounds < n * m == walked.rounds
-    for a, b in ((passed.quantized.indices, walked.quantized.indices),
-                 *zip(passed.intervals, walked.intervals)):
+    assert passed.rounds < n * m
+    assert passed.grid_evaluations == n * m * cfg.grid_size
+    if cfg.scan_order == ROW_MAJOR:
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "PASS_MIN_ROWS", w.shape[0] + 1)
+            walked = quantize_layer(w, h, grid, cfg, context=ctx)
+        assert walked.rounds == n * m
+        indices, intervals = walked.quantized.indices, walked.intervals
+        bits, loss = walked.predicted_rate_bits, walked.quadratic_loss_delta
+    else:
+        indices, symbols, bits, loss = reference_walk(w, grid, cfg, ctx)
+        intervals = reference_intervals(symbols, make_model(cfg.model_kind, cfg.grid_size))
+    for a, b in ((passed.quantized.indices, indices), *zip(passed.intervals, intervals)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert passed.predicted_rate_bits == walked.predicted_rate_bits
-    assert passed.quadratic_loss_delta == walked.quadratic_loss_delta
-    assert passed.grid_evaluations == walked.grid_evaluations
+    assert passed.predicted_rate_bits == bits
+    assert passed.quadratic_loss_delta == loss
     return passed
 
 
@@ -878,7 +869,7 @@ class TestSpeculativePass:
     def test_tables_halve_inside_rows_and_windows(self, monkeypatch, kind, scan_order):
         # 300 x 300 = 90 000 symbols: a table halves in the middle of a row
         # (of a column, column-major), the adaptive kind's one table inside
-        # the first 256-row window, whose rows observe 76 800 symbols
+        # the first window of rows, within its first 256 rows (76 800 symbols)
         w, h = tall_layer(7, 300, 300)
         cfg = CompressionConfig(lam=0.03, grid_size=9, scan_order=scan_order, model_kind=kind)
         res = pass_and_walk(monkeypatch, w, h, cfg)
@@ -895,11 +886,11 @@ class TestSpeculativePass:
         windows = []
         real_drive = engine._drive
 
-        def spied(n, first, most, round_fn):
+        def spied(n, most, round_fn):
             def counted(u0, u1):
                 windows.append(u1 - u0)
                 return round_fn(u0, u1)
-            return real_drive(n, first, most, counted)
+            return real_drive(n, most, counted)
 
         monkeypatch.setattr(engine, "_drive", spied)
         w, h = tall_layer(1, 256, 32)

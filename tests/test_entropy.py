@@ -14,8 +14,9 @@ from cerwu.entropy import (
 )
 from cerwu.errors import ShapeError
 
-from conftest import (current_context, entropy_bits, oracle_stream, reference_intervals,
-                      sequence_rate_bits, set_context, step_model)
+from conftest import (HALVING_STREAM, current_context, entropy_bits, halvings_per_table,
+                      oracle_stream, reference_intervals, sequence_rate_bits, set_context,
+                      step_model)
 
 
 class TestQuantizeCounts:
@@ -182,20 +183,42 @@ class TestUpdate:
 
 @pytest.mark.parametrize("k", [2, 5, 9, 33])
 def test_static_step_records_table_lookup(k):
-    # a static model's step holds its one table and records the intervals
-    # that replay_intervals looks up in it, which are the reference model's
+    # a static model's step holds its one table unchanged, and the
+    # intervals replay_intervals looks up in it are the reference model's
     rng = np.random.default_rng(k)
     counts = rng.integers(0, 50, size=k)
     counts[k // 2] += 200
     syms = oracle_stream(rng, k, 3_000, 0.5)
     m = make_model(STATIC, k, static_counts=counts)
-    tab, step, intervals = m.stepper()
+    tab, step = m.stepper()
+    before = list(tab)
     for s in syms.tolist():
         assert step(s) is tab
-    got = [np.frombuffer(a, dtype=np.intc) for a in intervals]
-    for want in (replay_intervals(syms, m.fresh()), reference_intervals(syms, m.fresh())):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert tab == before
+    for a, b in zip(replay_intervals(syms, m), reference_intervals(syms, m.fresh())):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [3, 9, 33])
+@pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+def test_replay_starts_from_the_model_state(kind, k):
+    # stepped through a prefix, a model replays the rest of the stream as
+    # the reference model replays the whole of it, across halvings, and
+    # keeps its tables and its active one
+    syms = oracle_stream(np.random.default_rng(k), k, HALVING_STREAM, 0.5)
+    cut = HALVING_STREAM // 2 + k
+    m = make_model(kind, k)
+    tab, step = m.stepper()
+    for s in syms[:cut].tolist():
+        tab = step(s)
+    tables = [list(t) for t in m.tables]
+    want = reference_intervals(syms, make_model(kind, k))
+    got = replay_intervals(syms[cut:], m)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b[cut:])
+    assert min(halvings_per_table(syms, want[2], kind, k)) >= 2
+    assert min(halvings_per_table(syms[cut:], got[2], kind, k)) >= 1
+    assert [list(t) for t in m.tables] == tables and m.stepper()[0] is tab
 
 
 class TestReplayDeterminism:
@@ -248,7 +271,8 @@ def test_adaptive_approaches_source_entropy():
 def test_distribution_total_exact_across_reachable_states(kind):
     # driven through stepper(): each step returns the active table, whose
     # counts, total and mass below the zero level equal a from-scratch count
-    # of the symbols seen per context, through several halvings; the
+    # of the symbols seen per context, through several halvings, and so do
+    # the next symbol's interval, replayed from the model's state; the
     # adaptive kind keeps one table whatever the previous symbol was, and
     # the static kind's step returns its one table unchanged every time
     rng = np.random.default_rng(4)
@@ -258,12 +282,15 @@ def test_distribution_total_exact_across_reachable_states(kind):
     ctx = 0
     halvings = 0
     seq = np.where(rng.random(150_000) < 0.9, 0, rng.integers(0, k, size=150_000))
-    tab, step, _ = m.stepper()
+    tab, step = m.stepper()
     for t, s in enumerate(seq.tolist()):
         if t % 97 == 0 or sum(ref[ctx]) >= COUNT_CAP - 1:
             assert current_context(m) == ctx
             assert tab == ref[ctx] + [sum(ref[ctx]), sum(ref[ctx][: k // 2])]
-            assert m.cum() == [0] + np.cumsum(ref[ctx]).tolist()
+            cum = [0] + np.cumsum(ref[ctx]).tolist()
+            assert m.cum() == cum
+            assert [a.tolist() for a in replay_intervals([s], m)] == [
+                [cum[s]], [cum[s + 1]], [cum[-1]]]
             assert tab[k] <= COUNT_CAP
             rates = m.rate_vector()
             assert rates[s] == pytest.approx(np.log2(tab[k]) - np.log2(ref[ctx][s]))
