@@ -1,8 +1,9 @@
 """Post-training weight compression with entropy-regularized weight updates.
 
 Rate-aware grid-search quantization interleaved with closed-form
-loss-compensating weight updates, plus the entropy models, range coder and
-file formats needed to produce and evaluate compressed models end to end.
+loss-compensating weight updates, plus the entropy models, the entropy
+coders (static rANS and an adaptive range coder) and the file formats
+needed to produce and evaluate compressed models end to end.
 """
 
 from .engine import (

@@ -32,10 +32,11 @@ loss has no cross-row terms); only the traversal, and therefore the
 symbol stream seen by the model, differs. Every path below returns only
 its choices: :func:`quantize_layer` prices the symbol stream once,
 through :func:`~cerwu.entropy.replay_intervals` from the model's state,
-which the replay leaves unchanged, and the range coder codes those
-intervals (:func:`compress_layer`). The model is a deterministic function
-of the stream, so the payload pays exactly the predicted bits (up to
-coder flush overhead).
+which the replay leaves unchanged, and the coder of the model's kind
+codes those intervals (:func:`compress_layer`): rANS for the static kind,
+the range coder for the adaptive ones. The model is a deterministic
+function of the stream, so the payload pays exactly the predicted bits
+(up to the coder's final state or flush).
 
 The column pass (:func:`_column_steps`) applies the updates one column
 at a time: once every row's entry in a column is chosen, one rank-1
@@ -230,7 +231,7 @@ class LayerResult:
 
     ``predicted_rate_bits`` is derived, not passed: the running total of
     :func:`~cerwu.entropy.interval_bits` over ``intervals``, the rate the
-    range coder pays for them up to its flush and rounding.
+    coder pays for them up to its final state or flush and its rounding.
     """
 
     quantized: QuantizedLayer
@@ -742,8 +743,8 @@ def model_spec_for(weights, grid: Grid, config: CompressionConfig) -> EntropyMod
 def compress_layer(
     weights, hessian, config: CompressionConfig, context: Optional[LayerContext] = None
 ) -> Tuple[LayerResult, Payload, EntropyModel]:
-    """Quantize a layer by ``config.method``, then range-code the coder
-    intervals its choices were priced with.
+    """Quantize a layer by ``config.method``, then code the intervals its
+    choices were priced with, by the coder of the model's kind.
 
     ``rtn`` leaves ``hessian`` and ``context`` unused and reports a zero
     loss delta and no grid evaluations; a zero-effect ``cerwu``
@@ -773,4 +774,4 @@ def compress_layer(
         result = LayerResult(quantized, 0.0, 0, intervals, 1)
     else:
         result = quantize_layer(w, hessian, grid, config, model=model, context=context)
-    return result, encode_intervals(*result.intervals), model
+    return result, encode_intervals(*result.intervals, model.kind), model

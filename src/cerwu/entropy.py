@@ -1,7 +1,7 @@
 """Autoregressive probability models over grid indices.
 
 One model class, :class:`EntropyModel`, serves three kinds; it feeds both
-the quantizer's rate estimates and the range coder. A model is a
+the quantizer's rate estimates and the entropy coders. A model is a
 deterministic function of the symbol sequence it has seen, so replaying
 the same symbols on a fresh instance reproduces the exact per-symbol
 distributions; quantization-time rate estimates therefore equal
@@ -261,10 +261,12 @@ def replay_intervals(symbols, model: EntropyModel):
 
     Returns ``(lo, hi, total)``, three int32 arrays in sequence order: the
     symbol ``s`` seen with cumulative counts ``cum`` gets
-    ``(cum[s], cum[s + 1], cum[-1])``. The range coder codes these, and
-    :func:`interval_bits` prices them. A static model never changes, so
-    its intervals are looked up in its one table at once. The adaptive
-    kinds replay numpy copies of the model's tables (:func:`_replay`).
+    ``(cum[s], cum[s + 1], cum[-1])``. The coder of the model's kind
+    codes these (:func:`~cerwu.rangecoder.encode_intervals`: rANS for
+    static, the range coder otherwise), and :func:`interval_bits` prices
+    them. A static model never changes, so its intervals are looked up in
+    its one table at once. The adaptive kinds replay numpy copies of the
+    model's tables (:func:`_replay`).
     """
     syms = np.asarray(symbols, dtype=np.intp).ravel()
     if model.kind == STATIC:

@@ -4,9 +4,11 @@
 everything else surfacing from the library maps to exit status 2.
 
 A corrupt or truncated payload in a ``.cwm`` file is bad user input:
-``QuantizedRecord.decode_layer`` turns the range coder's ``DecodeError``
-into a ``ParseError`` naming the record, its symbol count and the failing
-symbol, so ``cerwu decompress`` exits 1. A ``DecodeError`` that escapes
+``QuantizedRecord.decode_layer`` turns the decoder's ``DecodeError`` (from
+the static kind's rANS decoder or the adaptive kinds' range decoder) into
+a ``ParseError`` naming the record, its symbol count and what failed (the
+failing symbol, or the rANS decoder's initial or final state or unread
+bytes), so ``cerwu decompress`` exits 1. A ``DecodeError`` that escapes
 otherwise comes from a caller handing ``rangecoder.decode`` bytes of its
 own, and stays internal.
 """

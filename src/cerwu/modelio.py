@@ -2,9 +2,11 @@
 
 Both formats are little-endian throughout and byte-exact across versions.
 Each carries its own version: the tensor container is at version 1, the
-compressed model at version 2 (adaptive and context payloads are coded
-straight from the models' counts; version 1 coded them from re-quantized
-2**15 tables and is rejected).
+compressed model at version 3. Version 3 codes static payloads with rANS
+and adaptive and context payloads with the range coder, straight from the
+models' counts (:mod:`cerwu.rangecoder`). Version 2 range-coded static
+payloads too, and version 1 coded adaptive payloads from re-quantized
+2**15 tables; both are rejected.
 
 Tensor container (".tns"):
 
@@ -72,7 +74,7 @@ from .rangecoder import Payload, decode
 TENSOR_MAGIC = b"TNSR"
 COMPRESSED_MAGIC = b"CERW"
 TENSOR_VERSION = 1
-COMPRESSED_VERSION = 2
+COMPRESSED_VERSION = 3
 
 _DTYPE_F32 = 0
 _KIND_QUANTIZED = 0
@@ -334,7 +336,7 @@ class QuantizedRecord:
 
     def decode_layer(self) -> QuantizedLayer:
         """Decode the payload; a corrupt or truncated one is a ParseError
-        naming the record, its symbol count and the failing symbol."""
+        naming the record, its symbol count and what failed."""
         try:
             symbols = decode(Payload(self.payload, self.symbol_count), self.model())
         except DecodeError as exc:

@@ -238,13 +238,55 @@ def halvings_per_table(symbols, totals, kind, k):
 HALVING_STREAM = 3 * COUNT_CAP + 8_000
 
 
+def reference_rans_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
+    """Reference static rANS decoder, from the definition (Duda,
+    arXiv:1311.2540; byte-wise renormalization as in Giesen,
+    arXiv:1402.3392): the state ``x`` lies in ``[2**23, 2**31)`` and starts
+    as the payload's first 4 bytes, big-endian. With ``T = 2**15``, symbol
+    ``s`` is the one whose interval ``[cum[s], cum[s + 1])`` of the static
+    model's cumulative counts holds ``x mod T``, found by ``bisect_right``
+    over ``cum`` with no table; then ``x = f * (x // T) + x mod T - cum[s]``
+    with ``f = cum[s + 1] - cum[s]``, and ``x = 256 * x + next byte`` while
+    ``x < 2**23``. An intact payload ends at ``x = 2**23`` with every byte
+    read."""
+    if model.k != k or model.kind != STATIC:
+        raise ShapeError(f"needs a static model of k={k}")
+    cum = [0] + np.cumsum(quantize_counts(model.counts)).tolist()
+    total, low = cum[-1], 1 << 23
+    data = payload.data
+    if len(data) < 4:
+        raise DecodeError("payload truncated: shorter than the 4-byte rANS state")
+    x = int.from_bytes(data[:4], "big")
+    if not low <= x < 1 << 31:
+        raise DecodeError(f"corrupt payload: initial state {x:#010x} outside [2**23, 2**31)")
+    pos = 4
+    out = array("i")
+    for t in range(payload.symbol_count):
+        s = bisect_right(cum, x % total) - 1
+        x = (cum[s + 1] - cum[s]) * (x // total) + x % total - cum[s]
+        while x < low:
+            if pos >= len(data):
+                raise DecodeError(f"payload truncated at symbol {t}")
+            x = x * 256 + data[pos]
+            pos += 1
+        out.append(s)
+    if x != low:
+        raise DecodeError(f"corrupt payload: final state {x:#010x}, not 2**23")
+    if pos != len(data):
+        raise DecodeError(f"corrupt payload: {len(data) - pos} bytes left after the last symbol")
+    return np.array(out, dtype=np.int32)
+
+
 def reference_decode(payload: Payload, model: EntropyModel, k: int) -> np.ndarray:
-    """Reference decoder, one loop for every model kind: each symbol is
+    """Reference decoder for every model kind. A static payload goes to
+    :func:`reference_rans_decode`. Otherwise each symbol is range-decoded,
     found by ``bisect_right`` over the active cumulative counts of a
     :class:`ReferenceModel` of ``model``'s kind and parameters, which steps
-    once per symbol, static included."""
+    once per symbol."""
     if model.k != k:
         raise ShapeError(f"model k={model.k} does not match k={k}")
+    if model.kind == STATIC:
+        return reference_rans_decode(payload, model, k)
     n = payload.symbol_count
     data = payload.data
     if n == 0:

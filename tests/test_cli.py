@@ -295,14 +295,16 @@ class TestErrors:
         )
 
     def test_version_one_file_is_input_error(self, tmp_path, capsys):
+        # version 2, which range-coded static payloads, is rejected as well
         out = self._compressed(tmp_path)
         data = bytearray(out.read_bytes())
-        struct.pack_into("<H", data, 4, 1)
-        out.write_bytes(bytes(data))
-        capsys.readouterr()
-        rc = main(["decompress", "--input", str(out), "--out", str(tmp_path / "o.tns")])
-        assert rc == 1
-        assert "supported: 2" in capsys.readouterr().err
+        for version in (1, 2):
+            struct.pack_into("<H", data, 4, version)
+            out.write_bytes(bytes(data))
+            capsys.readouterr()
+            rc = main(["decompress", "--input", str(out), "--out", str(tmp_path / "o.tns")])
+            assert rc == 1
+            assert f"version {version}; supported: 3" in capsys.readouterr().err
 
     def _assert_parse_error(self, capsys, argv):
         capsys.readouterr()

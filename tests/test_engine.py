@@ -782,6 +782,28 @@ class TestWalkIntervals:
         assert min(halvings_per_table(symbols, want[2], kind, k)) >= 2
         assert res.predicted_rate_bits == float(np.cumsum(interval_bits(*want))[-1])
 
+    def test_walked_layer_across_a_halving(self):
+        # a row-major layer of fewer than PASS_MIN_ROWS rows, which the
+        # per-entry walk takes, long enough that its adaptive table halves:
+        # choices, intervals, bits and loss are the exhaustive reference's
+        n, m, k = 32, 2_100, 9
+        rng = np.random.default_rng(21)
+        w = rng.normal(size=(n, m)) / np.sqrt(m)
+        h = accumulate_hessian([rng.normal(size=(m, 64))])
+        cfg = CompressionConfig(lam=0.03, grid_size=k, model_kind=ADAPTIVE)
+        grid = build_grid(w, k)
+        ctx = build_context(w, h, cfg.lam, cfg.damping_delta)
+        res = quantize_layer(w, h, grid, cfg, context=ctx)
+        assert n < PASS_MIN_ROWS and res.rounds == n * m  # walked, one round per entry
+        indices, symbols, bits, loss = reference_walk(w, grid, cfg, ctx)
+        assert np.array_equal(res.quantized.indices, indices)
+        want = reference_intervals(symbols, make_model(ADAPTIVE, k))
+        for a, b in zip(res.intervals, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert halvings_per_table(symbols, want[2], ADAPTIVE, k) == [1]
+        assert res.predicted_rate_bits == bits
+        assert res.quadratic_loss_delta == loss
+
 
 class TestStaticColumnPath:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

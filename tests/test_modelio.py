@@ -257,20 +257,22 @@ class TestCompressedModel:
         data = bytearray(path.read_bytes())
         struct.pack_into("<H", data, 4, 99)
         path.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="supported: 2"):
+        with pytest.raises(ParseError, match="supported: 3"):
             read_compressed(path)
 
     def test_version_one_rejected(self, tmp_path):
-        # version 1 coded adaptive payloads from re-quantized 2**15 tables
+        # version 1 coded adaptive payloads from re-quantized 2**15 tables,
+        # version 2 range-coded static payloads
         rng = np.random.default_rng(8)
         _, _, rec = _quantized_record(rng)
         path = tmp_path / "v1.cwm"
         write_compressed(CompressedModel(records=[rec]), path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<H", data, 4, 1)
-        path.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="version 1; supported: 2"):
-            read_compressed(path)
+        for version in (1, 2):
+            struct.pack_into("<H", data, 4, version)
+            path.write_bytes(bytes(data))
+            with pytest.raises(ParseError, match=f"version {version}; supported: 3"):
+                read_compressed(path)
 
     @pytest.mark.parametrize("model_kind", [STATIC, CONTEXT])
     def test_header_bytes_match_file_size(self, tmp_path, model_kind):

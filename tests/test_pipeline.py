@@ -158,7 +158,7 @@ class TestCompressDecompress:
         assert len(report.layers) == 2
 
     @pytest.mark.parametrize("kind,digest", [
-        ("static", "a77977b54bdb3bdd17273700a2e77471d2909827375a25a5ffd53a22cfd20621"),
+        ("static", "562a3befdeb5cd4c1b67aff61a5a7e8b110a191b20a44cb87e27e65de2176b04"),
         ("adaptive", "528fc73a055697e7baf8e4ebbb3b1f921b48e94d0e4156c90d83305a7cadba93"),
         ("context", "53a0852127b6384fa6f27d4c22afa8d493073df0e485d081ee2f0ddd365c9279"),
     ], ids=["static", "adaptive", "context"])

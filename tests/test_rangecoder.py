@@ -9,11 +9,11 @@ from cerwu.entropy import (
     ADAPTIVE, CONTEXT, COUNT_CAP, STATIC, TOTAL, make_model, replay_intervals,
 )
 from cerwu.errors import DecodeError, ShapeError
-from cerwu.rangecoder import FLUSH_BYTES, Payload, decode, encode, encode_intervals
+from cerwu.rangecoder import FLUSH_BYTES, STATE_BYTES, Payload, decode, encode, encode_intervals
 
 from conftest import (
     HALVING_STREAM, halvings_per_table, oracle_stream, reference_decode, reference_intervals,
-    sequence_rate_bits,
+    reference_rans_decode, sequence_rate_bits,
 )
 
 
@@ -54,17 +54,20 @@ class TestEncode:
             encode([0, 5], make_model(ADAPTIVE, 3))
 
     def test_static_stream_pinned(self):
-        # payload bytes and predicted bits of a fixed static stream, as
-        # produced by the 15-bit shift coder this coder generalizes
+        # payload bytes and predicted bits of a fixed static stream, as the
+        # static rANS coder produces them; its payload starts with the final
+        # encoder state, big-endian, and the reference rANS decoder reads it
         i = np.arange(3000)
         syms = np.where(i * 7919 % 10 < 7, 4, (i * i * 31 + i) % 9)
         counts = np.bincount(syms, minlength=9)
         p = encode(syms, make_model(STATIC, 9, static_counts=counts))
-        assert len(p.data) == 560
+        assert len(p.data) == 556
         assert hashlib.sha256(p.data).hexdigest() == (
-            "b99227bec779467522e9982c85dedbf62269b3113187be726902c59a66b307f8"
+            "81212f8cfd030178282ebe1d395df1d3d0dbe3687dd5a29c91febaa2c64f4cb2"
         )
-        assert p.data[:8].hex() == "b7b7e900043ae07b"
+        assert p.data[:8].hex() == "1c38144354c0a798"
+        back = reference_rans_decode(p, make_model(STATIC, 9, static_counts=counts), 9)
+        assert np.array_equal(back, syms)
         rate = sequence_rate_bits(syms, make_model(STATIC, 9, static_counts=counts))
         assert rate == 4421.837612432743
 
@@ -127,13 +130,41 @@ class TestRoundTripProperties:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 600),
     )
+    @example(counts=[1, 1], seed=0, n=0)
     def test_static_tables(self, counts, seed, n):
-        # symbols drawn from any table, rare and zero-count ones included
+        # symbols drawn from any table, rare and zero-count ones included;
+        # no symbols code as the initial rANS state alone
         syms = np.random.default_rng(seed).integers(0, len(counts), size=n)
         factory = lambda: make_model(STATIC, len(counts), static_counts=counts)
         payload = encode(syms, factory())
         assert np.array_equal(decode(payload, factory()), syms)
-        assert 8 * len(payload.data) - sequence_rate_bits(syms, factory()) >= 0
+        predicted = sequence_rate_bits(syms, factory())
+        assert predicted <= 8 * len(payload.data) <= predicted + 33
+        if n == 0:
+            assert payload.data == (1 << 23).to_bytes(STATE_BYTES, "big")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, TOTAL),
+        n=st.integers(0, 5000),
+        p_zero=st.sampled_from([0.0, 0.5, 0.99]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, n=5000, p_zero=0.99, seed=0)
+    @example(k=TOTAL, n=5000, p_zero=0.0, seed=1)
+    def test_static_paid_bits_bound(self, k, n, p_zero, seed):
+        # a static payload pays its predicted bits plus 23 to 33: the
+        # 32-bit final state starts from 2**23 and ends below 2**31
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1000, size=k)
+        counts[k // 2] += 1
+        counts = make_model(STATIC, k, static_counts=counts).counts
+        syms = np.where(rng.random(n) < p_zero, k // 2, rng.integers(0, k, size=n))
+        factory = lambda: make_model(STATIC, k, static_counts=counts)
+        payload = encode(syms, factory())
+        predicted = sequence_rate_bits(syms, factory())
+        assert predicted <= 8 * len(payload.data) <= predicted + 33
+        assert np.array_equal(decode(payload, factory()), syms)
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(
@@ -200,12 +231,50 @@ class TestStaticLookupDecode:
 
     @pytest.mark.parametrize("counts", [[1, 1], [5, 0, 3], [1] * TOTAL])
     def test_all_ones_priming_word(self, counts):
-        # the one offset whose threshold is T, the table's sentinel entry
+        # initial states at and beyond both ends of [2**23, 2**31): the
+        # all-ones word and 2**31 are above it, 2**23 - 1 below, and the
+        # states inside decode like the reference
         factory = lambda: make_model(STATIC, len(counts), static_counts=counts)
-        payload = Payload(bytes.fromhex("ffffffff") + bytes(8), 3)
-        assert_decodes_like_reference(payload, factory, len(counts))
-        with pytest.raises(DecodeError, match="corrupt payload at symbol 0"):
-            decode(payload, factory())
+        for word in ("ffffffff", "80000000", "007fffff", "00000000"):
+            payload = Payload(bytes.fromhex(word) + bytes(8), 3)
+            assert_decodes_like_reference(payload, factory, len(counts))
+            with pytest.raises(DecodeError, match=f"initial state 0x{word} outside"):
+                decode(payload, factory())
+        for word in ("7fffffff", "00800000"):
+            for tail in (bytes(8), b"\xff" * 8):
+                payload = Payload(bytes.fromhex(word) + tail, 3)
+                assert_decodes_like_reference(payload, factory, len(counts))
+
+
+class TestStaticCorruption:
+    @pytest.mark.parametrize("k,n,p_zero,seed", [
+        (2, 40, 0.5, 0), (9, 24, 0.8, 1), (9, 24, 0.0, 2), (33, 12, 0.5, 3), (257, 16, 0.5, 4),
+    ])
+    def test_small_payloads_exhaustive(self, k, n, p_zero, seed):
+        # every truncation of a small static payload raises, and so do
+        # appended bytes and each of the 255 one-byte XORs at every offset.
+        # A mutant that passed the end checks would decode to other symbols,
+        # since each symbol sequence has one rANS payload; the range coder
+        # that coded static payloads before raised on none of these XORs.
+        rng = np.random.default_rng(seed)
+        syms = oracle_stream(rng, k, n, p_zero)
+        # fitted once: fitting a fitted table again is quick at any k
+        counts = make_model(STATIC, k, static_counts=np.bincount(syms, minlength=k)).counts
+        factory = lambda: make_model(STATIC, k, static_counts=counts)
+        data = encode(syms, factory()).data
+        assert 4 < len(data) <= 16
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError):
+                decode(Payload(data[:cut], n), factory())
+        for extra in (b"\x00", b"\x80\xff"):
+            with pytest.raises(DecodeError, match="bytes left after the last symbol"):
+                decode(Payload(data + extra, n), factory())
+        for pos in range(len(data)):
+            for mask in range(1, 256):
+                mutant = bytearray(data)
+                mutant[pos] ^= mask
+                with pytest.raises(DecodeError):
+                    decode(Payload(bytes(mutant), n), factory())
 
 
 class TestDecodeErrors:
@@ -281,7 +350,7 @@ class TestAdaptiveDecodeOracle:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert min(halvings_per_table(syms, want[2], kind, k)) >= 2
-        back = decode(encode_intervals(*got), make_model(kind, k))
+        back = decode(encode_intervals(*got, kind), make_model(kind, k))
         assert back.dtype == np.int32 and np.array_equal(back, syms)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
