@@ -105,8 +105,11 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
     Rule: ``freq_i = max(1, floor(count_i * TOTAL / sum(counts)))``, then a
     largest-remainder pass distributes any shortfall (+1 to the entries
     with the largest floor remainders, lowest index first on ties). A
-    surplus (possible only via the min-1 clamp) is removed from the
-    currently largest frequencies, lowest index first.
+    surplus (possible only via the min-1 clamp) is removed one unit at a
+    time from the currently largest frequency, lowest index first; that
+    is done in one pass: every frequency is clamped to the smallest ``t``
+    with ``sum(max(freq - t, 0)) <= surplus``, found by bisection, and the
+    lowest-index entries left at ``t`` give up one more unit each.
     """
     c = np.asarray(counts, dtype=np.int64)
     k = c.size
@@ -126,9 +129,17 @@ def quantize_counts(counts: np.ndarray) -> np.ndarray:
         order = np.lexsort((np.arange(k), -rem))
         freqs[order[:diff]] += 1
     elif diff < 0:
-        for _ in range(-diff):
-            i = int(np.argmax(freqs))
-            freqs[i] -= 1
+        # t = 1 always fits, since k <= TOTAL; t = 0 never does
+        lo, t = 0, int(freqs.max())
+        while t - lo > 1:
+            mid = (lo + t) // 2
+            if int(np.maximum(freqs - mid, 0).sum()) <= -diff:
+                t = mid
+            else:
+                lo = mid
+        np.minimum(freqs, t, out=freqs)
+        extra = int(freqs.sum()) - TOTAL
+        freqs[np.flatnonzero(freqs == t)[:extra]] -= 1
     return freqs
 
 

@@ -45,17 +45,26 @@ payload end on an intact stream.
 The range coder visits symbols front to back and its decoder replays the
 same model transitions in the same order, as an autoregressive model
 requires. The decoder steps the model's count tables
-(``EntropyModel.tables``) itself: each symbol is found by walking the
-active table's counts outward from the zero level's ``cum[k // 2]``, down
-or up, until the interval holds the scaled offset, and the table then
-takes the model's O(1) observation inline, the one copy of the model's
-transition outside :mod:`cerwu.entropy`.
+(``EntropyModel.tables``) itself, and finds each symbol on the coder's
+own boundaries ``(range * cum[s]) // T``: starting at the zero level's
+``cum[k // 2]`` it walks the active table's counts down while the offset
+``d`` lies below the boundary, or up while it lies at or above the next
+one. The symbol is the one whose ``[lo, hi)`` holds ``d``, and the last
+two boundaries the walk computed are that interval, so the zero level
+and its lower neighbour cost two multiply-divides each and no third
+scaling. This is the symbol the classic search finds from the threshold
+``((d + 1) * T - 1) // range`` (Witten, Neal & Cleary, CACM 1987), for
+every offset, range and table, corrupt payloads included:
+``(range * c) // T <= d`` holds exactly when ``c`` is at most that
+threshold. The table then takes the model's O(1) observation inline,
+the one copy of the model's transition outside :mod:`cerwu.entropy`.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -63,7 +72,7 @@ from .entropy import COUNT_CAP, STATIC, EntropyModel, halve, replay_intervals
 from .errors import DecodeError, ShapeError
 
 _MASK32 = 0xFFFFFFFF
-_TOP = 1 << 24
+_TOP = 1 << 24  # a literal (0x1000000) in the range decoder's loop, like _RANS_LOW's
 FLUSH_BYTES = 8  # the range coder's flush
 STATE_BYTES = 4  # a static payload's leading rANS state
 # The rANS state lies in [_RANS_LOW, 2**31). Its loops spell out the static
@@ -163,9 +172,9 @@ def decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     A static payload is rANS-decoded through the lookup table
     :func:`_symbol_table` builds once, with no call into the model and no
     search. The adaptive kinds are range-decoded: each symbol is found by
-    walking the active count table outward from the zero level, and the
-    model's transition is made inline, on its tables: pass a fresh model,
-    which the decode uses up.
+    walking the coder's interval boundaries over the active count table
+    outward from the zero level, and the model's transition is made
+    inline, on its tables: pass a fresh model, which the decode uses up.
 
     Both loops grow their output as symbols are decoded, not sized from
     the header's count: a hostile count then costs memory only as fast as
@@ -192,12 +201,13 @@ def _rans_decode(payload: Payload, table: list) -> np.ndarray:
     pos = STATE_BYTES
     out = array("i")
     append = out.append
-    for t in range(n):
-        s, f, c = table[x & 0x7FFF]
-        x = f * (x >> 15) + (x & 0x7FFF) - c
+    for _ in repeat(None, n):
+        slot = x & 0x7FFF
+        s, f, c = table[slot]
+        x = f * (x >> 15) + slot - c
         while x < 0x800000:
             if pos >= size:
-                raise DecodeError(f"payload truncated at symbol {t}")
+                raise DecodeError(f"payload truncated at symbol {len(out)}")
             x = (x << 8) | data[pos]
             pos += 1
         append(s)
@@ -211,10 +221,17 @@ def _rans_decode(payload: Payload, table: list) -> np.ndarray:
 def _range_decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     """Range decoding for the adaptive kinds, stepping ``model``'s tables.
 
+    The walk compares the offset with the boundaries the coder scaled the
+    intervals by, so the symbol's interval is the walk's last two
+    boundaries (see the module docstring for why it is the symbol the
+    threshold search finds). It passes the top symbol only when the offset
+    is at least the range: after any symbol ``d < range`` holds, whatever
+    the bytes, so only the priming word ``0xFFFFFFFF`` does that.
+
     This inline observation is the one copy of the transition outside
     :meth:`EntropyModel.stepper`'s step, kept because a call per symbol
     costs more than the observation: routed through the step, decoding
-    200 000 zero-heavy symbols at k = 9 and 17 took 1.12 to 1.14 times as
+    200 000 zero-heavy symbols at k = 9 and 17 took 1.12 to 1.19 times as
     long (best of 9, one thread of a 2-vCPU Xeon host).
     """
     k = model.k
@@ -233,57 +250,55 @@ def _range_decode(payload: Payload, model: EntropyModel) -> np.ndarray:
     size = len(data)
     out = array("i")
     append = out.append
-    # The adaptive transition, EntropyModel.stepper's step, made inline: the
-    # walk below leaves the interval [lo, hi) = [cum[s], cum[s + 1]) of
-    # symbol s in table ``tab`` (counts, then T at index k and cum[z] at k + 1).
+    # The adaptive transition, EntropyModel.stepper's step, made inline on
+    # the active table ``tab`` (counts, then T at index k and cum[z] at k + 1).
     tables = model.tables
     z = model.zero_index
     tab = model.stepper()[0]
-    for t in range(n):
+    below = k + 1  # the index of cum[z]
+    cap = COUNT_CAP
+    for _ in repeat(None, n):
         total = tab[k]
-        below = tab[k + 1]
-        # s is the largest symbol whose lower boundary is <= d:
-        # (rng * c) // total <= d  <=>  c <= ((d + 1) * total - 1) // rng.
-        thr = ((d + 1) * total - 1) // rng
-        # Walk outward from the zero level, the most probable symbol. Going
-        # down, cum[0] = 0 <= thr ends the walk; going up, only thr = T can
-        # pass the last symbol.
+        # Walk the coder's boundaries (rng * cum[s]) // total outward from
+        # the zero level to the symbol whose [lo, hi) holds d. Going down,
+        # cum[0] = 0 ends the walk; going up, only d >= rng passes the last
+        # symbol.
+        c = tab[below]
+        lo = rng * c // total
         s = z
-        if thr < below:
-            hi = below
+        if d < lo:
+            tab[below] = c + 1
+            hi = lo
             s -= 1
-            lo = hi - tab[s]
-            while thr < lo:
+            c -= tab[s]
+            lo = rng * c // total
+            while d < lo:
                 hi = lo
                 s -= 1
-                lo -= tab[s]
+                c -= tab[s]
+                lo = rng * c // total
         else:
-            lo = below
-            hi = lo + tab[s]
-            while thr >= hi:
+            c += tab[s]
+            hi = rng * c // total
+            while d >= hi:
                 s += 1
                 if s == k:
-                    raise DecodeError(f"corrupt payload at symbol {t}: no matching interval")
+                    raise DecodeError(f"corrupt payload at symbol {len(out)}: no matching interval")
                 lo = hi
-                hi += tab[s]
-        lo_inc = rng * lo // total
-        hi_inc = rng * hi // total
-        # Interval search guarantees lo_inc <= d < hi_inc, so the offset
-        # stays inside the (renormalized) range without further checks.
-        d -= lo_inc
-        rng = hi_inc - lo_inc
-        while rng < _TOP:
+                c += tab[s]
+                hi = rng * c // total
+        d -= lo
+        rng = hi - lo
+        while rng < 0x1000000:
             if pos >= size:
-                raise DecodeError(f"payload truncated at symbol {t}")
+                raise DecodeError(f"payload truncated at symbol {len(out)}")
             d = (d << 8) | data[pos]
             pos += 1
             rng <<= 8
         append(s)
         tab[s] += 1
         tab[k] = total + 1
-        if s < z:
-            tab[k + 1] = below + 1
-        if total >= COUNT_CAP:
+        if total >= cap:
             halve(tab)
         tab = tables[s != z]
     return np.array(out, dtype=np.int32)

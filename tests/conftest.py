@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cerwu.engine import BLOCK_SIZE, model_spec_for
-from cerwu.entropy import (CONTEXT, COUNT_CAP, STATIC, EntropyModel, interval_bits, log2_list,
-                           quantize_counts, replay_intervals)
+from cerwu.entropy import (CONTEXT, COUNT_CAP, STATIC, TOTAL, EntropyModel, interval_bits,
+                           log2_list, quantize_counts, replay_intervals)
 from cerwu.errors import DecodeError, FactorizationError, ShapeError
 from cerwu.fixtures import build_fixture_tensors, make_dataset
 from cerwu.grids import FLOAT16_MAX, ROW_MAJOR, round_scale16
@@ -129,6 +129,24 @@ def reference_nearest_indices(values, step: float, size: int) -> np.ndarray:
     d_hi = np.abs(v - hi_lvl)
     pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (np.abs(hi_lvl) < np.abs(lo_lvl)))
     return (np.where(pick_hi, hi, lo) - imin).astype(np.int32)
+
+
+def reference_quantize_counts(counts) -> np.ndarray:
+    """The fitting rule of :func:`cerwu.entropy.quantize_counts` with its
+    surplus removed one unit at a time: each unit comes off the currently
+    largest frequency, the lowest index on ties (``np.argmax``)."""
+    c = np.asarray(counts, dtype=np.int64)
+    total = int(c.sum())
+    num = c * TOTAL
+    base = num // total
+    freqs = np.maximum(base, 1)
+    diff = TOTAL - int(freqs.sum())
+    if diff > 0:
+        order = np.lexsort((np.arange(c.size), -(num - base * total)))
+        freqs[order[:diff]] += 1
+    for _ in range(-diff):
+        freqs[np.argmax(freqs)] -= 1
+    return freqs
 
 
 def sequence_rate_bits(symbols, model: EntropyModel) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cerwu.entropy import (
     ADAPTIVE,
@@ -15,8 +17,27 @@ from cerwu.entropy import (
 from cerwu.errors import ShapeError
 
 from conftest import (HALVING_STREAM, current_context, entropy_bits, halvings_per_table,
-                      oracle_stream, reference_intervals, sequence_rate_bits, set_context,
-                      step_model)
+                      oracle_stream, reference_intervals, reference_quantize_counts,
+                      sequence_rate_bits, set_context, step_model)
+
+
+@st.composite
+def sparse_histograms(draw):
+    """Counts over k levels, up to 2**15, of which only ``touched`` are
+    nonzero: every zero count clamps to frequency 1, the source of a
+    surplus. ``flat`` gives the touched levels one count, so many
+    frequencies tie at the clamp level."""
+    k = draw(st.one_of(st.integers(2, 64), st.integers(2, TOTAL), st.just(TOTAL)))
+    touched = draw(st.integers(1, k))
+    spread = draw(st.sampled_from(["flat", "small", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros(k, dtype=np.int64)
+    where = rng.choice(k, size=touched, replace=False)
+    if spread == "flat":
+        counts[where] = int(rng.integers(1, 100))
+    else:
+        counts[where] = rng.integers(1, 8 if spread == "small" else 2**20, size=touched)
+    return counts
 
 
 class TestQuantizeCounts:
@@ -55,6 +76,16 @@ class TestQuantizeCounts:
                 c[0] = 1
             f = quantize_counts(c)
             assert f.sum() == TOTAL and f.min() >= 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(counts=sparse_histograms())
+    @example(counts=np.array([25088] + [0] * (TOTAL - 1)))
+    @example(counts=np.array([7] * 3332 + [0] * (TOTAL - 3332)))
+    @example(counts=np.array([1] * TOTAL))
+    def test_surplus_matches_one_unit_loop(self, counts):
+        f = quantize_counts(counts)
+        assert f.dtype == np.int64 and f.sum() == TOTAL and f.min() >= 1
+        assert np.array_equal(f, reference_quantize_counts(counts))
 
     def test_rejects_all_zero(self):
         with pytest.raises(ShapeError):

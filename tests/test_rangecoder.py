@@ -279,11 +279,12 @@ class TestStaticCorruption:
 
 class TestDecodeErrors:
     def test_truncated_payload(self):
+        # the message names the first symbol the missing bytes cut off
         rng = np.random.default_rng(4)
         syms = rng.integers(0, 4, size=5000)
         payload = encode(syms, make_model(ADAPTIVE, 4))
         cut = Payload(payload.data[: len(payload.data) // 2], payload.symbol_count)
-        with pytest.raises(DecodeError):
+        with pytest.raises(DecodeError, match="^payload truncated at symbol 2497$"):
             decode(cut, make_model(ADAPTIVE, 4))
 
     def test_empty_data(self):
@@ -377,6 +378,46 @@ class TestAdaptiveDecodeOracle:
             mutant = bytearray(data)
             mutant[pos] ^= mask
             assert_decodes_like_reference(Payload(bytes(mutant), n), factory, k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from([ADAPTIVE, CONTEXT]),
+        k=st.integers(2, 65),
+        p_zero=st.sampled_from([0.0, 0.3, 0.9]),
+        n=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind=CONTEXT, k=2, p_zero=0.9, n=3000, seed=0)
+    @example(kind=ADAPTIVE, k=65, p_zero=0.0, n=3000, seed=1)
+    def test_streams_decode_like_reference(self, kind, k, p_zero, n, seed):
+        # the decoder walks the coder's boundaries, the reference bisects
+        # the threshold of the scaled offset: both find the same symbols
+        syms = oracle_stream(np.random.default_rng(seed), k, n, p_zero)
+        payload = encode(syms, make_model(kind, k))
+        want = reference_decode(payload, make_model(kind, k), k)
+        assert np.array_equal(want, syms)
+        got = decode(payload, make_model(kind, k))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    @pytest.mark.parametrize("k,n,p_zero,seed", [
+        (2, 40, 0.5, 0), (9, 24, 0.8, 1), (9, 24, 0.0, 2), (33, 12, 0.5, 3),
+    ])
+    def test_small_payloads_exhaustive(self, kind, k, n, p_zero, seed):
+        # every truncation and each of the 255 one-byte XORs at every
+        # offset of a small payload decode to the reference's symbols or
+        # raise its exact error
+        factory = lambda: make_model(kind, k)
+        syms = oracle_stream(np.random.default_rng(seed), k, n, p_zero)
+        data = encode(syms, factory()).data
+        assert FLUSH_BYTES < len(data) <= 24
+        for cut in range(len(data)):
+            assert_decodes_like_reference(Payload(data[:cut], n), factory, k)
+        for pos in range(len(data)):
+            for mask in range(1, 256):
+                mutant = bytearray(data)
+                mutant[pos] ^= mask
+                assert_decodes_like_reference(Payload(bytes(mutant), n), factory, k)
 
     @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
     @pytest.mark.parametrize("k", [2, 9])
