@@ -62,8 +62,8 @@ step (Leviathan et al., ICML 2023). Each round takes a window:
   keep this round's choices as their next guess and restart from ``W'``.
   A row's first guess is the nearest levels of its ``W'`` row.
 - column-major, the rest of a column, whose working values do not depend
-  on its own choices. The guess is the choice under the tables at the
-  column's start, along the context chain it makes; every entry's tables
+  on its own choices. The first guess is the choice under the table
+  active at the column's start, for both kinds; every entry's tables
   follow from the guess by running sums
   (:func:`~cerwu.entropy._tables_along`). Entries are accepted up to the
   first choice that differs from its guess, or up to the first entry
@@ -77,16 +77,17 @@ its window halves the window, down to :data:`MIN_ACCEPT` units
 Row-major layers of fewer than :data:`PASS_MIN_ROWS` rows take the
 per-entry walk instead: it visits the entries one by one on Python floats
 and steps a fresh copy of the model once per entry (the step of
-:meth:`~EntropyModel.stepper`). It defers the updates once more, inside
-the block, to sub-blocks of :data:`SUB_BLOCK` columns; an entry updates
-the rest of its sub-block on Python floats, and a finished sub-block
-reaches the rest of its block in one fold per row that subtracts the
-same products in the same order. Its search is bounded and exact: it
-scores the first level at or above the working value, walks down from its
-lower neighbour and then up from its upper one, reads a level's rate
-``log2(T) - log2(c)`` only when it reaches that level, and stops on a side
-once the distortion alone, less the largest Gaussian term, exceeds the
-best objective so far, because the rate is never negative.
+:meth:`~EntropyModel.stepper`), writing each error into the layer's error
+array. It defers the updates once more, inside the block, to sub-blocks
+of :data:`SUB_BLOCK` columns; an entry updates the rest of its sub-block
+on Python floats, and a finished sub-block reaches the rest of its block
+in one fold per row that subtracts the same products in the same order.
+Its search is bounded and exact: it scores the first level at or above
+the working value, walks down from its lower neighbour and then up from
+its upper one, reads a level's rate ``log2(T) - log2(c)`` only when it
+reaches that level, and stops on a side once the distortion alone, less
+the largest Gaussian term, exceeds the best objective so far, because the
+rate is never negative.
 
 Every path does the per-entry walk's elementwise arithmetic and makes the
 same per-row block product call, so indices, symbols, intervals, loss
@@ -102,10 +103,11 @@ kind at k=9 and ``lam = 30`` on 256x32: 21 to 25 us per weight against
 3.7 to 5.3); and at 65 levels on 256x32 (4.8 to 8.2 against 3.0 to 3.2).
 Column-major layers of every height take the pass all the same: no
 benchmark workload runs that order, and one path is kept rather than two.
-Short column-major layers pay for it (context, k=9, ``lam = 0.03``, walk
-then pass, medians of 7: the fixture's 32x784 fc1 63 and 67 ms, its 10x32
-fc2 0.7 and 2.3 ms, 2x1536 16 and 128 ms), and fc1 at k=33 and
-``lam = 1`` gains (202 and 96 ms).
+Column-major layers of a few rows pay for it (context, k=9,
+``lam = 0.03``, the column-major walk as measured before it went, then
+the pass, medians of 7 and 15: the fixture's 10x32 fc2 0.7 and 1.6 ms,
+2x1536 16 and 71 ms); its 32x784 fc1 gains a little (63 and 56 ms), and
+more at k=33 and ``lam = 1`` (202 and 56 ms).
 
 Setting ``lam = 0`` disables rate awareness (nearest-level choices with
 pure loss-compensating updates); ``gamma_mode="zero"`` keeps rate-aware
@@ -378,7 +380,16 @@ def quantize_layer(
 
 def _walk(w_prime, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_term_pref):
     """The per-entry walk of a row-major layer; returns ``(indices, err)``.
-    It steps ``model``."""
+    It steps ``model``.
+
+    Blocks are split into sub-blocks of :data:`SUB_BLOCK` columns. A row's
+    sub-block is read once as Python floats, and each entry's value takes
+    the updates of the entries before it in the sub-block, subtracted one
+    by one. When the row finishes a sub-block, the rest of the block takes
+    the sub-block's updates in one fold: ``w - P[0] - P[1] - ...`` with
+    ``P[l] = (e_l / c_l) * C'[l, rest]``, subtracting in the order the
+    per-entry update would. A finished block gets :func:`_block_update`.
+    """
     n, m = w_prime.shape
     wp = np.array(w_prime, order="F")  # the walk's working copy
     k = model.k
@@ -392,60 +403,87 @@ def _walk(w_prime, model, levels, half_inv_c2, inv_c, chol, lam, pref, gamma_ter
     gt_max = max(gt)
     rank = rank.tolist()
     h = half_inv_c2.tolist()
+    inv_c_list = inv_c.tolist()
     level_list = levels.tolist()  # ascending, so position == index
-    err_seq = []
+    err = np.empty((n, m))  # working value minus chosen level
     idx_seq = array("i")
-    idx_append, err_append = idx_seq.append, err_seq.append
-    for j, wij in _row_major_walk(wp, err_seq, inv_c, chol):
-        log_total = L[tab[k]]
-        hj = h[j]
-        # Exact bounded search, equal to scanning all k levels in
-        # tie-break order and keeping the first minimum. Each level's
-        # objective is q + (r*lam - gt[p]) with q = (g - w)^2 * hj.
-        # Rounding is monotone, r >= 0 (a count never exceeds the total
-        # T and the LOG2 table never decreases), lam >= 0 and
-        # gt[p] <= gt_max, so the objective is at least fl(q - gt_max).
-        # The search scores the first level at or above w (the top one
-        # if none is), then walks down from its lower neighbour and up
-        # from its upper one. Moving away from w q never decreases, so
-        # once fl(q - gt_max) > best every level further out on that
-        # side has an objective above best, and best only falls,
-        # whatever the order of visits. The levels skipped can neither
-        # win nor tie; among the levels scanned, keeping the lower
-        # tie-break rank on equal objectives picks what the full scan's
-        # strict ``<`` picks.
-        pos = bisect_left(level_list, wij)
-        if pos == k:
-            pos -= 1
-        idx = pos
-        d = level_list[pos] - wij
-        best = d * d * hj + ((log_total - L[tab[pos]]) * lam - gt[pos])
-        p = pos - 1
-        while p >= 0:
-            d = level_list[p] - wij
-            q = d * d * hj
-            if q - gt_max > best:
-                break
-            obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
-            if obj < best or (obj == best and rank[p] < rank[idx]):
-                best = obj
-                idx = p
-            p -= 1
-        p = pos + 1
-        while p < k:
-            d = level_list[p] - wij
-            q = d * d * hj
-            if q - gt_max > best:
-                break
-            obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
-            if obj < best or (obj == best and rank[p] < rank[idx]):
-                best = obj
-                idx = p
-            p += 1
-        idx_append(idx)
-        err_append(wij - level_list[idx])
-        tab = step(idx)
-    return np.frombuffer(idx_seq, dtype=np.intc).reshape(n, m), np.array(err_seq).reshape(n, m)
+    idx_append = idx_seq.append
+    # Per sub-block: its columns [s0, s1), its block's [b0, b1), the fold's
+    # coefficients C'[s0:s1, s1:b1], and the fold's buffer with views of
+    # its first row (the values) and the rest (the products).
+    spans = []
+    for b0, b1 in _blocks(m):
+        for s0 in range(b0, b1, SUB_BLOCK):
+            s1 = min(s0 + SUB_BLOCK, b1)
+            buf = np.empty((s1 - s0 + 1, b1 - s1))
+            spans.append((s0, s1, b0, b1, chol[s0:s1, s1:b1], buf, buf[0], buf[1:]))
+    # C'[s0:j, j]: the coefficients of column j's updates within its sub-block
+    above = [chol[s0:j, j].tolist() for s0, s1, *_ in spans for j in range(s0, s1)]
+    for i in range(n):
+        row, err_row = wp[i], err[i]
+        for s0, s1, b0, b1, fold, buf, head, products in spans:
+            f = []  # e_l / c_l of the sub-block's entries so far
+            for j, wij in enumerate(row[s0:s1].tolist(), s0):
+                for f_l, c in zip(f, above[j]):
+                    wij -= f_l * c
+                log_total = L[tab[k]]
+                hj = h[j]
+                # Exact bounded search, equal to scanning all k levels in
+                # tie-break order and keeping the first minimum. Each
+                # level's objective is q + (r*lam - gt[p]) with
+                # q = (g - w)^2 * hj. Rounding is monotone, r >= 0 (a count
+                # never exceeds the total T and the LOG2 table never
+                # decreases), lam >= 0 and gt[p] <= gt_max, so the objective
+                # is at least fl(q - gt_max). The search scores the first
+                # level at or above w (the top one if none is), then walks
+                # down from its lower neighbour and up from its upper one.
+                # Moving away from w q never decreases, so once
+                # fl(q - gt_max) > best every level further out on that side
+                # has an objective above best, and best only falls, whatever
+                # the order of visits. The levels skipped can neither win nor
+                # tie; among the levels scanned, keeping the lower tie-break
+                # rank on equal objectives picks what the full scan's strict
+                # ``<`` picks.
+                pos = bisect_left(level_list, wij)
+                if pos == k:
+                    pos -= 1
+                idx = pos
+                d = level_list[pos] - wij
+                best = d * d * hj + ((log_total - L[tab[pos]]) * lam - gt[pos])
+                p = pos - 1
+                while p >= 0:
+                    d = level_list[p] - wij
+                    q = d * d * hj
+                    if q - gt_max > best:
+                        break
+                    obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+                    if obj < best or (obj == best and rank[p] < rank[idx]):
+                        best = obj
+                        idx = p
+                    p -= 1
+                p = pos + 1
+                while p < k:
+                    d = level_list[p] - wij
+                    q = d * d * hj
+                    if q - gt_max > best:
+                        break
+                    obj = q + ((log_total - L[tab[p]]) * lam - gt[p])
+                    if obj < best or (obj == best and rank[p] < rank[idx]):
+                        best = obj
+                        idx = p
+                    p += 1
+                idx_append(idx)
+                e = err_row[j] = wij - level_list[idx]
+                f.append(e * inv_c_list[j])
+                tab = step(idx)
+            if s1 < b1:
+                rest = row[s1:b1]
+                np.multiply(fold, np.array(f)[:, None], out=products)
+                head[...] = rest
+                np.subtract.reduce(buf, axis=0, out=rest)
+            elif b1 < m:
+                _block_update(wp, i, b0, b1, err_row[b0:b1], inv_c, chol)
+    return np.frombuffer(idx_seq, dtype=np.intc).reshape(n, m), err
 
 
 def _blocks(m: int):
@@ -463,50 +501,6 @@ def _block_update(wp, i, b0, b1, errs, inv_c, chol):
     equal.
     """
     wp[i, b1:] -= (errs * inv_c[b0:b1]) @ chol[b0:b1, b1:]
-
-
-def _row_major_walk(wp, err_seq, inv_c, chol):
-    """Row-major positions for the per-entry walk: yields ``(j, w)``, the
-    column and working value of each entry, and applies its row update
-    once the walk has appended the entry's error ``e`` to ``err_seq``.
-
-    Blocks are split into sub-blocks of :data:`SUB_BLOCK` columns. A row's
-    sub-block is read once as Python floats, and each entry's value takes
-    the updates of the entries before it in the sub-block, subtracted one
-    by one. When the row finishes a sub-block, the rest of the block takes
-    the sub-block's updates in one fold: ``w - P[0] - P[1] - ...`` with
-    ``P[l] = (e_l / c_l) * C'[l, rest]``, subtracting in the order the
-    per-entry update would. A finished block gets :func:`_block_update`.
-    """
-    n, m = wp.shape
-    inv_c_list = inv_c.tolist()
-    # Per sub-block: its columns [s0, s1), its block's [b0, b1), the fold's
-    # coefficients C'[s0:s1, s1:b1], and the fold's buffer with views of
-    # its first row (the values) and the rest (the products).
-    spans = []
-    for b0, b1 in _blocks(m):
-        for s0 in range(b0, b1, SUB_BLOCK):
-            s1 = min(s0 + SUB_BLOCK, b1)
-            buf = np.empty((s1 - s0 + 1, b1 - s1))
-            spans.append((s0, s1, b0, b1, chol[s0:s1, s1:b1], buf, buf[0], buf[1:]))
-    # C'[s0:j, j]: the coefficients of column j's updates within its sub-block
-    above = [chol[s0:j, j].tolist() for s0, s1, *_ in spans for j in range(s0, s1)]
-    for i in range(n):
-        row = wp[i]
-        for s0, s1, b0, b1, fold, buf, head, products in spans:
-            f = []  # e_l / c_l of the sub-block's entries so far
-            for j, w in enumerate(row[s0:s1].tolist(), s0):
-                for f_l, c in zip(f, above[j]):
-                    w -= f_l * c
-                yield j, w
-                f.append(err_seq[-1] * inv_c_list[j])
-            if s1 < b1:
-                rest = row[s1:b1]
-                np.multiply(fold, np.array(f)[:, None], out=products)
-                head[...] = rest
-                np.subtract.reduce(buf, axis=0, out=rest)
-            elif b1 < m:
-                _block_update(wp, i, b0, b1, np.array(err_seq[b0 - b1 :]), inv_c, chol)
 
 
 def _column_steps(wp, err, inv_c, chol):
@@ -555,14 +549,14 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
     # Fortran order keeps each column contiguous for the column steps.
     err = np.empty((m, n)).T
 
-    def choose(w, j, cur, lv=levels_pref):
+    def choose(w, j, cur):
         # _objective's choice for the working values w under tables cur:
         # the walk's arithmetic, and the first minimum in tie-break order
         lg = log2[cur]
         rate = lg[..., k:] - lg[..., :k]
         rate *= lam
         rate -= gamma_term_pref
-        return _objective(w, half_inv_c2[j], lv, rate).argmin(axis=-1)
+        return _objective(w, half_inv_c2[j], levels_pref, rate).argmin(axis=-1)
 
     if order == ROW_MAJOR:
         # The guess for every row, and in the end the choices: nearest
@@ -612,26 +606,6 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
     else:
         guesses = np.empty((m, n), dtype=np.intp)  # column by column, in scan order
         wp = np.array(w_prime, order="F")  # the column steps' working copy
-        both_levels = np.stack((levels_pref, levels_pref))
-        ar_n = np.arange(n)
-
-        def first_guess(vals, j, base, slot):
-            # the choices under the tables at the column's start
-            if not two:
-                return choose(vals[:, None], j, base[:1])
-            # under either table, then along the context chain they make:
-            # each entry maps the table it reads to the next one, as a
-            # constant, the identity or a swap; the table after an entry is
-            # the last constant's value (or ``slot``) swapped once per swap
-            # since
-            a0, a1 = choose(vals[:, None, None], j, base, both_levels).T
-            f0, f1 = nz[a0], nz[a1]
-            last = np.maximum.accumulate(np.where(f0 == f1, ar_n, -1))
-            swaps = np.cumsum(f0 > f1)
-            known = last >= 0
-            after = np.where(known, f0[last], slot) ^ ((swaps - np.where(known, swaps[last], 0)) & 1)
-            reads = np.concatenate(([slot], after[:-1]))
-            return np.where(reads == 1, a1, a0)
 
         def col_round(j, u0, u1):
             nonlocal tables, table
@@ -653,7 +627,8 @@ def _speculative_pass(w_prime, model, order, grid, half_inv_c2, inv_c, chol, lam
 
         rounds = 0
         for j in _column_steps(wp, err, inv_c, chol):
-            guesses[j] = first_guess(wp[:, j], j, tables, table)
+            # the choices under the table active at the column's start
+            guesses[j] = choose(wp[:, j, None], j, tables[table])
             rounds += _drive(n, n, lambda u0, u1: col_round(j, u0, u1))
         guesses = guesses.T
     return rounds, np.ascontiguousarray(pref.astype(np.int32)[guesses]), err

@@ -921,6 +921,15 @@ class TestSpeculativePass:
         assert windows[0] == 256 and engine.MIN_ACCEPT in windows
         assert res.rounds == len(windows)
 
+    @pytest.mark.parametrize("kind", [ADAPTIVE, CONTEXT])
+    def test_column_takes_one_round_per_column(self, monkeypatch, kind):
+        # at an ordinary lam the choices under the table active at a
+        # column's start hold for the whole column: one round each
+        w, h = tall_layer(1, 256, 32)
+        cfg = CompressionConfig(lam=0.03, grid_size=9, scan_order=COLUMN_MAJOR, model_kind=kind)
+        res = pass_and_walk(monkeypatch, w, h, cfg)
+        assert res.rounds == 32
+
     def test_slow_column_takes_several_rounds(self, monkeypatch):
         w, h = tall_layer(1, 256, 32)
         cfg = CompressionConfig(lam=1.0, grid_size=33, scan_order=COLUMN_MAJOR,
